@@ -13,7 +13,7 @@ every built algebra bit-reproducible.
 from fractions import Fraction
 from functools import lru_cache
 
-from ghcert.errors import DimensionMismatch
+from ghcert.errors import DimensionMismatch, InvariantViolation
 from ghcert.linalg import intersect_row_spaces, rank, row_space_contains, rref
 from ghcert.rootsystem import CartanType, RootSystem
 
@@ -71,7 +71,8 @@ class _StructureConstants:
         ) + self.n(_neg(xi), a) * self.n(tuple(x - y for x, y in zip(a, xi)), b)
         denom = self.n(gamma, _neg(xi))
         val = Fraction(-t) / denom
-        assert val.denominator == 1
+        if val.denominator != 1:
+            raise InvariantViolation(f"structure constant N{(a, b)} = {val} is not an integer")
         return int(val)
 
     def n(self, x, y) -> int:
@@ -100,7 +101,8 @@ class _StructureConstants:
             z = _neg(s)
             ratio = self.rs.root_ip(z, z) / self.rs.root_ip(x, x)
             v = self.n(y, z) * ratio
-            assert v.denominator == 1
+            if v.denominator != 1:
+                raise InvariantViolation(f"structure constant N{(x, y)} = {v} is not an integer")
             val = int(v)
         else:
             # x positive, y negative, x+y negative
@@ -237,15 +239,30 @@ class LieAlgebra:
 
     @property
     def killing_matrix(self):
+        """Gram matrix of the Killing form, tr(ad b_i ad b_j).
+
+        The trace is summed over the sparse structure constants:
+        tr(ad b_i ad b_j) = sum over (k, r) of c_{ir}^k c_{jk}^r, where ad b_i
+        is kept as a map (k, r) -> c_{ir}^k of its nonzero entries.
+        """
         if self._killing is None:
-            ads = [self.ad_basis(i) for i in range(self.dim)]
+            ads = []
+            for i in range(self.dim):
+                entries = {}
+                for r in range(self.dim):
+                    for k, c in self.structure(i, r).items():
+                        entries[(k, r)] = c
+                ads.append(entries)
             km = [[Fraction(0)] * self.dim for _ in range(self.dim)]
             for i in range(self.dim):
+                a = ads[i]
                 for j in range(i, self.dim):
+                    b = ads[j]
                     tr = Fraction(0)
-                    a, b = ads[i], ads[j]
-                    for r in range(self.dim):
-                        tr += sum(a[r][k] * b[k][r] for k in range(self.dim))
+                    for (k, r), c in a.items():
+                        d = b.get((r, k))
+                        if d:
+                            tr += c * d
                     km[i][j] = km[j][i] = tr
             self._killing = km
         return self._killing

@@ -47,10 +47,6 @@ class NoRegularFound(GhcError):
     pass
 
 
-class IrrationalSpectrum(GhcError):
-    pass
-
-
 class NotTInvariant(GhcError):
     pass
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from ghcert.algebra import LieAlgebra
 from ghcert.borel import BorelData
-from ghcert.errors import NonDominant
+from ghcert.errors import InvariantViolation, NonDominant
 from ghcert.linalg import inverse, matvec
 from ghcert.rootsystem import WeylElement
 from ghcert.weights import Weight
@@ -15,7 +15,7 @@ from ghcert.weights import Weight
 
 @dataclass(frozen=True)
 class KostantSummand:
-    w: WeylElement
+    w: WeylElement  # standard element; the summand's is w_b w w_b^-1
     gamma: Weight
     dominant_for_m: bool
 
@@ -45,41 +45,30 @@ def m_weyl_dimension(borel: BorelData, gamma: Weight) -> int:
     val = Fraction(1)
     for c in borel.m_pos_roots:
         val *= rs.weight_root_ip(shifted, c) / rs.weight_root_ip(rho_m.coords, c)
-    assert val.denominator == 1 and val > 0
+    if val.denominator != 1 or val <= 0:
+        raise InvariantViolation(f"m-Weyl dimension of {gamma.coords} is {val}")
     return int(val)
-
-
-def _conjugated_elements_of_length(borel: BorelData, r: int):
-    """Weyl elements of length r with respect to the adapted positive system."""
-    rs = borel.L.rs
-    wb = [list(row) for row in borel.w_b]
-    wb_inv = inverse(wb)
-    out = []
-    for el in rs.weyl_elements_of_length(r):
-        m = [list(row) for row in el.matrix]
-        conj = _matmul(_matmul(wb, m), wb_inv)
-        out.append(WeylElement(el.word, tuple(tuple(x for x in row) for row in conj)))
-    return out
-
-
-def _matmul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(len(b[0]))]
-        for i in range(n)
-    ]
 
 
 def kostant_cohomology(L: LieAlgebra, borel: BorelData, nu: Weight, r: int) -> CohomologyDecomposition:
     """Degree-r decomposition: one summand per length-r Weyl element whose
-    shifted image is dominant for m; only those summands survive."""
+    shifted image is dominant for m; only those summands survive.
+
+    The lengths are taken in the adapted positive system, whose Weyl
+    elements are w_b w w_b^-1 for w of standard length r; their image of
+    nu + rho is w_b w (w_b^-1 (nu + rho)).
+    """
     if not (borel.dominant(nu) and borel.integral(nu)):
         raise NonDominant(f"nu = {nu.coords} is not b-dominant integral")
+    rs = L.rs
     rho = borel.rho
     shifted = [n + p for n, p in zip(nu.coords, rho.coords)]
+    # nu + rho is integral, and w_b and w_b^-1 are integer matrices
+    base = tuple(int(x) for x in matvec(inverse([list(row) for row in borel.w_b]), shifted))
+    w_b = [[int(x) for x in row] for row in borel.w_b]
     included = []
-    for el in _conjugated_elements_of_length(borel, r):
-        img = matvec([list(row) for row in el.matrix], shifted)
+    for el in rs.weyl_elements_of_length(r):
+        img = matvec(w_b, rs.weyl_act(el, base))
         gamma = Weight("g", tuple(i - p for i, p in zip(img, rho.coords)))
         dom = borel.m_dominant(gamma)
         summand = KostantSummand(w=el, gamma=gamma, dominant_for_m=dom)

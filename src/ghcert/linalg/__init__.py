@@ -1,22 +1,13 @@
 """Exact rational linear algebra.
 
-The row-reduction kernel is selected at import time: the compiled Cython
-extension when available, else the pure-Python fallback.  Set
-``GHCERT_PURE_PYTHON=1`` to force the fallback (used by the benchmark and
-by the kernel-parity tests).
+``KERNEL`` names the row-reduction kernel that ``ghcert.linalg.matrix``
+selected at import time; ``GHCERT_PURE_PYTHON=1`` forces the pure-Python
+fallback (used by the benchmark and by the kernel-parity tests).
 """
 
-import os
-
-if os.environ.get("GHCERT_PURE_PYTHON"):
-    from ghcert.linalg._rref_py import KERNEL, rref_in_place
-else:
-    try:
-        from ghcert.linalg._rref_cy import KERNEL, rref_in_place  # type: ignore
-    except ImportError:
-        from ghcert.linalg._rref_py import KERNEL, rref_in_place
-
 from ghcert.linalg.matrix import (
+    KERNEL,
+    rref_in_place,
     frac,
     fracvec,
     fracmat,

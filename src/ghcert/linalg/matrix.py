@@ -2,18 +2,22 @@
 
 Matrices are plain lists of lists of Fraction; vectors are lists of
 Fraction.  All functions are pure (inputs are copied before reduction).
+
+The row-reduction kernel is selected here, once, at import time: the
+compiled Cython extension when available, else the pure-Python fallback.
+Set ``GHCERT_PURE_PYTHON=1`` to force the fallback.
 """
 
 import os
 from fractions import Fraction
 
 if os.environ.get("GHCERT_PURE_PYTHON"):
-    from ghcert.linalg._rref_py import rref_in_place
+    from ghcert.linalg._rref_py import KERNEL, rref_in_place
 else:
     try:
-        from ghcert.linalg._rref_cy import rref_in_place  # type: ignore
+        from ghcert.linalg._rref_cy import KERNEL, rref_in_place  # type: ignore
     except ImportError:
-        from ghcert.linalg._rref_py import rref_in_place
+        from ghcert.linalg._rref_py import KERNEL, rref_in_place
 
 
 def frac(x) -> Fraction:

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ghcert.errors import InvalidCartanType, LengthOutOfRange, NonDominant, SearchTooLarge
+from ghcert.errors import (
+    InvalidCartanType,
+    InvariantViolation,
+    LengthOutOfRange,
+    NonDominant,
+    SearchTooLarge,
+)
 from ghcert.linalg import inverse, matvec
 
 WEYL_ORDER_CAP = 10**7
@@ -171,6 +177,8 @@ class RootSystem:
             tuple(-x for x in c) for c in self.positive_roots
         }
         self._cartan_inv = None
+        # Weyl levels found so far, extended by weyl_by_length
+        self._weyl_levels = [[WeylElement((), tuple(1 for _ in range(self.rank)))]]
 
     # -- root generation ------------------------------------------------
 
@@ -259,7 +267,8 @@ class RootSystem:
         out = []
         for i in range(self.rank):
             k = Fraction(c[i] * self.d[i]) / dd
-            assert k.denominator == 1
+            if k.denominator != 1:
+                raise InvariantViolation(f"coroot of {c} has coefficient {k} on h_{i}")
             out.append(int(k))
         return tuple(out)
 
@@ -287,62 +296,49 @@ class RootSystem:
         return tuple(self.weight_to_root_coords(f))
 
     def weyl_by_length(self, max_len=None):
-        """BFS enumeration of the Weyl group grouped by length.
+        """Weyl group elements grouped by length: levels[r] lists those of
+        length r in the order the breadth-first search reached them.
 
-        Returns a list `levels` with levels[r] = list of WeylElement of
-        length r.  Deduplication is by the canonical action matrix.
+        The search runs in integers on orbit points: w is keyed by w(rho),
+        which determines it because rho is regular.  Level r + 1 is reached
+        from level r by left multiplication with the simple reflections s_i
+        that lengthen w, those with <w(rho), alpha_i^vee> > 0.  The levels
+        are kept on the instance and extended only when a longer length is
+        asked for.  Returns levels 0..max_len (all when None).
         """
         if self.ctype.weyl_order() > WEYL_ORDER_CAP:
             raise SearchTooLarge(
                 f"Weyl group of {self.ctype} exceeds the {WEYL_ORDER_CAP} cap"
             )
-        n = self.rank
-        ident = tuple(tuple(Fraction(int(r == c)) for c in range(n)) for r in range(n))
-        gens = [
-            tuple(tuple(row) for row in self.simple_reflection_matrix(i)) for i in range(n)
-        ]
-        seen = {ident}
-        levels = [[WeylElement((), ident)]]
-        frontier = [((), ident)]
-        while frontier:
-            if max_len is not None and len(levels) > max_len:
-                break
+        levels = self._weyl_levels
+        # the longest element has length |positive roots|
+        top = len(self.positive_roots)
+        if max_len is not None:
+            top = min(top, max_len)
+        while len(levels) <= top:
+            seen = set()
             nxt = []
-            for word, mat in frontier:
-                for i in range(n):
-                    prod = tuple(
-                        tuple(
-                            sum(gens[i][r][k] * mat[k][c] for k in range(n))
-                            for c in range(n)
-                        )
-                        for r in range(n)
-                    )
-                    if prod not in seen:
-                        seen.add(prod)
-                        nxt.append((word + (i,), prod))
-            if not nxt:
-                break
-            levels.append([WeylElement(tuple(reversed(w)), m) for w, m in sorted(nxt)])
-            frontier = nxt
-        return levels
+            for el in levels[-1]:
+                for i in range(self.rank):
+                    if el.rho_image[i] > 0:
+                        img = self.reflect_simple(i, el.rho_image)
+                        if img not in seen:
+                            seen.add(img)
+                            nxt.append(WeylElement((i,) + el.word, img))
+            levels.append(nxt)
+        return levels[: top + 1]
 
     def weyl_elements_of_length(self, r: int):
         n_pos = len(self.positive_roots)
         if r < 0 or r > n_pos:
             raise LengthOutOfRange(f"length {r} not in [0, {n_pos}]")
-        levels = self.weyl_by_length(max_len=r)
-        if r >= len(levels):
-            return []
-        return levels[r]
+        return self.weyl_by_length(max_len=r)[r]
 
-    def length_of_matrix(self, matrix) -> int:
-        """Number of positive roots sent negative by the action matrix."""
-        count = 0
-        for c in self.positive_roots:
-            img = self.act_on_root(matrix, c)
-            if tuple(img) not in self.root_index:
-                count += 1
-        return count
+    def weyl_act(self, w: "WeylElement", lam):
+        """w(lambda) for a weight in fundamental coordinates."""
+        for i in reversed(w.word):
+            lam = self.reflect_simple(i, lam)
+        return lam
 
     # -- weights -------------------------------------------------------
 
@@ -368,16 +364,19 @@ class RootSystem:
             num *= self.weight_root_ip(shifted, c)
             den *= self.weight_root_ip(rho, c)
         val = num / den
-        assert val.denominator == 1 and val > 0
+        if val.denominator != 1 or val <= 0:
+            raise InvariantViolation(f"Weyl dimension of {lam} is {val}")
         return int(val)
 
 
 @dataclass(frozen=True)
 class WeylElement:
-    """A Weyl group element: reduced word plus fundamental-coords matrix."""
+    """A Weyl group element: a reduced word (i_1, ..., i_r) for
+    s_{i_1} ... s_{i_r}, and its orbit point w(rho) in fundamental
+    coordinates (integers)."""
 
     word: tuple
-    matrix: tuple
+    rho_image: tuple
 
     @property
     def length(self) -> int:

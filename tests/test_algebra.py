@@ -60,6 +60,24 @@ def test_killing_nondegenerate(ctype):
     assert det(L.killing_matrix) != 0
 
 
+@pytest.mark.parametrize("ctype", ["A1xA1", "B2", "G2", "A3", "B3", "C3"])
+def test_killing_matrix_matches_dense_trace(ctype):
+    # reference: tr(ad b_i ad b_j) from the dense ad matrices
+    L = build_algebra(ctype)
+    ads = [L.ad_basis(i) for i in range(L.dim)]
+    dense = [
+        [
+            sum(
+                (ads[i][r][k] * ads[j][k][r] for r in range(L.dim) for k in range(L.dim)),
+                F(0),
+            )
+            for j in range(L.dim)
+        ]
+        for i in range(L.dim)
+    ]
+    assert L.killing_matrix == dense
+
+
 def test_sl2_structure():
     L = build_algebra("A1")
     h = L.basis_vector(("h", 0))

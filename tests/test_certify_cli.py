@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ghcert.algebra import build_algebra
 from ghcert.certify import (
     canonical_json,
     certify,
@@ -72,6 +73,20 @@ def test_certificate_deterministic():
     a = canonical_json(certify(parse_input(raw), raw))
     b = canonical_json(certify(parse_input(raw), raw))
     assert a == b
+
+
+@pytest.mark.parametrize("algebra", ["D4", "F4"])
+def test_round_trip_higher_rank(algebra):
+    # k = sl2 on the first simple root alpha_1
+    L = build_algebra(algebra)
+    alpha1 = tuple(int(i == 0) for i in range(L.rank))
+    gens = [unit(L.dim, L.index[(kind, alpha1)]) for kind in ("e", "f")]
+    raw = problem(algebra, [unit(L.dim, 0)] + gens, [unit(L.dim, 0)])
+    cert = certify(parse_input(raw), raw)
+    assert cert["verdict"]["kind"] == "ExistsWitness"
+    ok, reasons = verify_certificate(cert, raw)
+    assert ok, reasons
+    assert canonical_json(certify(parse_input(raw), raw)) == canonical_json(cert)
 
 
 def test_verify_rejects_wrong_input():

@@ -114,8 +114,8 @@ def test_env_var_forces_pure_python():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (root, os.environ.get("PYTHONPATH")) if p
     )
-    # The kernel is selected both for the ``KERNEL`` label and, separately,
-    # for the ``rref_in_place`` that ``matrix.rref`` and friends call.
+    # Check the ``KERNEL`` label and the ``rref_in_place`` that
+    # ``matrix.rref`` and friends call.
     code = (
         "import ghcert.linalg as l, ghcert.linalg.matrix as m, "
         "ghcert.linalg._rref_py as p; "

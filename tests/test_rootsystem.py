@@ -50,6 +50,47 @@ def test_weyl_length_histogram_b2():
     assert [len(lv) for lv in levels] == [1, 2, 2, 2, 1]
 
 
+# degrees of the basic invariants; the Weyl group's Poincare polynomial
+# is the product over them of (1 + q + ... + q^(d-1))
+INVARIANT_DEGREES = {
+    "A1xA1": [2, 2],
+    "A3": [2, 3, 4],
+    "B3": [2, 4, 6],
+    "C3": [2, 4, 6],
+    "D4": [2, 4, 4, 6],
+    "G2": [2, 6],
+    "F4": [2, 6, 8, 12],
+}
+
+
+@pytest.mark.parametrize("ctype", sorted(INVARIANT_DEGREES))
+def test_weyl_length_histogram_is_poincare_polynomial(ctype):
+    poly = [1]
+    for d in INVARIANT_DEGREES[ctype]:
+        out = [0] * (len(poly) + d - 1)
+        for i, c in enumerate(poly):
+            for j in range(d):
+                out[i + j] += c
+        poly = out
+    rs = root_system(ctype)
+    levels = rs.weyl_by_length()
+    assert [len(lv) for lv in levels] == poly
+    rho = tuple(1 for _ in range(rs.rank))
+    for r, level in enumerate(levels):
+        for el in level:
+            assert len(el.word) == r and rs.weyl_act(el, rho) == el.rho_image
+
+
+def test_weyl_levels_are_stored():
+    rs = root_system("B3")
+    first = rs.weyl_elements_of_length(3)
+    assert rs.weyl_elements_of_length(3) is first
+    # extending to longer lengths keeps the stored shorter levels
+    rs.weyl_elements_of_length(9)
+    assert rs.weyl_elements_of_length(3) is first
+    assert rs.weyl_by_length()[3] is first
+
+
 def test_weyl_elements_of_length_range():
     rs = root_system("A2")
     with pytest.raises(LengthOutOfRange):
