@@ -231,8 +231,23 @@ def _exit_code(exc: GhcError) -> int:
     return 3
 
 
+def _join_nu(argv):
+    """Rewrite `--nu VALUE` as `--nu=VALUE`, so that a weight with a
+    leading minus sign such as `-1,1` is not taken for an option."""
+    out = []
+    it = iter(argv)
+    for arg in it:
+        if arg == "--nu":
+            value = next(it, None)
+            out.append(arg if value is None else f"--nu={value}")
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_nu(argv))
     try:
         return args.fn(args)
     except GhcError as exc:

@@ -4,6 +4,9 @@ the nilradical from the Chevalley-Eilenberg complex by exact rank
 computations, and compare the outcome with the Weyl-group formula.
 """
 
+import itertools
+import math
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -17,7 +20,7 @@ from ghcert.errors import (
     NotAnMCharacter,
 )
 from ghcert.kostant import kostant_cohomology
-from ghcert.linalg import rref, solve
+from ghcert.linalg import solve
 from ghcert.weights import Weight
 
 DEFAULT_DIM_CAP = 5000
@@ -54,6 +57,13 @@ class _VermaOps:
         self.pos_index = {c: j for j, c in enumerate(self.pos)}
         self._f_memo = {}
         self._e_memo = {}
+        # rho is strictly positive on every b-positive root; its pairings,
+        # scaled to integers, bound the exponents of a monomial
+        self._rho = list(borel.rho.coords)
+        phi = [Fraction(rs.weight_root_ip(self._rho, c)) for c in self.pos]
+        self._scale = math.lcm(*(p.denominator for p in phi))
+        self._phi = [int(p * self._scale) for p in phi]
+        self._depth_memo = {}
 
     def mono_weight(self, mono):
         """Weight of (monomial applied to the highest vector), fund coords."""
@@ -98,7 +108,10 @@ class _VermaOps:
                 self.lower_vec[j], self.lower_vec[first]
             ):
                 kind, idx = self._label_action(label)
-                assert kind == "lower"
+                if kind != "lower":
+                    raise InvariantViolation(
+                        "bracket of two lowering operators is not lowering"
+                    )
                 for m2, c2 in self.f_on_mono(idx, rest).items():
                     _acc(out, m2, c * c2)
             out = {m: c for m, c in out.items() if c != 0}
@@ -164,26 +177,30 @@ class _VermaOps:
 
     def monos_with_depth(self, depth):
         """All exponent tuples whose root-sum equals depth (simple-root
-        coordinates of the standard system)."""
-        rs = self.L.rs
-        rho = list(self.borel.rho.coords)
-        # rho is strictly positive on every b-positive root; bounds exponents
-        phi = [rs.weight_root_ip(rho, c) for c in self.pos]
+        coordinates of the standard system), listed once per depth."""
+        if depth not in self._depth_memo:
+            self._depth_memo[depth] = self._list_monos(depth)
+        return self._depth_memo[depth]
+
+    def _list_monos(self, depth):
+        pos, phi, N = self.pos, self._phi, self.N
 
         def rec(j, cur, budget):
-            if j == self.N:
-                return [()] if all(x == 0 for x in cur) else []
+            if j == N:
+                return [()] if not any(cur) else []
             sub = []
             a = 0
-            d = tuple(cur)
-            while budget - a * phi[j] >= 0:
-                for tail in rec(j + 1, d, budget - a * phi[j]):
+            d = cur
+            while budget >= 0:
+                for tail in rec(j + 1, d, budget):
                     sub.append((a,) + tail)
                 a += 1
-                d = tuple(x - y for x, y in zip(d, self.pos[j]))
+                budget -= phi[j]
+                d = tuple(x - y for x, y in zip(d, pos[j]))
             return sub
 
-        return rec(0, tuple(depth), rs.weight_root_ip(rho, tuple(depth)))
+        budget = self.L.rs.weight_root_ip(self._rho, depth) * self._scale
+        return rec(0, depth, math.floor(budget))
 
 
 def _acc(d, k, v):
@@ -210,35 +227,60 @@ def b_weyl_dimension(borel: BorelData, nu: Weight) -> int:
         val *= rs.weight_root_ip(shifted, c) / rs.weight_root_ip(
             borel.rho.coords, c
         )
-    assert val.denominator == 1 and val > 0
+    if val.denominator != 1 or val <= 0:
+        raise InvariantViolation(f"Weyl dimension {val} is not a positive integer")
     return int(val)
 
 
-class _WeightBlock:
-    """One Verma weight space: monomial basis, the maximal-submodule rows,
-    and the surviving module basis in quotient coordinates."""
+class _Echelon:
+    """Echelon form of sparse vectors ({key: Fraction}), grown one vector at
+    a time.  Each row is scaled to 1 at its least key, which leads no other
+    row, and records as {ident: coefficient} the combination of inserted
+    vectors that it equals, modulo the span of those inserted without an
+    ident."""
 
-    def __init__(self, monos, sub_rows, sub_pivots):
-        self.monos = list(monos)
-        self.index = {m: i for i, m in enumerate(self.monos)}
-        self.sub_rows = sub_rows  # canonical rref rows of the submodule
-        self.sub_pivots = sub_pivots
-        self.free_cols = [
-            i for i in range(len(self.monos)) if i not in set(sub_pivots)
-        ]
-        self.basis_q = []  # quotient coordinate rows of module basis vectors
-        self.basis_ids = []  # global basis indices
+    def __init__(self):
+        self.rows = {}  # leading key -> (row, combination)
 
-    def quotient_coords(self, elem):
-        vec = [Fraction(0)] * len(self.monos)
-        for m, c in elem.items():
-            vec[self.index[m]] += c
-        for row, piv in zip(self.sub_rows, self.sub_pivots):
-            f = vec[piv]
-            if f != 0:
-                for i in range(len(vec)):
-                    vec[i] -= f * row[i]
-        return tuple(vec[i] for i in self.free_cols)
+    def reduce(self, vec):
+        """(remainder, combination) with vec = remainder + combination,
+        modulo the untracked span; the remainder is empty iff vec lies in
+        the span of the rows."""
+        vec = dict(vec)
+        comb = {}
+        while vec:
+            lead = min(vec)
+            hit = self.rows.get(lead)
+            if hit is None:
+                break
+            row, row_comb = hit
+            f = vec[lead]
+            _axpy(vec, -f, row)
+            _axpy(comb, f, row_comb)
+        return vec, comb
+
+    def insert(self, vec, ident=None):
+        """Add vec as a row unless the rows span it; True iff it was added."""
+        rem, comb = self.reduce(vec)
+        if not rem:
+            return False
+        lead = min(rem)
+        inv = Fraction(1) / rem[lead]
+        comb = {k: -c * inv for k, c in comb.items()}
+        if ident is not None:
+            comb[ident] = inv
+        self.rows[lead] = ({k: x * inv for k, x in rem.items()}, comb)
+        return True
+
+
+def _axpy(y, a, x):
+    """y += a * x on sparse vectors, keeping only nonzero entries; a != 0."""
+    for k, v in x.items():
+        t = y.get(k, 0) + a * v
+        if t:
+            y[k] = t
+        else:
+            del y[k]
 
 
 def construct_module(
@@ -249,7 +291,9 @@ def construct_module(
 
     Vectors live in PBW coordinates of the Verma module and are reduced
     modulo the maximal submodule, which is generated by f_i^(n_i+1) over
-    the b-simple lowerings."""
+    the b-simple lowerings.  Each Verma weight space keeps one echelon form:
+    first the submodule, untracked, then the module basis vectors found in
+    it, tracked by their basis index."""
     if not (borel.dominant(nu) and borel.integral(nu)):
         raise NonDominant(f"nu = {nu.coords} is not b-dominant integral")
     target = b_weyl_dimension(borel, nu)
@@ -261,8 +305,9 @@ def construct_module(
     sing_exp = {
         j: int(rs.pair_coroot(nu.coords, ops.pos[j])) + 1 for j in simple_idx
     }
+    v0 = {(0,) * ops.N: Fraction(1)}
 
-    blocks = {}
+    blocks = {}  # depth -> _Echelon of that Verma weight space
 
     def depth_of(mono):
         d = [0] * rs.rank
@@ -272,49 +317,42 @@ def construct_module(
                     d[i] += a * ops.pos[j][i]
         return tuple(d)
 
-    def get_block(depth):
-        if depth in blocks:
-            return blocks[depth]
-        monos = ops.monos_with_depth(depth)
-        sub_vecs = []
-        for j, power in sing_exp.items():
-            rem = tuple(
-                d - power * c for d, c in zip(depth, ops.pos[j])
-            )
-            for mono in ops.monos_with_depth(rem):
-                elem = {(0,) * ops.N: Fraction(1)}
-                for _ in range(power):
+    lowered = {}  # (j, mono) -> mono . f_j^(n_j+1) v0, mono in PBW order
+
+    def lower(j, mono):
+        key = (j, mono)
+        if key not in lowered:
+            first = next((i for i, a in enumerate(mono) if a), None)
+            if first is None:
+                elem = v0
+                for _ in range(sing_exp[j]):
                     elem = ops.lmul_f(j, elem)
-                for jj in reversed(range(ops.N)):
-                    for _ in range(mono[jj]):
-                        elem = ops.lmul_f(jj, elem)
-                vec = [Fraction(0)] * len(monos)
-                idx = {m: i for i, m in enumerate(monos)}
-                for m, c in elem.items():
-                    vec[idx[m]] += c
-                sub_vecs.append(vec)
-        if sub_vecs:
-            rows, pivots = rref(sub_vecs)
-        else:
-            rows, pivots = [], []
-        blocks[depth] = _WeightBlock(monos, rows, pivots)
-        return blocks[depth]
+            else:
+                elem = ops.lmul_f(first, lower(j, ops._dec(mono, first)))
+            lowered[key] = elem
+        return lowered[key]
 
-    basis_verma = []
-    basis_depth = []
+    def get_block(depth):
+        block = blocks.get(depth)
+        if block is None:
+            block = blocks[depth] = _Echelon()
+            for j, power in sing_exp.items():
+                rem = tuple(
+                    d - power * c for d, c in zip(depth, ops.pos[j])
+                )
+                for mono in ops.monos_with_depth(rem):
+                    block.insert(lower(j, mono))
+        return block
+
     zero_depth = (0,) * rs.rank
-    root_block = get_block(zero_depth)
-    v0 = {(0,) * ops.N: Fraction(1)}
-    q0 = root_block.quotient_coords(v0)
-    assert any(x != 0 for x in q0)
-    basis_verma.append(v0)
-    basis_depth.append(zero_depth)
-    root_block.basis_q.append(list(q0))
-    root_block.basis_ids.append(0)
+    if not get_block(zero_depth).insert(v0, 0):
+        raise InvariantViolation("highest-weight vector lies in the submodule")
+    basis_verma = [v0]
+    basis_depth = [zero_depth]
 
-    queue = [0]
+    queue = deque([0])
     while queue:
-        i = queue.pop(0)
+        i = queue.popleft()
         for j in simple_idx:
             y = ops.lmul_f(j, basis_verma[i])
             if not y:
@@ -322,21 +360,13 @@ def construct_module(
             depth = tuple(
                 d + c for d, c in zip(basis_depth[i], ops.pos[j])
             )
-            block = get_block(depth)
-            q = block.quotient_coords(y)
-            if all(x == 0 for x in q):
-                continue
-            trial = [list(r) for r in block.basis_q] + [list(q)]
-            rows, _ = rref(trial)
-            if len(rows) == len(block.basis_q):
-                continue
             new_id = len(basis_verma)
+            if not get_block(depth).insert(y, new_id):
+                continue
             if new_id + 1 > dim_cap:
                 raise DimCapExceeded(f"module basis exceeds cap {dim_cap}")
             basis_verma.append(y)
             basis_depth.append(depth)
-            block.basis_q.append(list(q))
-            block.basis_ids.append(new_id)
             queue.append(new_id)
 
     dim = len(basis_verma)
@@ -349,27 +379,10 @@ def construct_module(
     def coords_in_basis(elem):
         if not elem:
             return {}
-        depth = depth_of(next(iter(elem)))
-        block = blocks.get(depth)
-        if block is None:
-            block = get_block(depth)
-        q = block.quotient_coords(elem)
-        if all(x == 0 for x in q):
-            return {}
-        if not block.basis_ids:
-            raise InvariantViolation("nonzero vector outside the module")
-        mat = [
-            [block.basis_q[k][r] for k in range(len(block.basis_q))]
-            for r in range(len(q))
-        ]
-        sol = solve(mat, list(q))
-        if sol is None:
+        rem, comb = get_block(depth_of(next(iter(elem)))).reduce(elem)
+        if rem:
             raise InvariantViolation("action leaves the constructed module")
-        return {
-            block.basis_ids[k]: sol[k]
-            for k in range(len(sol))
-            if sol[k] != 0
-        }
+        return comb
 
     action = {}
     for label in L.basis:
@@ -423,7 +436,10 @@ class CochainComplex:
     n_roots: tuple  # b-positive roots spanning n, in borel order
     bases: list  # per degree: list of (subset tuple, module index)
     weights: list  # per degree: weight tuple per basis element
-    differentials: list  # d_q : C^q -> C^(q+1), full matrices
+    # d_q : C^q -> C^(q+1) in blocks per weight, {weight: {column:
+    # {row: entry}}} with basis indices of C^q and C^(q+1); only nonzero
+    # entries and columns are stored
+    differentials: list
 
 
 @dataclass
@@ -445,6 +461,9 @@ def _n_roots(borel: BorelData):
 
 
 def build_complex(L: LieAlgebra, borel: BorelData, W: ExplicitModule) -> CochainComplex:
+    """Chevalley-Eilenberg complex of n with coefficients in W, its
+    differentials blocked by h_std-weight.  Checks that every entry
+    preserves weight and that d compose d vanishes."""
     rs = L.rs
     n_roots = _n_roots(borel)
     R = len(n_roots)
@@ -456,101 +475,97 @@ def build_complex(L: LieAlgebra, borel: BorelData, W: ExplicitModule) -> Cochain
             labels.append(("e", c))
         else:
             labels.append(("f", tuple(-x for x in c)))
-    act = [W.action[lab] for lab in labels]
+    dim = W.dim
+    # act[k][m]: nonzero (row, entry) of column m of the k-th generator
+    act = []
+    for lab in labels:
+        mat = W.action[lab]
+        act.append(
+            [[(r, mat[r][m]) for r in range(dim) if mat[r][m] != 0]
+             for m in range(dim)]
+        )
     root_fund = [rs.root_to_weight(c) for c in n_roots]
 
-    # structure constants of n in this basis
-    nbrack = {}
+    # structure constants of n in this basis: onto[k] lists (a, b, coeff)
+    # with a < b and coeff the x_k-coefficient of [x_a, x_b]
+    onto = [[] for _ in range(R)]
     for a in range(R):
         for b in range(a + 1, R):
             z = L.bracket(L.basis_vector(labels[a]), L.basis_vector(labels[b]))
-            comp = {}
             for k in range(R):
                 coeff = z[L.index[labels[k]]]
                 if coeff != 0:
-                    comp[k] = coeff
-            if comp:
-                nbrack[(a, b)] = comp
+                    onto[k].append((a, b, coeff))
 
-    def subsets(q):
-        out = []
-
-        def rec(start, cur):
-            if len(cur) == q:
-                out.append(tuple(cur))
-                return
-            for nxt in range(start, R):
-                cur.append(nxt)
-                rec(nxt + 1, cur)
-                cur.pop()
-
-        rec(0, [])
-        return out
-
+    # C^q has basis (S, m), S a q-subset of n's basis and m a module basis
+    # index, numbered (index of S) * dim + m
+    subs = [list(itertools.combinations(range(R), q)) for q in range(R + 1)]
+    sub_index = [{S: i for i, S in enumerate(sq)} for sq in subs]
+    module_wts = [x.coords for x in W.weight_of_basis]
     bases, weights = [], []
     for q in range(R + 1):
-        basis_q = [(S, m) for S in subsets(q) for m in range(W.dim)]
+        bases.append([(S, m) for S in subs[q] for m in range(dim)])
         wt_q = []
-        for S, m in basis_q:
-            w = list(W.weight_of_basis[m].coords)
-            for j in S:
-                for i in range(rs.rank):
-                    w[i] -= root_fund[j][i]
-            wt_q.append(tuple(w))
-        bases.append(basis_q)
+        for S in subs[q]:
+            shift = [sum(root_fund[j][i] for j in S) for i in range(rs.rank)]
+            wt_q.extend(
+                tuple(x - y for x, y in zip(wm, shift)) for wm in module_wts
+            )
         weights.append(wt_q)
-
-    index = [
-        {bm: i for i, bm in enumerate(basis_q)} for basis_q in bases
-    ]
 
     differentials = []
     for q in range(R):
-        rows, cols = len(bases[q + 1]), len(bases[q])
-        d = [[Fraction(0)] * cols for _ in range(rows)]
-        for col, (S, m) in enumerate(bases[q]):
-            sset = set(S)
+        wt_col, wt_row = weights[q], weights[q + 1]
+        blocks = {}
+        for s, S in enumerate(subs[q]):
             # action term: extend S by one index k
+            grow = []
             for k in range(R):
-                if k in sset:
-                    continue
-                T = tuple(sorted(S + (k,)))
-                sign = (-1) ** T.index(k)
-                col_act = [act[k][r][m] for r in range(W.dim)]
-                for r, c in enumerate(col_act):
-                    if c != 0:
-                        d[index[q + 1][(T, r)]][col] += sign * c
-            # bracket term: replace one element of S by a bracketing pair
-            for k in S:
-                rest = tuple(x for x in S if x != k)
-                ins = sum(1 for x in rest if x < k)
-                sgn_k = (-1) ** ins
-                for (a, b), comp in nbrack.items():
-                    if k not in comp:
-                        continue
+                if k not in S:
+                    T = tuple(sorted(S + (k,)))
+                    base = sub_index[q + 1][T] * dim
+                    grow.append((act[k], base, (-1) ** T.index(k)))
+            # bracket term: replace the element k of S by a pair a < b
+            swap = []
+            for pos_k, k in enumerate(S):
+                rest = S[:pos_k] + S[pos_k + 1:]
+                for a, b, coeff in onto[k]:
                     if a in rest or b in rest:
                         continue
                     T = tuple(sorted(rest + (a, b)))
-                    i_pos, j_pos = T.index(a), T.index(b)
-                    sgn = (-1) ** (i_pos + j_pos) * comp[k] * sgn_k
-                    d[index[q + 1][(T, m)]][col] += sgn
-        differentials.append(d)
+                    sgn = (-1) ** (T.index(a) + T.index(b) + pos_k)
+                    swap.append((sub_index[q + 1][T] * dim, sgn * coeff))
+            for m in range(dim):
+                col = s * dim + m
+                wt = wt_col[col]
+                entries = {}
+                placed = [
+                    (base + r, sign * c)
+                    for act_k, base, sign in grow
+                    for r, c in act_k[m]
+                ]
+                placed.extend((base + m, c) for base, c in swap)
+                for row, c in placed:
+                    if wt_row[row] != wt:
+                        raise ComplexInconsistent("differential mixes weights")
+                    entries[row] = entries.get(row, 0) + c
+                entries = {row: c for row, c in entries.items() if c != 0}
+                if entries:
+                    blocks.setdefault(wt, {})[col] = entries
+        differentials.append(blocks)
 
-    # internal consistency: d . d = 0 and weight preservation
+    # d compose d = 0, one column at a time, within each weight block
     for q in range(R - 1):
-        d1, d2 = differentials[q], differentials[q + 1]
-        for col in range(len(bases[q])):
-            for r in range(len(bases[q + 2])):
-                val = sum(
-                    d2[r][k] * d1[k][col] for k in range(len(bases[q + 1]))
-                )
-                if val != 0:
+        onward = differentials[q + 1]
+        for wt, cols in differentials[q].items():
+            nxt = onward.get(wt, {})
+            for entries in cols.values():
+                out = {}
+                for k, c in entries.items():
+                    for row, c2 in nxt.get(k, {}).items():
+                        out[row] = out.get(row, 0) + c * c2
+                if any(out.values()):
                     raise ComplexInconsistent("d compose d is nonzero")
-    for q in range(R):
-        for col in range(len(bases[q])):
-            for r in range(len(bases[q + 1])):
-                if differentials[q][r][col] != 0 and weights[q][col] != weights[q + 1][r]:
-                    raise ComplexInconsistent("differential mixes weights")
     return CochainComplex(
         n_roots=n_roots, bases=bases, weights=weights, differentials=differentials
     )
@@ -561,27 +576,15 @@ def ce_cohomology(L: LieAlgebra, borel: BorelData, W: ExplicitModule) -> dict:
     per weight."""
     cx = build_complex(L, borel, W)
     R = len(cx.n_roots)
-    all_weights = sorted({w for wq in cx.weights for w in wq})
+    cdims = [Counter(wq) for wq in cx.weights]  # per degree: {weight: dim}
     ranks = []  # per degree: {weight: rank of d_q on that block}
-    cdims = []  # per degree: {weight: dim C^q at that weight}
-    for q in range(R + 1):
-        cdims.append({})
-        for w in cx.weights[q]:
-            cdims[q][w] = cdims[q].get(w, 0) + 1
-    for q in range(R):
-        blocks = {}
-        for w in set(cx.weights[q]):
-            cols = [i for i, x in enumerate(cx.weights[q]) if x == w]
-            rws = [i for i, x in enumerate(cx.weights[q + 1]) if x == w]
-            if not cols or not rws:
-                blocks[w] = 0
-                continue
-            sub = [
-                [cx.differentials[q][r][c] for c in cols] for r in rws
-            ]
-            rows_r, _ = rref(sub)
-            blocks[w] = len(rows_r)
-        ranks.append(blocks)
+    for blocks in cx.differentials:
+        ranks.append({})
+        for wt, cols in blocks.items():
+            ech = _Echelon()
+            for entries in cols.values():
+                ech.insert(entries)
+            ranks[-1][wt] = len(ech.rows)
     coh = {}
     for q in range(R + 1):
         coh[q] = {}
@@ -589,13 +592,16 @@ def ce_cohomology(L: LieAlgebra, borel: BorelData, W: ExplicitModule) -> dict:
             r_out = ranks[q].get(w, 0) if q < R else 0
             r_in = ranks[q - 1].get(w, 0) if q > 0 else 0
             h = cd - r_out - r_in
-            assert h >= 0
+            if h < 0:
+                raise ComplexInconsistent(
+                    f"negative cohomology dimension in degree {q}"
+                )
             if h > 0:
                 coh[q][w] = h
     # Euler identity per weight
-    for w in all_weights:
+    for w in set().union(*cdims):
         lhs = sum((-1) ** q * coh[q].get(w, 0) for q in range(R + 1))
-        rhs = sum((-1) ** q * cdims[q].get(w, 0) for q in range(R + 1))
+        rhs = sum((-1) ** q * cdims[q][w] for q in range(R + 1))
         if lhs != rhs:
             raise ComplexInconsistent("Euler identity fails")
     return coh
@@ -668,7 +674,10 @@ def _freudenthal_character(rs, m_pos, m_simple, Lam):
             mults[lam] = 0
             return 0
         val = num / den
-        assert val.denominator == 1 and val >= 0
+        if val.denominator != 1 or val < 0:
+            raise InvariantViolation(
+                f"Freudenthal multiplicity {val} is not a natural number"
+            )
         mults[lam] = int(val)
         return mults[lam]
 

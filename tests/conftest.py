@@ -17,7 +17,7 @@ def problem(algebra, gens, t, **search):
     return d
 
 
-# the five standing cases used throughout the suite
+# the standing cases used throughout the suite
 CASES = {
     "a1_t": problem("A1", [unit(3, 0)], [unit(3, 0)]),
     "a2_torus": problem(
@@ -35,7 +35,31 @@ CASES = {
     "b2_sl2": problem(
         "B2", [unit(10, 0), unit(10, 3), unit(10, 7)], [unit(10, 0)]
     ),
+    # G2 basis: h0 h1 e(0,1) e(1,0) e(1,1) e(2,1) e(3,1) e(3,2) f...; k = sl2
+    # on the simple root (0,1), where (-1,1) is b-dominant
+    "g2_sl2": problem(
+        "G2", [unit(14, 1), unit(14, 2), unit(14, 8)], [unit(14, 1)]
+    ),
+    # A3 basis: h0 h1 h2 e(0,0,1) e(0,1,0) e(1,0,0) ... f...; k = sl2 on the
+    # simple root (1,0,0), a rank-3 parabolic with dim n = 5
+    "a3_sl2": problem(
+        "A3", [unit(15, 0), unit(15, 5), unit(15, 11)], [unit(15, 0)]
+    ),
 }
+
+
+def borel_from_case(raw):
+    """Adapted Borel of the certified witness for a case input."""
+    from ghcert.borel import build_borel
+    from ghcert.certify import _prepare, parse_input
+    from ghcert.embedding import choose_regular
+    from ghcert.parabolic import build_parabolic
+
+    pin = parse_input(raw)
+    L, emb = _prepare(pin)
+    reg = choose_regular(L, emb, seed=pin.seed)
+    pd = build_parabolic(L, emb, reg)
+    return L, emb, reg, pd, build_borel(L, [reg.h[i] for i in range(L.rank)])
 
 
 @pytest.fixture

@@ -25,27 +25,13 @@ from ghcert.oracle import (
 )
 from ghcert.weights import Weight, WeightMultiset
 
-from conftest import CASES
+from conftest import CASES, borel_from_case
 
 F = Fraction
 
 
 def w(*coords):
     return Weight("g", tuple(F(x) for x in coords))
-
-
-def borel_from_case(raw):
-    """Adapted Borel of the certified witness for a case input."""
-    from ghcert.borel import build_borel as bb
-    from ghcert.certify import _prepare
-    from ghcert.embedding import choose_regular
-    from ghcert.parabolic import build_parabolic
-
-    pin = parse_input(raw)
-    L, emb = _prepare(pin)
-    reg = choose_regular(L, emb, seed=pin.seed)
-    pd = build_parabolic(L, emb, reg)
-    return L, emb, reg, pd, bb(L, [reg.h[i] for i in range(L.rank)])
 
 
 # -- criterion 1: structure-constant integrity ---------------------------
@@ -82,6 +68,9 @@ def test_criterion_1_structure_constants(ctype):
 ORACLE_CASES = (
     [("a1_t", (n,), [0, 1]) for n in (0, 2, 4)]
     + [("a2_torus", nu, [0, 1, 2, 3]) for nu in ((0, 0), (1, 0), (1, 1))]
+    # a module of dim 80, G2 with dim n = 5, and a rank-3 parabolic
+    + [("b2_sl2", (4, -1), [0, 1, 2, 3]), ("g2_sl2", (-1, 1), list(range(6)))]
+    + [("a3_sl2", (2, -1, 1), list(range(6)))]
 )
 
 

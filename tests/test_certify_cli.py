@@ -181,6 +181,29 @@ def test_cli_oracle_compare(write_input, capsys):
     assert json.loads(capsys.readouterr().out)["match"] is True
 
 
+def test_cli_negative_nu_as_separate_argument(write_input, capsys):
+    """A weight with a leading minus sign is a value, not an option, and
+    gives the same output as the `--nu=VALUE` form."""
+    inp = write_input("in.json", CASES["g2_sl2"])
+    runs = [
+        ["oracle-compare", inp, "NU", "--degrees", "0..1"],
+        ["kostant", "--type", "G2", "NU", "--k-spec", inp, "--degree", "1"],
+    ]
+    for argv in runs:
+        outs = []
+        for nu in (["--nu", "-1,1"], ["--nu=-1,1"]):
+            i = argv.index("NU")
+            assert main(argv[:i] + nu + argv[i + 1:]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+    assert json.loads(outs[0])["total_dim"] > 0
+    # parsed, then rejected as not b-dominant rather than as an option
+    argv = ["kostant", "--type", "G2", "--nu", "-1,2", "--k-spec", inp,
+            "--degree", "1"]
+    assert main(argv) == 2
+    assert "b-dominant" in capsys.readouterr().err
+
+
 def test_cli_exit_code_invalid_input(write_input, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

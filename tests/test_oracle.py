@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -5,9 +6,15 @@ import pytest
 
 from ghcert.algebra import build_algebra
 from ghcert.borel import build_borel
-from ghcert.errors import DimCapExceeded, NonDominant, NotAnMCharacter
+from ghcert.errors import (
+    ComplexInconsistent,
+    DimCapExceeded,
+    NonDominant,
+    NotAnMCharacter,
+)
 from ghcert.oracle import (
     b_weyl_dimension,
+    build_complex,
     ce_cohomology,
     check_module_relations,
     compare_kostant_vs_oracle,
@@ -15,6 +22,8 @@ from ghcert.oracle import (
     decompose_as_m_module,
 )
 from ghcert.weights import Weight
+
+from conftest import CASES, borel_from_case
 
 F = Fraction
 
@@ -146,3 +155,99 @@ def test_compare_b2_nonabelian_levi():
     nu = borel.apply_wb(w(1, 0))
     rep = compare_kostant_vs_oracle(L, borel, nu, range(4))
     assert rep.match_with_kostant
+
+
+# -- the weight-blocked complex against a dense reference ---------------
+
+
+def n_labels(L, n_roots):
+    return [
+        ("e", c) if c in L.rs.root_index else ("f", tuple(-x for x in c))
+        for c in n_roots
+    ]
+
+
+def dense_differentials(L, W, n_roots):
+    """Full matrices of d_q on the basis (S, m), S running over the
+    q-subsets of n's basis in lexicographic order and m over W's basis."""
+    R = len(n_roots)
+    labels = n_labels(L, n_roots)
+    act = [W.action[lab] for lab in labels]
+    nbrack = {}
+    for a, b in itertools.combinations(range(R), 2):
+        z = L.bracket(L.basis_vector(labels[a]), L.basis_vector(labels[b]))
+        comp = {k: z[L.index[labels[k]]] for k in range(R)}
+        nbrack[(a, b)] = {k: c for k, c in comp.items() if c != 0}
+    bases = [
+        [(S, m) for S in itertools.combinations(range(R), q) for m in range(W.dim)]
+        for q in range(R + 1)
+    ]
+    index = [{bm: i for i, bm in enumerate(bq)} for bq in bases]
+    out = []
+    for q in range(R):
+        d = [[F(0)] * len(bases[q]) for _ in bases[q + 1]]
+        for col, (S, m) in enumerate(bases[q]):
+            for k in range(R):
+                if k in S:
+                    continue
+                T = tuple(sorted(S + (k,)))
+                for r in range(W.dim):
+                    d[index[q + 1][(T, r)]][col] += (-1) ** T.index(k) * act[k][r][m]
+            for k in S:
+                rest = tuple(x for x in S if x != k)
+                sgn_k = (-1) ** sum(1 for x in rest if x < k)
+                for (a, b), comp in nbrack.items():
+                    if k not in comp or a in rest or b in rest:
+                        continue
+                    T = tuple(sorted(rest + (a, b)))
+                    sgn = (-1) ** (T.index(a) + T.index(b)) * sgn_k
+                    d[index[q + 1][(T, m)]][col] += sgn * comp[k]
+        out.append(d)
+    return bases, out
+
+
+@pytest.mark.parametrize("case,nu", [("b2_sl2", (2, -1)), ("g2_sl2", (-1, 1))])
+def test_blocked_differentials_match_dense_reference(case, nu):
+    L, _, _, _, borel = borel_from_case(CASES[case])
+    W = construct_module(L, borel, w(*nu))
+    cx = build_complex(L, borel, W)
+    bases, dense = dense_differentials(L, W, cx.n_roots)
+    assert cx.bases == bases
+    for q, d in enumerate(dense):
+        blocked = {}
+        for wt, cols in cx.differentials[q].items():
+            for col, entries in cols.items():
+                assert cx.weights[q][col] == wt
+                for row, c in entries.items():
+                    blocked[(row, col)] = c
+        expected = {
+            (row, col): c
+            for row, line in enumerate(d)
+            for col, c in enumerate(line)
+            if c != 0
+        }
+        assert expected  # every d_q of these complexes is nonzero
+        assert blocked == expected
+
+
+def test_tampered_action_breaks_d_squared():
+    L, _, _, _, borel = borel_from_case(CASES["b2_sl2"])
+    W = construct_module(L, borel, w(2, -1))
+    cx = build_complex(L, borel, W)
+    mat = W.action[n_labels(L, cx.n_roots)[0]]
+    row, col = next(
+        (r, c) for r in range(W.dim) for c in range(W.dim) if mat[r][c] != 0
+    )
+    mat[row][col] *= 2  # still weight-preserving, no longer a representation
+    with pytest.raises(ComplexInconsistent, match="d compose d"):
+        build_complex(L, borel, W)
+
+
+def test_action_across_weights_is_rejected():
+    L, _, _, _, borel = borel_from_case(CASES["b2_sl2"])
+    W = construct_module(L, borel, w(2, -1))
+    cx = build_complex(L, borel, W)
+    # a root vector cannot map a weight vector to itself
+    W.action[n_labels(L, cx.n_roots)[0]][0][0] = F(1)
+    with pytest.raises(ComplexInconsistent, match="mixes weights"):
+        build_complex(L, borel, W)
