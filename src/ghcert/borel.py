@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ghcert.algebra import LieAlgebra
+from ghcert.errors import InvariantViolation
 from ghcert.linalg import matvec
 from ghcert.weights import Weight
 
@@ -92,7 +93,8 @@ def build_borel(L: LieAlgebra, h) -> BorelData:
         lam = list(rs.reflect_simple(neg, lam))
         word.append(neg)
         guard += 1
-        assert guard <= len(rs.positive_roots)
+        if guard > len(rs.positive_roots):
+            raise InvariantViolation("w_b word is longer than the number of positive roots")
     w_b = None
     for i in word:
         m = rs.simple_reflection_matrix(i)
@@ -104,7 +106,8 @@ def build_borel(L: LieAlgebra, h) -> BorelData:
         w_b = [[Fraction(int(r == c)) for c in range(rs.rank)] for r in range(rs.rank)]
     # sanity: w_b maps the standard positive system onto pos
     image = {tuple(rs.act_on_root(w_b, c)) for c in rs.positive_roots}
-    assert image == set(pos)
+    if image != set(pos):
+        raise InvariantViolation("w_b does not map the standard positive roots onto pos")
 
     rho = Weight("g", tuple(matvec(w_b, [Fraction(1)] * rs.rank)))
     half = [Fraction(0)] * rs.rank
@@ -112,7 +115,8 @@ def build_borel(L: LieAlgebra, h) -> BorelData:
         f = rs.root_to_weight(c)
         for i in range(rs.rank):
             half[i] += Fraction(f[i], 2)
-    assert tuple(half) == rho.coords
+    if tuple(half) != rho.coords:
+        raise InvariantViolation(f"half-sum of pos {tuple(half)} != w_b(rho) {rho.coords}")
 
     m_pos = tuple(c for c in pos if root_value_on(L, h, c) == 0)
     m_simple = _indecomposables(rs, m_pos)

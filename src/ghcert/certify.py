@@ -19,7 +19,6 @@ from ghcert.embedding import (
     make_embedding,
     regular_from_coeffs,
     split_off_contained_ideals,
-    verify_reductive,
 )
 from ghcert.errors import (
     GenericNuNotFound,
@@ -41,44 +40,64 @@ from ghcert.weights import Weight
 
 TOOL_VERSION = "0.1.0"
 
-INPUT_SCHEMA = {
-    "type": "object",
-    "required": ["algebra", "subalgebra_generators", "cartan_t"],
-    "additionalProperties": False,
-    "properties": {
-        "algebra": {"type": "string"},
-        "subalgebra_generators": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": ["string", "integer"]}},
-        },
-        "cartan_t": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": ["string", "integer"]}},
-        },
-        "search": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "max_coeff": {"type": "integer", "minimum": 0},
-                "max_scale": {"type": "integer", "minimum": 1},
-                "max_height": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
-                "caps": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "cond2": {"type": "integer", "minimum": 1},
-                        "dim": {"type": "integer", "minimum": 1},
-                    },
-                },
-            },
-        },
-        "mode": {
-            "type": "string",
-            "enum": ["certify", "kostant", "oracle-compare", "check-ideal"],
-        },
-    },
-}
+_MODES = ("certify", "kostant", "oracle-compare", "check-ideal")
+_SEARCH_MINIMUMS = {"max_coeff": 0, "max_scale": 1, "max_height": 1, "seed": 0}
+_CAPS_MINIMUMS = {"cond2": 1, "dim": 1}
+
+
+def _schema_error(path, reason):
+    return InputInvalid(f"input does not match schema: {path}: {reason}")
+
+
+def _check_keys(obj, path, allowed, required=()):
+    if not isinstance(obj, dict):
+        raise _schema_error(path, "not an object")
+    for key in required:
+        if key not in obj:
+            raise _schema_error(path, f"missing required key {key!r}")
+    for key in obj:
+        if key not in allowed:
+            raise _schema_error(path, f"unexpected key {key!r}")
+
+
+def _check_integers(obj, path, minimums):
+    for key, low in minimums.items():
+        if key in obj:
+            x = obj[key]
+            # bool is a subclass of int, and 5.0 is a float: neither is an integer
+            if type(x) is not int:
+                raise _schema_error(f"{path}.{key}", f"{x!r} is not an integer")
+            if x < low:
+                raise _schema_error(f"{path}.{key}", f"{x} is less than {low}")
+
+
+def _check_schema(data):
+    """The shape of a problem input: keys, types, integer minimums."""
+    _check_keys(
+        data, "$", ("algebra", "subalgebra_generators", "cartan_t", "search", "mode"),
+        required=("algebra", "subalgebra_generators", "cartan_t"),
+    )
+    if not isinstance(data["algebra"], str):
+        raise _schema_error("$.algebra", "not a string")
+    for key in ("subalgebra_generators", "cartan_t"):
+        if not isinstance(data[key], list):
+            raise _schema_error(f"$.{key}", "not an array")
+        for i, vec in enumerate(data[key]):
+            if not isinstance(vec, list):
+                raise _schema_error(f"$.{key}[{i}]", "not an array")
+            for j, x in enumerate(vec):
+                if not (isinstance(x, str) or type(x) is int):
+                    raise _schema_error(
+                        f"$.{key}[{i}][{j}]", f"{x!r} is not a string or an integer"
+                    )
+    search = data.get("search", {})
+    _check_keys(search, "$.search", (*_SEARCH_MINIMUMS, "caps"))
+    _check_integers(search, "$.search", _SEARCH_MINIMUMS)
+    caps = search.get("caps", {})
+    _check_keys(caps, "$.search.caps", _CAPS_MINIMUMS)
+    _check_integers(caps, "$.search.caps", _CAPS_MINIMUMS)
+    if data.get("mode", "certify") not in _MODES:
+        raise _schema_error("$.mode", f"{data['mode']!r} is not one of {', '.join(_MODES)}")
 
 
 def enc_q(x) -> str:
@@ -120,12 +139,7 @@ class ProblemInput:
 
 
 def parse_input(data: dict) -> ProblemInput:
-    import jsonschema
-
-    try:
-        jsonschema.validate(data, INPUT_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise InputInvalid(f"input does not match schema: {exc.message}")
+    _check_schema(data)
     try:
         ctype = CartanType.parse(data["algebra"])
     except GhcError as exc:
@@ -170,11 +184,12 @@ def _stage(name, fn, *args, **kwargs):
 
 
 def _prepare(pin: ProblemInput):
-    """Shared front of the pipeline: algebra, closure, reductivity check."""
+    """Shared front of the pipeline: algebra, closure, reductivity check
+    (run once, inside make_embedding)."""
     L = build_algebra(pin.algebra)
     k = _stage("close_generators", close_generators, L, pin.generators)
     emb = _stage("make_embedding", make_embedding, L, [list(r) for r in k.rows], pin.cartan_t)
-    report = _stage("verify_reductive", verify_reductive, L, emb.k, emb.t)
+    report = emb.checks
     if not report.passed:
         raise InputInvalid(
             "subalgebra is not reductive in g "

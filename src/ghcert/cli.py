@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 = a verdict was produced (any verdict), 1 = certificate
-rejected by `verify`, 2 = invalid input, 3 = internal invariant violation,
-4 = a search/size cap was exceeded.
+rejected by `verify`, 2 = invalid input, 3 = internal invariant violation
+or any other unexpected error, 4 = a search/size cap was exceeded.
 """
 
 import argparse
@@ -253,6 +253,10 @@ def main(argv=None):
     except GhcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
+    except Exception as exc:
+        # a bug, not a verdict: keep exit 1 for "certificate rejected"
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -15,12 +15,13 @@ from ghcert.algebra import LieAlgebra, Subspace
 from ghcert.errors import (
     DegenerateRestriction,
     InputInvalid,
+    InvariantViolation,
     NoRegularFound,
     NotTInvariant,
     ReducedToZero,
     TNotInK,
 )
-from ghcert.linalg import matvec, nullspace, rank, solve, transpose
+from ghcert.linalg import matvec, nullspace, rank, transpose
 from ghcert.rootsystem import CartanType
 from ghcert.weights import WeightMultiset
 from ghcert import algebra as _algebra
@@ -76,86 +77,16 @@ def close_generators(L: LieAlgebra, gens) -> Subspace:
         space = bigger
 
 
-def _min_poly(M):
-    """Minimal polynomial of a rational matrix, ascending coefficients."""
-    n = len(M)
-    poly = [Fraction(1)]  # constant 1 = minimal polynomial of nothing yet
-    for start in range(n):
-        v = [Fraction(int(i == start)) for i in range(n)]
-        iterates = [v]
-        while True:
-            nxt = matvec(M, iterates[-1])
-            combo = solve(transpose(iterates), nxt)
-            if combo is not None:
-                local = [-c for c in combo] + [Fraction(1)]
-                poly = _poly_lcm(poly, local)
-                break
-            iterates.append(nxt)
-        if len(poly) == n + 1:
-            break
-    return poly
-
-
-def _poly_trim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    inv = Fraction(1) / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv
-        q[i] = c
-        if c:
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_gcd(a, b):
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b != [Fraction(0)] and any(x != 0 for x in b):
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a[-1] != 1:
-        inv = Fraction(1) / a[-1]
-        a = [x * inv for x in a]
-    return a
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_lcm(a, b):
-    g = _poly_gcd(a, b)
-    q, r = _poly_divmod(_poly_mul(a, b), g)
-    assert not any(x != 0 for x in r)
-    if q[-1] != 1:
-        inv = Fraction(1) / q[-1]
-        q = [x * inv for x in q]
-    return q
-
-
-def _poly_derivative(p):
-    return _poly_trim([i * c for i, c in enumerate(p)][1:] or [Fraction(0)])
-
-
-def _squarefree(p) -> bool:
-    g = _poly_gcd(p, _poly_derivative(p))
-    return len(g) == 1
-
-
 def verify_reductive(L: LieAlgebra, k: Subspace, t: Subspace) -> ReductivityReport:
-    """The practical battery standing in for 'reductive in g, algebraic'."""
+    """The practical battery standing in for 'reductive in g, algebraic'.
+
+    t must lie in the standard Cartan, so ad t is semisimple when each
+    ad h_i in its support is diagonal in the Chevalley basis; that is read
+    off the sparse structure constants rather than taken on trust.
+    """
+    for r in t.rows:
+        if any(r[i] != 0 for i in range(L.rank, L.dim)):
+            raise InputInvalid("t basis vectors must lie in the standard Cartan")
     if not k.contains_subspace(t):
         raise TNotInK("t is not contained in k")
     rows = [list(r) for r in k.rows]
@@ -169,7 +100,10 @@ def verify_reductive(L: LieAlgebra, k: Subspace, t: Subspace) -> ReductivityRepo
             break
     gram = [[L.killing(x, y) for y in rows] for x in rows]
     nondeg = k.dim == 0 or rank(gram) == k.dim
-    semisimple = all(_squarefree(_min_poly(L.ad(list(r)))) for r in t.rows)
+    support = {i for r in t.rows for i in range(L.rank) if r[i] != 0}
+    semisimple = all(
+        L.structure(i, j).keys() <= {j} for i in support for j in range(L.dim)
+    )
     return ReductivityReport(closed, nondeg, semisimple)
 
 
@@ -177,14 +111,11 @@ def make_embedding(L: LieAlgebra, gens, t_rows) -> EmbeddedSubalgebra:
     """Close the generators and validate the full (k, t) input contract."""
     k = close_generators(L, gens)
     t = Subspace.from_vectors([list(r) for r in t_rows], L.dim)
-    for r in t.rows:
-        if any(r[i] != 0 for i in range(L.rank, L.dim)):
-            raise InputInvalid("t basis vectors must lie in the standard Cartan")
+    checks = verify_reductive(L, k, t)
     for i, x in enumerate(t.rows):
         for y in t.rows[i:]:
             if any(c != 0 for c in L.bracket(list(x), list(y))):
                 raise InputInvalid("t is not abelian")
-    checks = verify_reductive(L, k, t)
     # t must be self-centralizing in k (a Cartan subalgebra of k)
     cent = centralizer_in(L, t, k)
     if cent != t:
@@ -231,7 +162,10 @@ def killing_perp(L: LieAlgebra, k: Subspace) -> Subspace:
     perp = Subspace.from_vectors(perp_rows, L.dim)
     if k.intersect(perp).dim != 0:
         raise DegenerateRestriction("k meets its Killing complement nontrivially")
-    assert k.dim + perp.dim == L.dim
+    if k.dim + perp.dim != L.dim:
+        raise InvariantViolation(
+            f"dim k + dim k_perp = {k.dim} + {perp.dim} != dim g = {L.dim}"
+        )
     return perp
 
 
@@ -434,7 +368,8 @@ def t_roots_and_rho(L: LieAlgebra, emb: EmbeddedSubalgebra, h: RegularElement):
     positive = WeightMultiset("t")
     for coords, mult in roots.entries.items():
         val = h.k_root_values[coords]
-        assert val != 0
+        if val == 0:
+            raise InvariantViolation(f"t-root {coords} of k vanishes on h")
         if val > 0:
             positive.add(coords, mult)
     rho = positive.half_sum(dim=emb.t.dim)

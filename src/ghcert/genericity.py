@@ -10,7 +10,13 @@ from fractions import Fraction
 from ghcert.algebra import LieAlgebra
 from ghcert.borel import BorelData
 from ghcert.embedding import EmbeddedSubalgebra
-from ghcert.errors import ContextMismatch, DegenerateOnT, GenericNuNotFound, SearchTooLarge
+from ghcert.errors import (
+    ContextMismatch,
+    DegenerateOnT,
+    GenericNuNotFound,
+    InvariantViolation,
+    SearchTooLarge,
+)
 from ghcert.linalg import det, inverse, matvec
 from ghcert.parabolic import ParabolicData, RhoVectors, t_weight_multiset
 from ghcert.weights import Weight, WeightMultiset
@@ -244,7 +250,8 @@ def find_generic_nu(
     Scans nu = N * w_b(lam) over standard-dominant coefficient tuples lam
     (lexicographic) and scales N; deterministic.
     """
-    assert pd.r > 0
+    if pd.r <= 0:
+        raise InvariantViolation(f"r = {pd.r}: no cohomology degree to make vanish")
     for lam in _lex_tuples(L.rank, max_coeff):
         nu0 = borel.apply_wb(Weight("g", tuple(Fraction(x) for x in lam)))
         for scale in range(1, max_scale + 1):

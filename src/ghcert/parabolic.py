@@ -156,7 +156,8 @@ def t_weight_multiset(L: LieAlgebra, emb: EmbeddedSubalgebra, V: Subspace) -> We
     ms = WeightMultiset("t")
     for w, piece in t_weight_spaces_of(L, emb.t, V).items():
         ms.add(w, piece.dim)
-    assert ms.total() == V.dim
+    if ms.total() != V.dim:
+        raise InvariantViolation(f"t-weights cover {ms.total()} of dim {V.dim}")
     return ms
 
 

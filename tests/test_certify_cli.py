@@ -47,6 +47,63 @@ def test_parse_input_schema_violations():
         parse_input(problem("A1", [unit(4, 0)], [unit(4, 0)]))
 
 
+def test_parse_input_accepts_every_optional_key():
+    raw = dict(
+        CASES["a1_t"],
+        search={"max_coeff": 0, "max_scale": 1, "max_height": 1, "seed": 0,
+                "caps": {"cond2": 1, "dim": 1}},
+        mode="check-ideal",
+    )
+    raw["cartan_t"] = [["1/1", 0, "0"]]
+    pin = parse_input(raw)
+    assert (pin.max_coeff, pin.max_scale, pin.max_height, pin.seed) == (0, 1, 1, 0)
+    assert (pin.cond2_cap, pin.dim_cap, pin.mode) == (1, 1, "check-ideal")
+
+
+def _with(path, value):
+    """CASES["a1_t"] with the value at `path` (a tuple of keys) replaced."""
+    raw = json.loads(json.dumps(CASES["a1_t"]))
+    node = raw
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return raw
+
+
+@pytest.mark.parametrize(
+    "raw, where",
+    [
+        ([], "$: not an object"),
+        ({"algebra": "A1", "cartan_t": [[1, 0, 0]]}, "'subalgebra_generators'"),
+        (_with(("extra",), 1), "$: unexpected key 'extra'"),
+        (_with(("algebra",), 1), "$.algebra"),
+        (_with(("subalgebra_generators",), "h"), "$.subalgebra_generators"),
+        (_with(("cartan_t",), [1, 0, 0]), "$.cartan_t[0]"),
+        (_with(("cartan_t",), [[1, 0.5, 0]]), "$.cartan_t[0][1]"),
+        (_with(("cartan_t",), [[1, None, 0]]), "$.cartan_t[0][1]"),
+        (_with(("subalgebra_generators",), [[True, 0, 0]]), "$.subalgebra_generators[0][0]"),
+        (_with(("search",), []), "$.search: not an object"),
+        (_with(("search", "depth"), 1), "$.search: unexpected key 'depth'"),
+        (_with(("search", "caps", "time"), 1), "$.search.caps: unexpected key"),
+        (_with(("search", "max_coeff"), -1), "$.search.max_coeff"),
+        (_with(("search", "max_scale"), 0), "$.search.max_scale"),
+        (_with(("search", "max_height"), 0), "$.search.max_height"),
+        (_with(("search", "seed"), -1), "$.search.seed"),
+        (_with(("search", "caps", "cond2"), 0), "$.search.caps.cond2"),
+        (_with(("search", "caps", "dim"), 0), "$.search.caps.dim"),
+        (_with(("search", "max_coeff"), 5.0), "$.search.max_coeff: 5.0 is not an integer"),
+        (_with(("search", "seed"), True), "$.search.seed: True is not an integer"),
+        (_with(("search", "caps", "dim"), "9"), "$.search.caps.dim"),
+        (_with(("mode",), "prove"), "$.mode"),
+    ],
+)
+def test_parse_input_schema_rules(raw, where):
+    with pytest.raises(InputInvalid) as info:
+        parse_input(raw)
+    assert str(info.value).startswith("input does not match schema: ")
+    assert where in str(info.value)
+
+
 def test_certify_ideal_case():
     raw = CASES["a1a1_factor"]
     cert = certify(parse_input(raw), raw)
@@ -75,7 +132,7 @@ def test_certificate_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize("algebra", ["D4", "F4"])
+@pytest.mark.parametrize("algebra", ["A3", "B3", "C3", "D4", "F4", "E6"])
 def test_round_trip_higher_rank(algebra):
     # k = sl2 on the first simple root alpha_1
     L = build_algebra(algebra)
@@ -87,6 +144,26 @@ def test_round_trip_higher_rank(algebra):
     ok, reasons = verify_certificate(cert, raw)
     assert ok, reasons
     assert canonical_json(certify(parse_input(raw), raw)) == canonical_json(cert)
+
+
+def test_reductivity_battery_runs_once(monkeypatch):
+    import ghcert.embedding
+
+    calls = []
+    battery = ghcert.embedding.verify_reductive
+
+    def counted(*args):
+        calls.append(args)
+        return battery(*args)
+
+    monkeypatch.setattr(ghcert.embedding, "verify_reductive", counted)
+    raw = CASES["a2_principal"]  # no simple ideal of A2 lies in k
+    cert = certify(parse_input(raw), raw)
+    assert cert["reduction"] is None and len(calls) == 1
+    calls.clear()
+    ok, reasons = verify_certificate(cert, raw)
+    assert ok, reasons
+    assert len(calls) == 1
 
 
 def test_verify_rejects_wrong_input():
@@ -210,6 +287,27 @@ def test_cli_exit_code_invalid_input(write_input, tmp_path, capsys):
     assert main(["certify", str(bad)]) == 2
     inp = write_input("in.json", {"algebra": "A1"})
     assert main(["certify", inp]) == 2
+
+
+def test_cli_integral_float_is_invalid_input(write_input, capsys):
+    data = json.loads(json.dumps(CASES["a2_torus"]))
+    data["search"] = {"max_coeff": 5.0}
+    inp = write_input("in.json", data)
+    assert main(["certify", inp]) == 2
+    assert "$.search.max_coeff" in capsys.readouterr().err
+
+
+def test_cli_exit_code_internal_error(write_input, monkeypatch, capsys):
+    import ghcert.cli
+
+    def boom(args):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(ghcert.cli, "cmd_certify", boom)
+    inp = write_input("in.json", CASES["a1_t"])
+    assert main(["certify", inp]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: internal: RuntimeError: unexpected\n"
 
 
 def test_cli_exit_code_cap_exceeded(write_input, capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ghcert.algebra import Subspace, build_algebra
+from ghcert.algebra import LieAlgebra, Subspace, build_algebra
 from ghcert.embedding import (
     choose_regular,
     close_generators,
@@ -15,6 +15,7 @@ from ghcert.embedding import (
     verify_reductive,
 )
 from ghcert.errors import InputInvalid, NoRegularFound
+from ghcert.rootsystem import CartanType
 
 F = Fraction
 
@@ -64,6 +65,26 @@ def test_verify_reductive_flags(a2):
 def test_make_embedding_requires_t_in_hstd(a2):
     with pytest.raises(InputInvalid):
         make_embedding(a2, [unit(8, 2)], [unit(8, 2)])
+
+
+def test_verify_reductive_requires_t_in_hstd(a2):
+    k = close_generators(a2, principal_sl2(a2))
+    # h1 + h2 + e_a1: one coordinate on a root vector
+    t = Subspace.from_vectors([unit(8, 0, 1, 2)], 8)
+    with pytest.raises(InputInvalid, match="standard Cartan"):
+        verify_reductive(a2, k, t)
+
+
+def test_corrupted_structure_breaks_semisimplicity():
+    # built directly, so the cached B2 of build_algebra stays intact
+    L = LieAlgebra(CartanType.parse("B2"))
+    k = Subspace.from_vectors([unit(10, 0), unit(10, 3), unit(10, 7)], 10)
+    t = Subspace.from_vectors([unit(10, 0)], 10)
+    assert verify_reductive(L, k, t).toral_action_semisimple
+    j = L.index[("e", (1, 0))]
+    other = L.index[("e", (1, 1))]
+    L._structure[(0, j)] = {**L._structure[(0, j)], other: F(1)}
+    assert not verify_reductive(L, k, t).toral_action_semisimple
 
 
 def test_killing_perp_dims(a2):
