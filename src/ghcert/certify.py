@@ -1,6 +1,12 @@
 """End-to-end decision pipeline: parse a problem description, decide the
-ideal/non-ideal dichotomy, and emit a self-contained JSON certificate that
-can be re-verified without repeating any search.
+ideal/non-ideal dichotomy, and emit a self-contained JSON certificate.
+
+One derivation builds the certificate from the input and the witness
+choices (the coefficients of the regular element h in t, and the weight
+nu). `certify` makes those choices by a bounded search; `verify_certificate`
+reads them back from the certificate, derives it again and compares the two
+byte for byte. Only an `Inconclusive` certificate, which records no choices,
+makes verification repeat the (deterministic) search.
 """
 
 import hashlib
@@ -9,9 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ghcert import genericity
-from ghcert.algebra import build_algebra
-from ghcert.borel import build_borel
+from ghcert.algebra import LieAlgebra, build_algebra
+from ghcert.borel import BorelData, build_borel
 from ghcert.embedding import (
+    EmbeddedSubalgebra,
+    Reduction,
+    RegularElement,
     close_generators,
     choose_regular,
     is_ideal,
@@ -23,18 +32,20 @@ from ghcert.embedding import (
 from ghcert.errors import (
     GenericNuNotFound,
     GhcError,
-    HashMismatch,
     InputInvalid,
+    InvariantViolation,
+    NoRegularFound,
     PipelineError,
 )
 from ghcert.genericity import (
+    GenericityReport,
     evaluate_genericity,
     find_generic_nu,
     induced_form_on_tstar,
 )
-from ghcert.kostant import kostant_cohomology, verify_vanishing
+from ghcert.kostant import kostant_cohomology
 from ghcert.oracle import compare_kostant_vs_oracle
-from ghcert.parabolic import build_parabolic, rho_vectors
+from ghcert.parabolic import ParabolicData, RhoVectors, build_parabolic, rho_vectors
 from ghcert.rootsystem import CartanType
 from ghcert.weights import Weight
 
@@ -183,9 +194,22 @@ def _stage(name, fn, *args, **kwargs):
         raise PipelineError(name, exc) from exc
 
 
-def _prepare(pin: ProblemInput):
-    """Shared front of the pipeline: algebra, closure, reductivity check
-    (run once, inside make_embedding)."""
+@dataclass
+class Front:
+    """The pipeline before any witness choice. `L` and `emb` hold g, k and t
+    after closure and the reductivity check; when k is not an ideal, they
+    are taken after splitting off the simple ideals of g that k contains."""
+
+    pin: ProblemInput
+    L: LieAlgebra
+    emb: EmbeddedSubalgebra
+    ideal: bool
+    reduction: Reduction | None = None
+
+
+def front(pin: ProblemInput) -> Front:
+    """Shared front of the pipeline: algebra, closure, reductivity check (run
+    once, inside make_embedding), the ideal test and the reduction."""
     L = build_algebra(pin.algebra)
     k = _stage("close_generators", close_generators, L, pin.generators)
     emb = _stage("make_embedding", make_embedding, L, [list(r) for r in k.rows], pin.cartan_t)
@@ -196,10 +220,102 @@ def _prepare(pin: ProblemInput):
             f"(closed={report.bracket_closed}, killing={report.killing_nondegenerate_on_k}, "
             f"toral={report.toral_action_semisimple})"
         )
-    return L, emb
+    if _stage("is_ideal", is_ideal, L, emb.k):
+        return Front(pin, L, emb, ideal=True)
+    reduction = _stage(
+        "split_off_contained_ideals", split_off_contained_ideals, L, emb.k, emb.t
+    )
+    if reduction is not None:
+        L = reduction.algebra
+        emb = make_embedding(
+            L, [list(r) for r in reduction.k.rows], [list(r) for r in reduction.t.rows]
+        )
+    return Front(pin, L, emb, ideal=False, reduction=reduction)
 
 
-def certify(pin: ProblemInput, raw_input: dict, oracle_check: bool = False) -> dict:
+def _searched_regular(fr: Front) -> RegularElement:
+    return _stage("choose_regular", choose_regular, fr.L, fr.emb,
+                  seed=fr.pin.seed, max_height=fr.pin.max_height)
+
+
+def _parabolic_and_borel(fr: Front, reg: RegularElement):
+    pd = _stage("build_parabolic", build_parabolic, fr.L, fr.emb, reg)
+    return pd, build_borel(fr.L, [reg.h[i] for i in range(fr.L.rank)])
+
+
+def adapted_borel(pin: ProblemInput):
+    """The front up to the Borel adapted to the searched regular element, as
+    the `kostant` and `oracle-compare` commands use it: (front, reg, pd, borel)."""
+    fr = front(pin)
+    if fr.ideal:
+        raise InputInvalid("k is an ideal of g, so no witness Borel is adapted to it")
+    reg = _searched_regular(fr)
+    return (fr, reg, *_parabolic_and_borel(fr, reg))
+
+
+@dataclass
+class Witness:
+    """The witness choices, `reg.t_coeffs` and `nu`, with what they determine."""
+
+    reg: RegularElement
+    pd: ParabolicData
+    rv: RhoVectors
+    borel: BorelData
+    nu: Weight
+    greport: GenericityReport
+
+
+def _witness(fr: Front, reg: RegularElement, nu: Weight | None = None) -> Witness:
+    """The witness at the regular element `reg`, at the given nu or, when nu
+    is None, at the first generic nu that find_generic_nu finds."""
+    pd, borel = _parabolic_and_borel(fr, reg)
+    if pd.r <= 0:
+        raise PipelineError(
+            "build_parabolic", InputInvalid("r = dim(n ∩ k_perp) is zero")
+        )
+    L, emb, pin = fr.L, fr.emb, fr.pin
+    rv = _stage("rho_vectors", rho_vectors, L, emb, pd)
+    form = _stage("induced_form_on_tstar", induced_form_on_tstar, L, emb)
+    if nu is None:
+        nu, _, greport = _stage(
+            "find_generic_nu",
+            find_generic_nu,
+            L, emb, pd, rv, borel, form,
+            max_coeff=pin.max_coeff,
+            max_scale=pin.max_scale,
+            cond2_cap=pin.cond2_cap,
+        )
+    else:
+        greport = _stage(
+            "evaluate_genericity",
+            evaluate_genericity,
+            L, emb, pd, rv, form, nu,
+            cond2_cap=pin.cond2_cap,
+        )
+    return Witness(reg, pd, rv, borel, nu, greport)
+
+
+def search(fr: Front) -> Witness | None:
+    """The witness choices by deterministic bounded search: h by
+    choose_regular, nu by find_generic_nu. None when k is an ideal (there is
+    nothing to choose) or when the search gives up (`Inconclusive`)."""
+    if fr.ideal:
+        return None
+    reg = _searched_regular(fr)
+    try:
+        return _witness(fr, reg)
+    except PipelineError as exc:
+        if isinstance(exc.cause, GenericNuNotFound):
+            return None
+        raise
+
+
+def derive(fr: Front, raw_input: dict, witness: Witness | None,
+           oracle_check: bool = False) -> dict:
+    """The certificate that the input and the witness choices determine.
+
+    Without a witness it is `IdealNoModule` when k is an ideal and
+    `Inconclusive` otherwise. Raises when the witness proves nothing."""
     cert = {
         "tool_version": TOOL_VERSION,
         "input_hash": input_hash(raw_input),
@@ -208,8 +324,8 @@ def certify(pin: ProblemInput, raw_input: dict, oracle_check: bool = False) -> d
         "ideal": None,
         "witness": None,
     }
-    L, emb = _prepare(pin)
-    if _stage("is_ideal", is_ideal, L, emb.k):
+    L, emb = fr.L, fr.emb
+    if fr.ideal:
         comp = _stage("killing_perp", killing_perp, L, emb.k)
         cert["verdict"] = {"kind": "IdealNoModule", "reason": None}
         cert["ideal"] = {
@@ -217,56 +333,32 @@ def certify(pin: ProblemInput, raw_input: dict, oracle_check: bool = False) -> d
             "complement_basis": [enc_vec(r) for r in comp.rows],
         }
         return cert
-
-    reduction = _stage(
-        "split_off_contained_ideals", split_off_contained_ideals, L, emb.k, emb.t
-    )
-    if reduction is not None:
+    if fr.reduction is not None:
         cert["reduction"] = {
-            "removed_factors": list(reduction.removed_factors),
-            "reduced_algebra": str(reduction.algebra.ctype),
+            "removed_factors": list(fr.reduction.removed_factors),
+            "reduced_algebra": str(L.ctype),
         }
-        L = reduction.algebra
-        emb = make_embedding(
-            L, [list(r) for r in reduction.k.rows], [list(r) for r in reduction.t.rows]
-        )
+    if witness is None:
+        cert["verdict"] = {"kind": "Inconclusive", "reason": "search bounds exhausted"}
+        return cert
 
-    reg = _stage("choose_regular", choose_regular, L, emb, seed=pin.seed,
-                 max_height=pin.max_height)
-    pd = _stage("build_parabolic", build_parabolic, L, emb, reg)
-    if pd.r <= 0:
+    w = witness
+    reg, pd, rv, borel, nu, greport = w.reg, w.pd, w.rv, w.borel, w.nu, w.greport
+    if not greport.passed:
         raise PipelineError(
-            "build_parabolic", InputInvalid("r = dim(n ∩ k_perp) is zero")
+            "evaluate_genericity", InvariantViolation(f"nu = {enc_vec(nu.coords)} is not generic")
         )
-    rv = _stage("rho_vectors", rho_vectors, L, emb, pd)
-    borel = build_borel(L, [reg.h[i] for i in range(L.rank)])
-    form = _stage("induced_form_on_tstar", induced_form_on_tstar, L, emb)
-    try:
-        nu, mu, greport = _stage(
-            "find_generic_nu",
-            find_generic_nu,
-            L, emb, pd, rv, borel, form,
-            max_coeff=pin.max_coeff,
-            max_scale=pin.max_scale,
-            cond2_cap=pin.cond2_cap,
+    dec = _stage("kostant_cohomology", kostant_cohomology, L, borel, nu, pd.r)
+    if not dec.omits(nu):
+        raise PipelineError(
+            "verify_vanishing", InputInvalid("vanishing fails on generic nu")
         )
-    except PipelineError as exc:
-        if isinstance(exc.cause, GenericNuNotFound):
-            cert["verdict"] = {
-                "kind": "Inconclusive",
-                "reason": "search bounds exhausted",
-            }
-            return cert
-        raise
-    vanishing = _stage("verify_vanishing", verify_vanishing, L, borel, nu, pd.r)
-    dec = kostant_cohomology(L, borel, nu, pd.r)
-
     oracle_match = None
     if oracle_check:
         rep = _stage(
             "compare_kostant_vs_oracle",
             compare_kostant_vs_oracle,
-            L, borel, nu, [pd.r], dim_cap=pin.dim_cap,
+            L, borel, nu, [pd.r], dim_cap=fr.pin.dim_cap,
         )
         oracle_match = rep.match_with_kostant
 
@@ -288,7 +380,7 @@ def certify(pin: ProblemInput, raw_input: dict, oracle_check: bool = False) -> d
         "rho_n": enc_vec(rv.rho_n.coords),
         "rho_n_perp": enc_vec(rv.rho_n_perp.coords),
         "nu": enc_vec(nu.coords),
-        "mu": enc_vec(mu.coords),
+        "mu": enc_vec(greport.mu.coords),
         "genericity": {
             "integral": greport.integral,
             "dominant": greport.dominant,
@@ -300,115 +392,112 @@ def certify(pin: ProblemInput, raw_input: dict, oracle_check: bool = False) -> d
         },
         "vanishing": {
             "degree": pd.r,
-            "holds": bool(vanishing),
+            "holds": True,
             "gammas": [enc_vec(s.gamma.coords) for s in dec.summands],
         },
         "oracle_checked": bool(oracle_check),
         "oracle_match": oracle_match,
     }
-    if not vanishing:
-        raise PipelineError(
-            "verify_vanishing", InputInvalid("vanishing fails on generic nu")
-        )
     return cert
 
 
-def verify_certificate(cert: dict, raw_input: dict):
-    """Recheck every recorded equality/inequality without searching.
+def certify(pin: ProblemInput, raw_input: dict, oracle_check: bool = False) -> dict:
+    fr = front(pin)
+    return derive(fr, raw_input, search(fr), oracle_check)
 
-    Returns (ok, reasons); reasons lists every failed check."""
-    reasons = []
-    if cert.get("input_hash") != input_hash(raw_input):
-        raise HashMismatch("certificate does not belong to this input")
-    pin = parse_input(raw_input)
-    L, emb = _prepare(pin)
-    verdict = (cert.get("verdict") or {}).get("kind")
 
-    if verdict == "IdealNoModule":
-        if not is_ideal(L, emb.k):
-            reasons.append("k is not an ideal")
-        comp = killing_perp(L, emb.k)
-        rec = cert.get("ideal") or {}
-        if rec.get("complement_dim") != comp.dim:
-            reasons.append("complement dimension mismatch")
-        return (not reasons), reasons
+# -- verification by re-derivation ---------------------------------------
 
-    if verdict == "Inconclusive":
-        if is_ideal(L, emb.k):
-            reasons.append("Inconclusive verdict on an ideal input")
-        return (not reasons), reasons
+_VERDICTS = ("ExistsWitness", "IdealNoModule", "Inconclusive")
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean"}
 
-    if verdict != "ExistsWitness":
-        return False, [f"unknown verdict {verdict!r}"]
-    if is_ideal(L, emb.k):
-        return False, ["ExistsWitness verdict on an ideal"]
 
-    reduction = split_off_contained_ideals(L, emb.k, emb.t)
-    if reduction is not None:
-        rec = cert.get("reduction") or {}
-        if rec.get("removed_factors") != list(reduction.removed_factors):
-            reasons.append("reduction record mismatch")
-        L = reduction.algebra
-        emb = make_embedding(
-            L, [list(r) for r in reduction.k.rows], [list(r) for r in reduction.t.rows]
-        )
-    elif cert.get("reduction") is not None:
-        reasons.append("certificate records a reduction that does not occur")
+def _malformed(path, reason):
+    return InputInvalid(f"{path}: {reason}")
 
-    w = cert.get("witness") or {}
-    try:
-        coeffs = dec_vec(w["t_coeffs"])
-        rec_h = dec_vec(w["h"])
-        nu = Weight("g", tuple(dec_vec(w["nu"])))
-        rec_mu = tuple(dec_vec(w["mu"]))
-        degree = int(w["vanishing"]["degree"])
-        dims = w["dims"]
-    except (KeyError, TypeError, ValueError) as exc:
-        return False, [f"malformed witness: {exc}"]
 
-    reg = regular_from_coeffs(L, emb, coeffs)
+def _field(obj, path, key, kind):
+    if not isinstance(obj, dict):
+        raise _malformed(path, "not an object")
+    if key not in obj:
+        raise _malformed(path, f"missing key {key!r}")
+    if type(obj[key]) is not kind:
+        raise _malformed(f"{path}.{key}", f"not {_JSON_TYPES[kind]}")
+    return obj[key]
+
+
+def _rationals(obj, path, key, n):
+    """The n rationals at obj[key], each a "p/q" string in lowest terms."""
+    strings = _field(obj, path, key, list)
+    if len(strings) != n:
+        raise _malformed(f"{path}.{key}", f"{len(strings)} entries, expected {n}")
+    out = []
+    for i, s in enumerate(strings):
+        try:
+            x = Fraction(s) if type(s) is str else None
+        except (ValueError, ZeroDivisionError):
+            x = None
+        if x is None or enc_q(x) != s:
+            raise _malformed(f"{path}.{key}[{i}]", f'{s!r} is not a "p/q" string in lowest terms')
+        out.append(x)
+    return out
+
+
+def _recorded_witness(fr: Front, cert):
+    """(witness, oracle_check) from the choices that `cert` records. A
+    certificate without witness choices gets the search run again."""
+    kind = _field(_field(cert, "$", "verdict", dict), "$.verdict", "kind", str)
+    if kind not in _VERDICTS:
+        raise _malformed("$.verdict.kind", f"{kind!r} is not a verdict")
+    if kind != "ExistsWitness" or fr.ideal:
+        return search(fr), False
+    w = _field(cert, "$", "witness", dict)
+    coeffs = _rationals(w, "$.witness", "t_coeffs", fr.emb.t.dim)
+    nu = Weight("g", tuple(_rationals(w, "$.witness", "nu", fr.L.rank)))
+    oracle_check = _field(w, "$.witness", "oracle_checked", bool)
+    reg = regular_from_coeffs(fr.L, fr.emb, coeffs)
     if reg is None:
-        return False, ["recorded h is not regular"]
-    if list(reg.h) != rec_h:
-        reasons.append("recorded h does not match t_coeffs")
-    pd = build_parabolic(L, emb, reg)
-    if pd.r != dims.get("r") or pd.s != dims.get("s"):
-        reasons.append("r/s mismatch")
-    if pd.m.dim != dims.get("m") or pd.n.dim != dims.get("n"):
-        reasons.append("m/n dimension mismatch")
-    if pd.r <= 0:
-        reasons.append("r is not positive")
-    rv = rho_vectors(L, emb, pd)
-    for name, rec, got in [
-        ("rho", w.get("rho"), rv.rho.coords),
-        ("rho_n", w.get("rho_n"), rv.rho_n.coords),
-        ("rho_n_perp", w.get("rho_n_perp"), rv.rho_n_perp.coords),
-    ]:
-        if rec is None or tuple(dec_vec(rec)) != tuple(got):
-            reasons.append(f"{name} mismatch")
-    borel = build_borel(L, [reg.h[i] for i in range(L.rank)])
-    form = induced_form_on_tstar(L, emb)
-    greport = evaluate_genericity(L, emb, pd, rv, form, nu, cond2_cap=pin.cond2_cap)
-    if tuple(greport.mu.coords) != rec_mu:
-        reasons.append("mu mismatch")
-    if not greport.passed:
-        detail = ""
-        if not greport.cond2_ok:
-            detail = f" (condition 2 fails on {greport.cond2_witness})"
-        reasons.append("genericity fails on recorded nu/mu" + detail)
-    rec_g = w.get("genericity") or {}
-    if rec_g.get("enumerated_count") != greport.enumerated_count:
-        reasons.append("enumerated_count mismatch")
-    if degree != pd.r:
-        reasons.append("vanishing degree is not r")
-    else:
-        dec = kostant_cohomology(L, borel, nu, pd.r)
-        gammas = sorted(tuple(s.gamma.coords) for s in dec.summands)
-        rec_gammas = sorted(tuple(dec_vec(v)) for v in w["vanishing"]["gammas"])
-        if gammas != rec_gammas:
-            reasons.append("Kostant summands mismatch")
-        if not verify_vanishing(L, borel, nu, pd.r):
-            reasons.append("vanishing fails")
-        if not w["vanishing"].get("holds"):
-            reasons.append("certificate does not claim vanishing")
-    return (not reasons), reasons
+        raise NoRegularFound("$.witness.t_coeffs: h is not regular")
+    return _witness(fr, reg, nu), oracle_check
+
+
+def _differing_paths(got, want, path="$"):
+    """The JSON paths at which `got` differs from `want`."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        return [
+            p
+            for key in sorted(got.keys() | want.keys())
+            for p in (
+                _differing_paths(got[key], want[key], f"{path}.{key}")
+                if key in got and key in want
+                else [f"{path}.{key}"]
+            )
+        ]
+    if isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
+        return [
+            p
+            for i, (a, b) in enumerate(zip(got, want))
+            for p in _differing_paths(a, b, f"{path}[{i}]")
+        ]
+    return [] if type(got) is type(want) and got == want else [path]
+
+
+def verify_certificate(cert: dict, raw_input: dict):
+    """Derive the certificate again from the input and the witness choices
+    that `cert` records, and compare the two byte for byte.
+
+    Returns (ok, reasons). A rejection names each JSON path at which `cert`
+    differs from the derived certificate, or says why its choices cannot be
+    read or prove nothing. Only a failing input raises: one that does not
+    parse, or whose subalgebra is not reductive."""
+    fr = front(parse_input(raw_input))
+    try:
+        # choices made for another input are not worth deriving from
+        if _field(cert, "$", "input_hash", str) != input_hash(raw_input):
+            return False, ["$.input_hash"]
+        ours = derive(fr, raw_input, *_recorded_witness(fr, cert))
+    except GhcError as exc:
+        return False, [str(exc)]
+    if canonical_json(cert) == canonical_json(ours):
+        return True, []
+    return False, _differing_paths(cert, ours)

@@ -10,11 +10,12 @@ import json
 import sys
 from fractions import Fraction
 
-from ghcert.borel import build_borel
 from ghcert.certify import (
+    adapted_borel,
     canonical_json,
     certify,
     enc_vec,
+    front,
     parse_input,
     verify_certificate,
 )
@@ -46,28 +47,6 @@ def _emit(data, out_path=None):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _setup_from_input(raw):
-    """Run the front of the pipeline up to the adapted Borel."""
-    from ghcert.certify import _prepare
-    from ghcert.embedding import choose_regular, split_off_contained_ideals, make_embedding
-    from ghcert.parabolic import build_parabolic
-
-    pin = parse_input(raw)
-    L, emb = _prepare(pin)
-    reduction = split_off_contained_ideals(L, emb.k, emb.t)
-    if reduction is not None:
-        L = reduction.algebra
-        emb = make_embedding(
-            L,
-            [list(r) for r in reduction.k.rows],
-            [list(r) for r in reduction.t.rows],
-        )
-    reg = choose_regular(L, emb, seed=pin.seed, max_height=pin.max_height)
-    pd = build_parabolic(L, emb, reg)
-    borel = build_borel(L, [reg.h[i] for i in range(L.rank)])
-    return pin, L, emb, reg, pd, borel
 
 
 def _parse_nu(text, rank):
@@ -104,23 +83,20 @@ def cmd_certify(args):
 
 
 def cmd_check_ideal(args):
-    from ghcert.certify import _prepare
-    from ghcert.embedding import is_ideal
-
     raw = _load_json(args.input)
-    pin = parse_input(raw)
-    L, emb = _prepare(pin)
-    _emit({"is_ideal": bool(is_ideal(L, emb.k))})
+    _emit({"is_ideal": front(parse_input(raw)).ideal})
     return 0
 
 
 def cmd_kostant(args):
     raw = _load_json(args.k_spec)
-    if raw.get("algebra") != args.type:
+    pin = parse_input(raw)
+    if raw["algebra"] != args.type:
         raise InputInvalid(
-            f"--type {args.type} does not match k-spec algebra {raw.get('algebra')}"
+            f"--type {args.type} does not match k-spec algebra {raw['algebra']}"
         )
-    _, L, _, _, _, borel = _setup_from_input(raw)
+    fr, _, _, borel = adapted_borel(pin)
+    L = fr.L
     nu = _parse_nu(args.nu, L.rank)
     try:
         dec = kostant_cohomology(L, borel, nu, args.degree)
@@ -143,8 +119,9 @@ def cmd_kostant(args):
 
 
 def cmd_oracle_compare(args):
-    raw = _load_json(args.input)
-    pin, L, _, _, _, borel = _setup_from_input(raw)
+    pin = parse_input(_load_json(args.input))
+    fr, _, _, borel = adapted_borel(pin)
+    L = fr.L
     nu = _parse_nu(args.nu, L.rank)
     degrees = _parse_degrees(args.degrees)
     try:

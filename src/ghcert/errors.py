@@ -87,10 +87,6 @@ class InputInvalid(GhcError):
     pass
 
 
-class HashMismatch(GhcError):
-    pass
-
-
 class PipelineError(GhcError):
     """Wraps a module error with the pipeline stage where it occurred."""
 

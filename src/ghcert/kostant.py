@@ -26,6 +26,11 @@ class CohomologyDecomposition:
     summands: list  # included (m-dominant) summands, sorted by gamma
     total_dim: int
 
+    def omits(self, nu: Weight) -> bool:
+        """True iff no summand has highest weight nu (the Hom space over m
+        from the coefficient module of highest weight nu vanishes)."""
+        return all(s.gamma.coords != nu.coords for s in self.summands)
+
 
 def m_rho(borel: BorelData) -> Weight:
     rs = borel.L.rs
@@ -82,5 +87,4 @@ def kostant_cohomology(L: LieAlgebra, borel: BorelData, nu: Weight, r: int) -> C
 def verify_vanishing(L: LieAlgebra, borel: BorelData, nu: Weight, r: int) -> bool:
     """True iff the coefficient module's highest weight nu does not occur
     among the degree-r summands (so the Hom space over m vanishes)."""
-    dec = kostant_cohomology(L, borel, nu, r)
-    return all(s.gamma.coords != nu.coords for s in dec.summands)
+    return kostant_cohomology(L, borel, nu, r).omits(nu)

@@ -1,12 +1,6 @@
-"""Exact rational linear algebra.
-
-``KERNEL`` names the row-reduction kernel that ``ghcert.linalg.matrix``
-selected at import time; ``GHCERT_PURE_PYTHON=1`` forces the pure-Python
-fallback (used by the benchmark and by the kernel-parity tests).
-"""
+"""Exact rational linear algebra."""
 
 from ghcert.linalg.matrix import (
-    KERNEL,
     rref_in_place,
     frac,
     fracvec,
@@ -26,7 +20,6 @@ from ghcert.linalg.matrix import (
 )
 
 __all__ = [
-    "KERNEL",
     "rref_in_place",
     "frac",
     "fracvec",

@@ -1,23 +1,58 @@
-"""Dense matrix operations over Fraction, built on the rref kernel.
+"""Dense matrix operations over Fraction, built on one row-reduction kernel.
 
 Matrices are plain lists of lists of Fraction; vectors are lists of
-Fraction.  All functions are pure (inputs are copied before reduction).
-
-The row-reduction kernel is selected here, once, at import time: the
-compiled Cython extension when available, else the pure-Python fallback.
-Set ``GHCERT_PURE_PYTHON=1`` to force the fallback.
+Fraction.  All functions except ``rref_in_place`` are pure (inputs are
+copied before reduction).  The canonical RREF is part of the package's
+reproducibility contract.
 """
 
-import os
 from fractions import Fraction
 
-if os.environ.get("GHCERT_PURE_PYTHON"):
-    from ghcert.linalg._rref_py import KERNEL, rref_in_place
-else:
-    try:
-        from ghcert.linalg._rref_cy import KERNEL, rref_in_place  # type: ignore
-    except ImportError:
-        from ghcert.linalg._rref_py import KERNEL, rref_in_place
+
+def rref_in_place(m):
+    """Reduce `m` (list of lists of Fraction) to reduced row echelon form.
+
+    Returns the list of pivot column indices.  Rows of zeros sink to the
+    bottom.  Deterministic: always picks the first nonzero entry in the
+    current column as pivot.
+    """
+    n_rows = len(m)
+    n_cols = len(m[0]) if n_rows else 0
+    pivots = []
+    piv_r = 0
+    for piv_c in range(n_cols):
+        i_row = -1
+        for r in range(piv_r, n_rows):
+            if m[r][piv_c] != 0:
+                i_row = r
+                break
+        if i_row < 0:
+            continue
+        if i_row != piv_r:
+            m[piv_r], m[i_row] = m[i_row], m[piv_r]
+        fp = m[piv_r][piv_c]
+        if fp != 1:
+            inv = Fraction(1) / fp
+            row = m[piv_r]
+            for c in range(piv_c, n_cols):
+                if row[c]:
+                    row[c] *= inv
+        prow = m[piv_r]
+        for r in range(n_rows):
+            if r == piv_r:
+                continue
+            fr = m[r][piv_c]
+            if fr == 0:
+                continue
+            row = m[r]
+            for c in range(piv_c, n_cols):
+                if prow[c]:
+                    row[c] -= prow[c] * fr
+        pivots.append(piv_c)
+        piv_r += 1
+        if piv_r == n_rows:
+            break
+    return pivots
 
 
 def frac(x) -> Fraction:

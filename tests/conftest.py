@@ -47,19 +47,21 @@ CASES = {
     ),
 }
 
+# k contains the first A1 factor plus the second torus, so certify splits
+# off that factor and certifies the rest inside the reduced algebra A1
+REDUCTION = problem(
+    "A1xA1",
+    [unit(6, 0), unit(6, 3), unit(6, 5), unit(6, 1)],
+    [unit(6, 0), unit(6, 1)],
+)
+
 
 def borel_from_case(raw):
     """Adapted Borel of the certified witness for a case input."""
-    from ghcert.borel import build_borel
-    from ghcert.certify import _prepare, parse_input
-    from ghcert.embedding import choose_regular
-    from ghcert.parabolic import build_parabolic
+    from ghcert.certify import adapted_borel, parse_input
 
-    pin = parse_input(raw)
-    L, emb = _prepare(pin)
-    reg = choose_regular(L, emb, seed=pin.seed)
-    pd = build_parabolic(L, emb, reg)
-    return L, emb, reg, pd, build_borel(L, [reg.h[i] for i in range(L.rank)])
+    fr, reg, pd, borel = adapted_borel(parse_input(raw))
+    return fr.L, fr.emb, reg, pd, borel
 
 
 @pytest.fixture
