@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ghcert.errors import DimensionMismatch, InvariantViolation
-from ghcert.linalg import intersect_row_spaces, rank, row_space_contains, rref
+from ghcert.linalg import intersect_row_spaces, row_space_contains, rref
 from ghcert.rootsystem import CartanType, RootSystem
 
 
@@ -224,19 +224,6 @@ class LieAlgebra:
             self._ad_cache[i] = m
         return self._ad_cache[i]
 
-    def ad(self, x):
-        m = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            mi = self.ad_basis(i)
-            for r in range(self.dim):
-                row = mi[r]
-                for c in range(self.dim):
-                    if row[c]:
-                        m[r][c] += xi * row[c]
-        return m
-
     @property
     def killing_matrix(self):
         """Gram matrix of the Killing form, tr(ad b_i ad b_j).
@@ -340,16 +327,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
-
-    def coordinate_labels(self, L: LieAlgebra):
-        """Basis labels if every row is a unit coordinate vector, else None."""
-        labels = []
-        for r in self.rows:
-            nz = [i for i, x in enumerate(r) if x != 0]
-            if len(nz) != 1 or r[nz[0]] != 1:
-                return None
-            labels.append(L.basis[nz[0]])
-        return labels
 
 
 @lru_cache(maxsize=None)

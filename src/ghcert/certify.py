@@ -28,6 +28,7 @@ from ghcert.embedding import (
     make_embedding,
     regular_from_coeffs,
     split_off_contained_ideals,
+    t_grading,
 )
 from ghcert.errors import (
     GenericNuNotFound,
@@ -226,10 +227,11 @@ def front(pin: ProblemInput) -> Front:
         "split_off_contained_ideals", split_off_contained_ideals, L, emb.k, emb.t
     )
     if reduction is not None:
+        # k ∩ rest is a subalgebra and the split checks hold, so the
+        # reduced pair keeps the checks of the full input
         L = reduction.algebra
-        emb = make_embedding(
-            L, [list(r) for r in reduction.k.rows], [list(r) for r in reduction.t.rows]
-        )
+        grading = _stage("t_grading", t_grading, L, reduction.k, reduction.t)
+        emb = EmbeddedSubalgebra(reduction.k, reduction.t, emb.checks, grading)
     return Front(pin, L, emb, ideal=False, reduction=reduction)
 
 

@@ -23,6 +23,7 @@ from ghcert.errors import (
     DimCapExceeded,
     GhcError,
     InputInvalid,
+    LengthOutOfRange,
     NonDominant,
     PipelineError,
     SearchTooLarge,
@@ -100,7 +101,7 @@ def cmd_kostant(args):
     nu = _parse_nu(args.nu, L.rank)
     try:
         dec = kostant_cohomology(L, borel, nu, args.degree)
-    except NonDominant as exc:
+    except (NonDominant, LengthOutOfRange) as exc:
         raise InputInvalid(str(exc))
     _emit(
         {
@@ -126,7 +127,7 @@ def cmd_oracle_compare(args):
     degrees = _parse_degrees(args.degrees)
     try:
         rep = compare_kostant_vs_oracle(L, borel, nu, degrees, dim_cap=pin.dim_cap)
-    except NonDominant as exc:
+    except (NonDominant, LengthOutOfRange) as exc:
         raise InputInvalid(str(exc))
     _emit(
         {

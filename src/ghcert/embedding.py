@@ -1,5 +1,5 @@
 """The embedded pair (k, t): closure, reductivity checks, the ideal test,
-the Killing complement, and the regular element h.
+the Killing complement, the t-grading and the regular element h.
 
 Input contract: the torus t must lie inside the standard Cartan h_std of g
 (its basis vectors are supported on the Cartan coordinates).  This keeps
@@ -42,20 +42,37 @@ class ReductivityReport:
         )
 
 
+@dataclass(frozen=True)
+class TGrading:
+    """g = sum of the joint t-weight spaces g_w, and k = sum of k_w = k ∩ g_w.
+
+    t lies in the standard Cartan, so ad t is diagonal on the Chevalley
+    basis: each g_w is spanned by the basis vectors of t-weight w.
+    """
+
+    weights: tuple  # t-weight (coords tuple) of each basis index
+    blocks: dict  # t-weight -> basis indices of g_w
+    k_dims: dict  # t-weight -> dim k_w, for the weights with k_w != 0
+    k_roots: WeightMultiset  # the nonzero t-weights of k: the t-roots
+
+
 @dataclass
 class EmbeddedSubalgebra:
     k: Subspace
     t: Subspace
-    generators: list
     checks: ReductivityReport
+    grading: TGrading
 
 
 @dataclass
 class RegularElement:
     h: list  # coordinates in the algebra basis
     t_coeffs: tuple  # integer coefficients on the t basis rows
-    k_root_values: dict  # t-root of k (coords tuple) -> nonzero Fraction
     g_spectrum: tuple  # sorted ((eigenvalue, multiplicity), ...)
+
+    def value(self, w) -> Fraction:
+        """w(h) for a t-weight w (coords tuple)."""
+        return sum(c * x for c, x in zip(self.t_coeffs, w))
 
 
 def close_generators(L: LieAlgebra, gens) -> Subspace:
@@ -122,7 +139,7 @@ def make_embedding(L: LieAlgebra, gens, t_rows) -> EmbeddedSubalgebra:
         raise InputInvalid(
             f"t (dim {t.dim}) is not self-centralizing in k (centralizer dim {cent.dim})"
         )
-    return EmbeddedSubalgebra(k, t, [list(g) for g in gens], checks)
+    return EmbeddedSubalgebra(k, t, checks, t_grading(L, k, t))
 
 
 def centralizer_in(L: LieAlgebra, t: Subspace, k: Subspace):
@@ -227,67 +244,44 @@ def split_off_contained_ideals(L: LieAlgebra, k: Subspace, t: Subspace):
     return Reduction(tuple(contained), L_red, k_red, t_red, tuple(old_columns))
 
 
-# -- joint t-weight decomposition --------------------------------------
+# -- the t-grading ------------------------------------------------------
 
 
-def basis_t_weights(L: LieAlgebra, t: Subspace):
-    """t-weight (coords tuple) of each Chevalley basis element of g."""
-    out = []
+def t_grading(L: LieAlgebra, k: Subspace, t: Subspace) -> TGrading:
+    """The t-weight of each basis index of g, and dim k_w per weight.
+
+    dim k_w is the rank of k's rows restricted to the columns of g_w: the
+    projection of k to g_w. The projections' dimensions sum to dim k
+    exactly when k = sum of (k ∩ g_w), that is, when k is t-invariant.
+    """
+    weights = []
     for label in L.basis:
         if label[0] == "h":
-            out.append((Fraction(0),) * t.dim)
-        else:
-            f = L.rs.root_to_weight(label[1])
-            sign = 1 if label[0] == "e" else -1
-            out.append(
-                tuple(
-                    sign * sum(Fraction(row[i]) * f[i] for i in range(L.rank))
-                    for row in t.rows
-                )
-            )
-    return out
-
-
-def joint_weight_spaces(L: LieAlgebra, t: Subspace):
-    """Decomposition of g into joint t-weight coordinate subspaces."""
-    wts = basis_t_weights(L, t)
-    groups = {}
-    for idx, w in enumerate(wts):
-        groups.setdefault(w, []).append(idx)
-    out = {}
-    for w, idxs in groups.items():
-        vecs = []
-        for i in idxs:
-            v = L.zero()
-            v[i] = Fraction(1)
-            vecs.append(v)
-        out[w] = Subspace.from_vectors(vecs, L.dim)
-    return out
-
-
-def t_weight_spaces_of(L: LieAlgebra, t: Subspace, V: Subspace):
-    """V split into joint t-weight pieces; errors if the pieces miss some of V."""
-    pieces = {}
-    total = 0
-    for w, gw in joint_weight_spaces(L, t).items():
-        inter = V.intersect(gw)
-        if inter.dim:
-            pieces[w] = inter
-            total += inter.dim
-    if total != V.dim:
-        raise NotTInvariant(
-            f"subspace is not a sum of joint t-weight spaces ({total} of {V.dim})"
+            weights.append((Fraction(0),) * t.dim)
+            continue
+        f = L.rs.root_to_weight(label[1])
+        sign = 1 if label[0] == "e" else -1
+        weights.append(
+            tuple(sign * sum(Fraction(row[i]) * f[i] for i in range(L.rank)) for row in t.rows)
         )
-    return pieces
-
-
-def t_roots_of_k(L: LieAlgebra, emb: EmbeddedSubalgebra) -> WeightMultiset:
-    """Nonzero joint t-weights of ad t on k, with multiplicities."""
-    ms = WeightMultiset("t")
-    for w, piece in t_weight_spaces_of(L, emb.t, emb.k).items():
-        if any(x != 0 for x in w):
-            ms.add(w, piece.dim)
-    return ms
+    blocks = {}
+    for idx, w in enumerate(weights):
+        blocks.setdefault(w, []).append(idx)
+    k_dims = {}
+    for w, idxs in blocks.items():
+        cut = [[row[i] for i in idxs] for row in k.rows]
+        dim = rank([r for r in cut if any(r)])
+        if dim:
+            k_dims[w] = dim
+    if sum(k_dims.values()) != k.dim:
+        raise NotTInvariant(
+            f"subspace is not a sum of joint t-weight spaces "
+            f"({sum(k_dims.values())} of {k.dim})"
+        )
+    k_roots = WeightMultiset("t", {w: d for w, d in k_dims.items() if any(w)})
+    return TGrading(
+        tuple(weights), {w: tuple(idxs) for w, idxs in blocks.items()}, k_dims, k_roots
+    )
 
 
 # -- regular element ---------------------------------------------------
@@ -314,27 +308,17 @@ def regular_from_coeffs(L: LieAlgebra, emb: EmbeddedSubalgebra, coeffs):
     nonzero joint t-weight of g vanishes on it."""
     t = emb.t
     coeffs = tuple(Fraction(c) for c in coeffs)
-    wts = basis_t_weights(L, t)
     spectrum = {}
-    for w in wts:
+    for w, idxs in emb.grading.blocks.items():
         val = sum(c * x for c, x in zip(coeffs, w))
-        if val == 0 and any(x != 0 for x in w):
+        if val == 0 and any(w):
             return None
-        spectrum[val] = spectrum.get(val, 0) + 1
+        spectrum[val] = spectrum.get(val, 0) + len(idxs)
     h = [
         sum(c * row[i] for c, row in zip(coeffs, t.rows))
         for i in range(L.dim)
     ]
-    kvals = {
-        root: sum(c * x for c, x in zip(coeffs, root))
-        for root in t_roots_of_k(L, emb).entries
-    }
-    return RegularElement(
-        h=h,
-        t_coeffs=coeffs,
-        k_root_values=kvals,
-        g_spectrum=tuple(sorted(spectrum.items())),
-    )
+    return RegularElement(h=h, t_coeffs=coeffs, g_spectrum=tuple(sorted(spectrum.items())))
 
 
 def choose_regular(
@@ -360,17 +344,3 @@ def choose_regular(
     raise NoRegularFound(
         f"no regular element with integer coefficients up to {max_height}; raise max_height"
     )
-
-
-def t_roots_and_rho(L: LieAlgebra, emb: EmbeddedSubalgebra, h: RegularElement):
-    """t-roots of k and rho = half-sum of the h-positive ones."""
-    roots = t_roots_of_k(L, emb)
-    positive = WeightMultiset("t")
-    for coords, mult in roots.entries.items():
-        val = h.k_root_values[coords]
-        if val == 0:
-            raise InvariantViolation(f"t-root {coords} of k vanishes on h")
-        if val > 0:
-            positive.add(coords, mult)
-    rho = positive.half_sum(dim=emb.t.dim)
-    return roots, rho

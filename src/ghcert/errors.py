@@ -51,10 +51,6 @@ class NotTInvariant(GhcError):
     pass
 
 
-class NonDiagonalizable(GhcError):
-    pass
-
-
 class InvariantViolation(GhcError):
     pass
 

@@ -18,7 +18,7 @@ from ghcert.errors import (
     SearchTooLarge,
 )
 from ghcert.linalg import det, inverse, matvec
-from ghcert.parabolic import ParabolicData, RhoVectors, t_weight_multiset
+from ghcert.parabolic import ParabolicData, RhoVectors
 from ghcert.weights import Weight, WeightMultiset
 
 DEFAULT_MAX_COEFF = 5
@@ -200,19 +200,10 @@ def evaluate_genericity(
     L, emb, pd: ParabolicData, rv: RhoVectors, form: TStarForm, nu: Weight,
     cond2_cap: int = DEFAULT_COND2_CAP,
 ) -> GenericityReport:
-    from ghcert.embedding import t_roots_of_k
-
     mu = mu_from_nu(emb, nu, rv)
-    k_roots = t_roots_of_k(L, emb)
-    positive = WeightMultiset("t")
-    for coords, mult in k_roots.entries.items():
-        if pd.h.k_root_values[coords] > 0:
-            positive.add(coords, mult)
-    integral, dominant = check_integral_dominant(form, mu, k_roots, positive)
-    wts_nk = t_weight_multiset(L, emb, pd.n_cap_k)
-    c1_ok, c1_viol = check_condition_1(form, mu, rv.rho, rv.rho_n, wts_nk)
-    S = t_weight_multiset(L, emb, pd.n)
-    c2 = check_condition_2(form, mu, rv.rho, S, cap=cond2_cap)
+    integral, dominant = check_integral_dominant(form, mu, pd.k_roots, pd.k_positive_roots)
+    c1_ok, c1_viol = check_condition_1(form, mu, rv.rho, rv.rho_n, pd.weights_n_cap_k)
+    c2 = check_condition_2(form, mu, rv.rho, pd.weights_n, cap=cond2_cap)
     return GenericityReport(
         mu=mu,
         integral=integral,

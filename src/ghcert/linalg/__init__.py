@@ -2,9 +2,6 @@
 
 from ghcert.linalg.matrix import (
     rref_in_place,
-    frac,
-    fracvec,
-    fracmat,
     rref,
     rank,
     nullspace,
@@ -21,9 +18,6 @@ from ghcert.linalg.matrix import (
 
 __all__ = [
     "rref_in_place",
-    "frac",
-    "fracvec",
-    "fracmat",
     "rref",
     "rank",
     "nullspace",

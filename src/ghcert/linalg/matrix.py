@@ -55,22 +55,6 @@ def rref_in_place(m):
     return pivots
 
 
-def frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
-
-
-def fracvec(v):
-    return [frac(x) for x in v]
-
-
-def fracmat(m):
-    return [[frac(x) for x in row] for row in m]
-
-
 def rref(m):
     """Canonical RREF of `m`: returns (nonzero rows, pivot columns)."""
     work = [list(row) for row in m]

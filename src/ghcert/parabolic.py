@@ -1,44 +1,49 @@
 """The minimal t-compatible parabolic p = m + n built from the regular
 element h, the intersections with k and its Killing complement, and the
 rho-vectors on t*.
+
+Everything is read off the t-grading of the embedding: m, n and nbar are
+the basis indices whose t-weight is zero, positive or negative on h, and
+each intersection is a sum of one block dimension per t-weight.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from ghcert.algebra import LieAlgebra, Subspace
-from ghcert.embedding import (
-    EmbeddedSubalgebra,
-    RegularElement,
-    killing_perp,
-    t_roots_and_rho,
-    t_weight_spaces_of,
-)
-from ghcert.errors import InvariantViolation, NonDiagonalizable
-from ghcert.linalg import nullspace
+from ghcert.algebra import LieAlgebra
+from ghcert.embedding import EmbeddedSubalgebra, RegularElement
+from ghcert.errors import InvariantViolation
+from ghcert.linalg import rank
 from ghcert.weights import Weight, WeightMultiset
+
+
+class Block(tuple):
+    """A coordinate subspace of g: the sorted basis indices spanning it."""
+
+    @property
+    def dim(self) -> int:
+        return len(self)
 
 
 @dataclass
 class ParabolicData:
     h: RegularElement
-    eigenspaces: dict  # eigenvalue -> Subspace
-    m: Subspace
-    n: Subspace
-    nbar: Subspace
-    k_perp: Subspace
-    n_cap_k: Subspace
-    n_cap_kperp: Subspace
-    m_cap_kperp: Subspace
-    nbar_cap_kperp: Subspace
+    m: Block
+    n: Block
+    nbar: Block
+    kperp_dims: dict  # t-weight -> dim (k_perp)_w
+    k_roots: WeightMultiset  # t-roots of k
+    k_positive_roots: WeightMultiset  # the t-roots of k positive on h
+    weights_n: WeightMultiset
+    weights_n_cap_k: WeightMultiset
+    weights_n_cap_kperp: WeightMultiset
 
     @property
     def r(self) -> int:
-        return self.n_cap_kperp.dim
+        return self.weights_n_cap_kperp.total()
 
     @property
     def s(self) -> int:
-        return self.n_cap_k.dim
+        return self.weights_n_cap_k.total()
 
 
 @dataclass
@@ -52,117 +57,97 @@ class RhoVectors:
         return self.rho_n_perp.scale(2)
 
 
-def eigenspace_decomposition(L: LieAlgebra, reg: RegularElement):
-    """Exact kernels of (ad h - alpha) for each recorded eigenvalue."""
-    adh = L.ad(list(reg.h))
+def _kperp_dims(L: LieAlgebra, emb: EmbeddedSubalgebra):
+    """dim (k_perp)_w per t-weight w. The Killing form pairs g_w only with
+    g_{-w}, so (k_perp)_w is the kernel of the pairing block K(k_{-w}, g_w);
+    k's rows cut to the columns of g_{-w} span k_{-w}."""
+    km = L.killing_matrix
+    blocks = emb.grading.blocks
     out = {}
-    total = 0
-    for alpha, _mult in reg.g_spectrum:
-        shifted = [
-            [adh[i][j] - (alpha if i == j else 0) for j in range(L.dim)]
-            for i in range(L.dim)
+    for w, cols in blocks.items():
+        dual = blocks[tuple(-x for x in w)]
+        pairing = [
+            [sum(row[i] * km[i][j] for i in dual if row[i]) for j in cols]
+            for row in emb.k.rows
+            if any(row[i] for i in dual)
         ]
-        ker = Subspace.from_vectors(nullspace(shifted, n_cols=L.dim), L.dim)
-        out[alpha] = ker
-        total += ker.dim
-    if total != L.dim:
-        raise NonDiagonalizable(
-            f"eigenspaces of ad h span dimension {total} of {L.dim}"
-        )
+        out[w] = len(cols) - rank(pairing)
     return out
 
 
-def _subspace_sum(L, spaces):
-    rows = [list(r) for sp in spaces for r in sp.rows]
-    return Subspace.from_vectors(rows, L.dim)
-
-
 def build_parabolic(L: LieAlgebra, emb: EmbeddedSubalgebra, reg: RegularElement) -> ParabolicData:
-    eig = eigenspace_decomposition(L, reg)
-    m = eig.get(Fraction(0), Subspace((), L.dim))
-    n = _subspace_sum(L, [sp for a, sp in eig.items() if a > 0])
-    nbar = _subspace_sum(L, [sp for a, sp in eig.items() if a < 0])
-    kp = killing_perp(L, emb.k)
+    grading = emb.grading
+    values = {w: reg.value(w) for w in grading.blocks}
+    sign = {w: (v > 0) - (v < 0) for w, v in values.items()}
+    parts = {-1: [], 0: [], 1: []}
+    for idx, w in enumerate(grading.weights):
+        parts[sign[w]].append(idx)
+    kperp = _kperp_dims(L, emb)
+
+    def positive(dims):
+        return WeightMultiset("t", {w: d for w, d in dims.items() if d and sign[w] > 0})
+
     pd = ParabolicData(
         h=reg,
-        eigenspaces=eig,
-        m=m,
-        n=n,
-        nbar=nbar,
-        k_perp=kp,
-        n_cap_k=n.intersect(emb.k),
-        n_cap_kperp=n.intersect(kp),
-        m_cap_kperp=m.intersect(kp),
-        nbar_cap_kperp=nbar.intersect(kp),
+        m=Block(parts[0]),
+        n=Block(parts[1]),
+        nbar=Block(parts[-1]),
+        kperp_dims=kperp,
+        k_roots=grading.k_roots,
+        k_positive_roots=positive(grading.k_roots.entries),
+        weights_n=positive({w: len(idxs) for w, idxs in grading.blocks.items()}),
+        weights_n_cap_k=positive(grading.k_dims),
+        weights_n_cap_kperp=positive(kperp),
     )
-    _validate(L, emb, pd)
+    _validate(L, emb, pd, sign)
     return pd
 
 
-def _validate(L, emb, pd):
+def _validate(L, emb, pd, sign):
     def require(cond, name):
         if not cond:
             raise InvariantViolation(name)
 
-    require(not emb.t.rows or pd.m.contains_subspace(emb.t), "t inside m")
+    m, n = set(pd.m), set(pd.n)
+    p = m | n
     require(
-        pd.m.dim + pd.n.dim + pd.nbar.dim == L.dim,
-        "eigenspace dimensions sum to dim g",
+        all(not any(w) for w, s in sign.items() if s == 0),
+        "no nonzero t-weight vanishes on h, so m is the zero weight space",
     )
-    p = pd.m.sum(pd.n)
-    require(_bracket_closed(L, p), "p = m + n closed under bracket")
-    require(_bracket_closed(L, pd.n), "n closed under bracket")
-    require(_maps_into(L, pd.m, pd.n, pd.n), "[m, n] inside n")
-    require(_nilpotent(L, pd.n), "n is ad-nilpotent")
     require(
-        pd.k_perp.dim
-        == pd.n_cap_kperp.dim + pd.m_cap_kperp.dim + pd.nbar_cap_kperp.dim,
-        "triangular decomposition of k-perp",
+        all(i in m for row in emb.t.rows for i, x in enumerate(row) if x), "t inside m"
+    )
+    require(_brackets_into(L, p, p, p), "p = m + n closed under bracket")
+    require(_brackets_into(L, n, n, n), "n closed under bracket")
+    require(_brackets_into(L, m, n, n), "[m, n] inside n")
+    require(_nilpotent(L, n), "n is ad-nilpotent")
+    require(
+        sum(pd.kperp_dims.values()) == L.dim - emb.k.dim,
+        "the blocks of k_perp have dimensions summing to dim g - dim k",
     )
     require(pd.n.dim == pd.nbar.dim, "dim n equals dim nbar")
 
 
-def _bracket_closed(L, sp):
-    rows = [list(r) for r in sp.rows]
-    for i, x in enumerate(rows):
-        for y in rows[i:]:
-            if not sp.contains(L.bracket(x, y)):
-                return False
-    return True
-
-
-def _maps_into(L, a, b, target):
-    for x in a.rows:
-        for y in b.rows:
-            if not target.contains(L.bracket(list(x), list(y))):
-                return False
-    return True
+def _brackets_into(L, a, b, target):
+    """Whether every structure constant [b_i, b_j], i in a, j in b, is
+    supported on target."""
+    return all(L.structure(i, j).keys() <= target for i in a for j in b)
 
 
 def _nilpotent(L, n):
+    """The lower central series of n, on supports, reaches zero."""
     current = n
-    for _ in range(n.dim + 1):
-        if current.dim == 0:
+    for _ in range(len(n) + 1):
+        if not current:
             return True
-        rows = [
-            L.bracket(list(x), list(y)) for x in n.rows for y in current.rows
-        ]
-        current = Subspace.from_vectors(rows, L.dim)
+        current = {k for i in n for j in current for k in L.structure(i, j)}
     return False
 
 
-def t_weight_multiset(L: LieAlgebra, emb: EmbeddedSubalgebra, V: Subspace) -> WeightMultiset:
-    """Multiset of joint t-weights on a t-invariant subspace."""
-    ms = WeightMultiset("t")
-    for w, piece in t_weight_spaces_of(L, emb.t, V).items():
-        ms.add(w, piece.dim)
-    if ms.total() != V.dim:
-        raise InvariantViolation(f"t-weights cover {ms.total()} of dim {V.dim}")
-    return ms
-
-
 def rho_vectors(L: LieAlgebra, emb: EmbeddedSubalgebra, pd: ParabolicData) -> RhoVectors:
-    _, rho = t_roots_and_rho(L, emb, pd.h)
-    rho_n = t_weight_multiset(L, emb, pd.n).half_sum(dim=emb.t.dim)
-    rho_n_perp = t_weight_multiset(L, emb, pd.n_cap_kperp).half_sum(dim=emb.t.dim)
-    return RhoVectors(rho=rho, rho_n=rho_n, rho_n_perp=rho_n_perp)
+    dim = emb.t.dim
+    return RhoVectors(
+        rho=pd.k_positive_roots.half_sum(dim=dim),
+        rho_n=pd.weights_n.half_sum(dim=dim),
+        rho_n_perp=pd.weights_n_cap_kperp.half_sum(dim=dim),
+    )

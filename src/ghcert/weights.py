@@ -37,9 +37,6 @@ class Weight:
         k = Fraction(k)
         return Weight(self.context, tuple(k * a for a in self.coords))
 
-    def is_zero(self):
-        return all(x == 0 for x in self.coords)
-
 
 def zero_weight(context, dim):
     return Weight(context, (Fraction(0),) * dim)
@@ -63,9 +60,6 @@ class WeightMultiset:
 
     def total(self) -> int:
         return sum(self.entries.values())
-
-    def weights(self):
-        return [Weight(self.context, c) for c in sorted(self.entries)]
 
     def items(self):
         return sorted(self.entries.items())

@@ -157,13 +157,15 @@ def test_reductivity_battery_runs_once(monkeypatch):
         return battery(*args)
 
     monkeypatch.setattr(ghcert.embedding, "verify_reductive", counted)
-    raw = CASES["a2_principal"]  # no simple ideal of A2 lies in k
-    cert = certify(parse_input(raw), raw)
-    assert cert["reduction"] is None and len(calls) == 1
-    calls.clear()
-    ok, reasons = verify_certificate(cert, raw)
-    assert ok, reasons
-    assert len(calls) == 1
+    # no simple ideal of A2 lies in k; REDUCTION splits one off
+    for raw, reduced in ((CASES["a2_principal"], False), (REDUCTION, True)):
+        calls.clear()
+        cert = certify(parse_input(raw), raw)
+        assert (cert["reduction"] is not None) == reduced and len(calls) == 1
+        calls.clear()
+        ok, reasons = verify_certificate(cert, raw)
+        assert ok, reasons
+        assert len(calls) == 1
 
 
 def test_verify_rejects_wrong_input():
@@ -251,6 +253,18 @@ def test_cli_oracle_compare(write_input, capsys):
     rc = main(["oracle-compare", inp, "--nu", "2", "--degrees", "0..1"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["match"] is True
+
+
+def test_cli_degree_out_of_range_is_invalid_input(write_input, capsys):
+    inp = write_input("in.json", CASES["a1_t"])  # A1 has one positive root
+    for degree in ("2", "-1"):
+        argv = ["kostant", "--type", "A1", "--nu", "1", "--k-spec", inp,
+                f"--degree={degree}"]
+        assert main(argv) == 2
+        assert f"length {degree} not in [0, 1]" in capsys.readouterr().err
+    for degrees in ("0..2", "-1"):
+        assert main(["oracle-compare", inp, "--nu", "1", f"--degrees={degrees}"]) == 2
+        assert "not in [0, 1]" in capsys.readouterr().err
 
 
 def test_cli_negative_nu_as_separate_argument(write_input, capsys):

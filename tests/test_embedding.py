@@ -11,10 +11,10 @@ from ghcert.embedding import (
     make_embedding,
     regular_from_coeffs,
     split_off_contained_ideals,
-    t_roots_of_k,
+    t_grading,
     verify_reductive,
 )
-from ghcert.errors import InputInvalid, NoRegularFound
+from ghcert.errors import InputInvalid, NoRegularFound, NotTInvariant
 from ghcert.rootsystem import CartanType
 
 F = Fraction
@@ -132,10 +132,26 @@ def test_split_off_no_contained_ideal(a2):
 
 def test_t_roots_of_principal(a2):
     emb = make_embedding(a2, principal_sl2(a2), [unit(8, 0, 1)])
-    roots = t_roots_of_k(a2, emb)
+    roots = emb.grading.k_roots
     assert roots.total() == 2
     vals = sorted(w[0] for w in roots.entries)
     assert vals == [-vals[1], vals[1]] and vals[1] > 0
+
+
+def test_grading_of_principal(a2):
+    emb = make_embedding(a2, principal_sl2(a2), [unit(8, 0, 1)])
+    # e_a1 and e_a2 both have t-weight 1, e_(a1+a2) has t-weight 2
+    assert emb.grading.blocks[(F(1),)] == (2, 3)
+    assert emb.grading.blocks[(F(2),)] == (4,)
+    assert emb.grading.k_dims == {(F(-1),): 1, (F(0),): 1, (F(1),): 1}
+
+
+def test_grading_rejects_non_invariant_subspace(a2):
+    # e_a1 + e_a2 on t = span(h1): the two root vectors have t-weights 2 and -1
+    k = Subspace.from_vectors([unit(8, 2, 3)], 8)
+    t = Subspace.from_vectors([unit(8, 0)], 8)
+    with pytest.raises(NotTInvariant):
+        t_grading(a2, k, t)
 
 
 def test_choose_regular_deterministic(a2):
@@ -145,7 +161,7 @@ def test_choose_regular_deterministic(a2):
     assert r1.t_coeffs == r2.t_coeffs and r1.h == r2.h
     # seeded variant still yields a regular element
     r3 = choose_regular(a2, emb, seed=5)
-    assert all(v != 0 for v in r3.k_root_values.values())
+    assert all(r3.value(w) != 0 for w in emb.grading.k_roots.entries)
 
 
 def test_choose_regular_spectrum_a1():
