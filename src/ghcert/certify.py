@@ -21,7 +21,6 @@ from ghcert.embedding import (
     EmbeddedSubalgebra,
     Reduction,
     RegularElement,
-    close_generators,
     choose_regular,
     is_ideal,
     killing_perp,
@@ -209,11 +208,10 @@ class Front:
 
 
 def front(pin: ProblemInput) -> Front:
-    """Shared front of the pipeline: algebra, closure, reductivity check (run
-    once, inside make_embedding), the ideal test and the reduction."""
+    """Shared front of the pipeline: algebra, closure and reductivity check
+    (each run once, inside make_embedding), the ideal test and the reduction."""
     L = build_algebra(pin.algebra)
-    k = _stage("close_generators", close_generators, L, pin.generators)
-    emb = _stage("make_embedding", make_embedding, L, [list(r) for r in k.rows], pin.cartan_t)
+    emb = _stage("make_embedding", make_embedding, L, pin.generators, pin.cartan_t)
     report = emb.checks
     if not report.passed:
         raise InputInvalid(

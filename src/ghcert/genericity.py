@@ -44,11 +44,6 @@ class TStarForm:
     def ip(self, a, b) -> Fraction:
         return sum(x * y for x, y in zip(a, matvec(self.gram_inv, list(b))))
 
-    def ip_w(self, a: Weight, b: Weight) -> Fraction:
-        if a.context != "t" or b.context != "t":
-            raise ContextMismatch("t* form applies to t-weights only")
-        return self.ip(a.coords, b.coords)
-
 
 def induced_form_on_tstar(L: LieAlgebra, emb: EmbeddedSubalgebra) -> TStarForm:
     rows = [list(r) for r in emb.t.rows]
@@ -111,13 +106,12 @@ def check_condition_2(
     rho: Weight,
     S: WeightMultiset,
     cap: int = DEFAULT_COND2_CAP,
-    method: str = "exhaustive",
 ) -> Cond2Result:
     """<mu + 2 rho - rho_T, rho_T> > 0 for every nonempty submultiset T of S.
 
-    The empty submultiset is excluded (it would demand 0 > 0).  The pruned
-    method skips subtrees proven all-positive by an exact rational bound
-    and must agree with the exhaustive method, witness included.
+    The empty submultiset is excluded (it would demand 0 > 0).  The
+    witness is the first violating submultiset, counts taken
+    lexicographically in the sorted order of S.
     """
     groups = S.items()  # sorted (coords, mult)
     combos = 1
@@ -136,28 +130,9 @@ def check_condition_2(
         diff = [a - b for a, b in zip(c, hs)]
         return form.ip(diff, hs)
 
-    def subtree_all_positive(idx, hs):
-        # lower bound of value over every completion from group idx onward
-        base = value(hs)
-        lin = Fraction(0)
-        for j in range(idx, len(groups)):
-            w = halves[j]
-            t = form.ip(c, w) - 2 * form.ip(hs, w)
-            if t < 0:
-                lin += groups[j][1] * t
-        quad = Fraction(0)
-        for j in range(idx, len(groups)):
-            for jj in range(idx, len(groups)):
-                q = form.ip(halves[j], halves[jj])
-                if q > 0:
-                    quad += groups[j][1] * groups[jj][1] * q
-        return base + lin - quad > 0
-
     def dfs(idx, hs, counts, any_chosen):
         nonlocal witness
         if witness is not None:
-            return
-        if method == "pruned" and subtree_all_positive(idx, hs):
             return
         if idx == len(groups):
             if any_chosen and value(hs) <= 0:

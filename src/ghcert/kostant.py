@@ -9,15 +9,12 @@ from ghcert.algebra import LieAlgebra
 from ghcert.borel import BorelData
 from ghcert.errors import InvariantViolation, NonDominant
 from ghcert.linalg import inverse, matvec
-from ghcert.rootsystem import WeylElement
 from ghcert.weights import Weight
 
 
 @dataclass(frozen=True)
 class KostantSummand:
-    w: WeylElement  # standard element; the summand's is w_b w w_b^-1
     gamma: Weight
-    dominant_for_m: bool
 
 
 @dataclass
@@ -75,10 +72,8 @@ def kostant_cohomology(L: LieAlgebra, borel: BorelData, nu: Weight, r: int) -> C
     for el in rs.weyl_elements_of_length(r):
         img = matvec(w_b, rs.weyl_act(el, base))
         gamma = Weight("g", tuple(i - p for i, p in zip(img, rho.coords)))
-        dom = borel.m_dominant(gamma)
-        summand = KostantSummand(w=el, gamma=gamma, dominant_for_m=dom)
-        if dom:
-            included.append(summand)
+        if borel.m_dominant(gamma):
+            included.append(KostantSummand(gamma=gamma))
     included.sort(key=lambda s: s.gamma.coords)
     total = sum(m_weyl_dimension(borel, s.gamma) for s in included)
     return CohomologyDecomposition(degree=r, summands=included, total_dim=total)

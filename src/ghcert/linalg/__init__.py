@@ -11,7 +11,6 @@ from ghcert.linalg.matrix import (
     transpose,
     inverse,
     det,
-    solve,
     row_space_contains,
     intersect_row_spaces,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "transpose",
     "inverse",
     "det",
-    "solve",
     "row_space_contains",
     "intersect_row_spaces",
 ]

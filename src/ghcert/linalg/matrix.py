@@ -149,21 +149,6 @@ def inverse(m):
     return [row[n:] for row in red]
 
 
-def solve(m, b):
-    """One exact solution x of m @ x = b, or None if inconsistent."""
-    if not m:
-        return None if any(x != 0 for x in b) else []
-    n_cols = len(m[0])
-    aug = [list(row) + [bi] for row, bi in zip(m, b)]
-    red, pivots = rref(aug)
-    if n_cols in pivots:
-        return None
-    x = [Fraction(0)] * n_cols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][n_cols]
-    return x
-
-
 def row_space_contains(m, v) -> bool:
     """Whether vector v lies in the row space of m."""
     if all(x == 0 for x in v):

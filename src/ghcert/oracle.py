@@ -20,7 +20,6 @@ from ghcert.errors import (
     NotAnMCharacter,
 )
 from ghcert.kostant import kostant_cohomology
-from ghcert.linalg import solve
 from ghcert.weights import Weight
 
 DEFAULT_DIM_CAP = 5000
@@ -38,23 +37,31 @@ class _VermaOps:
 
     def __init__(self, L: LieAlgebra, borel: BorelData, nu: Weight):
         self.L = L
-        self.borel = borel
         self.pos = borel.pos_roots
         self.N = len(self.pos)
         self.nu = nu.coords
         rs = L.rs
         self.root_fund = [rs.root_to_weight(c) for c in self.pos]
-        self.lower_vec = []
-        self.raise_vec = []
-        for c in self.pos:
-            if c in rs.root_index:
-                self.raise_vec.append(L.basis_vector(("e", c)))
-                self.lower_vec.append(L.basis_vector(("f", c)))
-            else:
-                neg = tuple(-x for x in c)
-                self.raise_vec.append(L.basis_vector(("f", neg)))
-                self.lower_vec.append(L.basis_vector(("e", neg)))
         self.pos_index = {c: j for j, c in enumerate(self.pos)}
+        # kind[i]: how the ambient basis element i acts, as ("h", i),
+        # ("raise", j) or ("lower", j) for the j-th b-positive root; the
+        # basis index of the raising and lowering operator of root j
+        self.kind = []
+        self.raise_idx = [None] * self.N
+        self.lower_idx = [None] * self.N
+        for i, (kind, data) in enumerate(L.basis):
+            if kind == "h":
+                self.kind.append(("h", data))
+                continue
+            c = data if kind == "e" else tuple(-x for x in data)
+            if c in self.pos_index:
+                j = self.pos_index[c]
+                self.raise_idx[j] = i
+                self.kind.append(("raise", j))
+            else:
+                j = self.pos_index[tuple(-x for x in c)]
+                self.lower_idx[j] = i
+                self.kind.append(("lower", j))
         self._f_memo = {}
         self._e_memo = {}
         # rho is strictly positive on every b-positive root; its pairings,
@@ -74,22 +81,6 @@ class _VermaOps:
                     w[i] -= a * self.root_fund[j][i]
         return tuple(w)
 
-    def _label_action(self, label):
-        """Classify an ambient basis label relative to the adapted Borel."""
-        kind, data = label
-        if kind == "h":
-            return ("h", data)
-        c = data if kind == "e" else tuple(-x for x in data)
-        if c in self.pos_index:
-            return ("raise", self.pos_index[c])
-        return ("lower", self.pos_index[tuple(-x for x in c)])
-
-    def _bracket_terms(self, x, y):
-        z = self.L.bracket(x, y)
-        return [
-            (self.L.basis[i], z[i]) for i in range(self.L.dim) if z[i] != 0
-        ]
-
     def f_on_mono(self, j, mono):
         """f_j . mono as a dict of monomials, PBW-straightened."""
         key = (j, mono)
@@ -104,10 +95,9 @@ class _VermaOps:
             for m, c in self.f_on_mono(j, rest).items():
                 for m2, c2 in self.f_on_mono(first, m).items():
                     _acc(out, m2, c * c2)
-            for label, c in self._bracket_terms(
-                self.lower_vec[j], self.lower_vec[first]
-            ):
-                kind, idx = self._label_action(label)
+            bracket = self.L.structure(self.lower_idx[j], self.lower_idx[first])
+            for i, c in bracket.items():
+                kind, idx = self.kind[i]
                 if kind != "lower":
                     raise InvariantViolation(
                         "bracket of two lowering operators is not lowering"
@@ -131,7 +121,7 @@ class _VermaOps:
             for m, c in self.e_on_mono(j, rest).items():
                 for m2, c2 in self.f_on_mono(first, m).items():
                     _acc(out, m2, c * c2)
-            bracket = self.L.bracket(self.raise_vec[j], self.lower_vec[first])
+            bracket = self.L.structure(self.raise_idx[j], self.lower_idx[first])
             for m2, c2 in self.act_ambient(bracket, {rest: Fraction(1)}).items():
                 _acc(out, m2, c2)
             out = {m: c for m, c in out.items() if c != 0}
@@ -139,13 +129,11 @@ class _VermaOps:
         return out
 
     def act_ambient(self, vec, elem):
-        """Action of an arbitrary ambient element on a Verma element."""
+        """Action of an ambient element, {basis index: coefficient}, on a
+        Verma element."""
         out = {}
-        for i in range(self.L.dim):
-            c = vec[i]
-            if c == 0:
-                continue
-            kind, idx = self._label_action(self.L.basis[i])
+        for i, c in vec.items():
+            kind, idx = self.kind[i]
             for mono, coeff in elem.items():
                 if kind == "h":
                     v = self.mono_weight(mono)[idx]
@@ -384,20 +372,23 @@ def construct_module(
             raise InvariantViolation("action leaves the constructed module")
         return comb
 
-    action = {}
-    for label in L.basis:
-        vec = L.basis_vector(label)
-        mat = [[Fraction(0)] * dim for _ in range(dim)]
-        for col in range(dim):
-            z = ops.act_ambient(vec, basis_verma[col])
-            for row, c in coords_in_basis(z).items():
-                mat[row][col] = c
-        action[label] = mat
-
     weights = [
         Weight("g", ops.mono_weight(next(iter(basis_verma[i]))))
         for i in range(dim)
     ]
+    action = {}
+    for i, label in enumerate(L.basis):
+        mat = [[Fraction(0)] * dim for _ in range(dim)]
+        kind, idx = ops.kind[i]
+        for col in range(dim):
+            if kind == "h":
+                # h_idx acts on a weight vector by the weight's coordinate
+                mat[col][col] = weights[col].coords[idx]
+            else:
+                z = ops.act_ambient({i: Fraction(1)}, basis_verma[col])
+                for row, c in coords_in_basis(z).items():
+                    mat[row][col] = c
+        action[label] = mat
     return ExplicitModule(
         dim=dim, weight_of_basis=weights, action=action, nu=nu, borel=borel
     )
@@ -407,15 +398,14 @@ def check_module_relations(L: LieAlgebra, W: ExplicitModule) -> bool:
     """action([x,y]) == [action(x), action(y)] over all basis pairs."""
     labels = L.basis
     for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            z = L.bracket(L.basis_vector(a), L.basis_vector(b))
+        for j in range(i + 1, L.dim):
+            b = labels[j]
             lhs = [[Fraction(0)] * W.dim for _ in range(W.dim)]
-            for k in range(L.dim):
-                if z[k] != 0:
-                    mk = W.action[labels[k]]
-                    for r in range(W.dim):
-                        for c in range(W.dim):
-                            lhs[r][c] += z[k] * mk[r][c]
+            for k, z in L.structure(i, j).items():
+                mk = W.action[labels[k]]
+                for r in range(W.dim):
+                    for c in range(W.dim):
+                        lhs[r][c] += z * mk[r][c]
             ma, mb = W.action[a], W.action[b]
             for r in range(W.dim):
                 for c in range(W.dim):
@@ -447,7 +437,6 @@ class OracleReport:
     degrees: list
     cohomology: dict  # degree -> {weight tuple: dim}
     m_decompositions: dict  # degree -> list of (weight coords, multiplicity)
-    euler_ok: bool
     match_with_kostant: bool = True
     diff: dict = field(default_factory=dict)
 
@@ -489,13 +478,13 @@ def build_complex(L: LieAlgebra, borel: BorelData, W: ExplicitModule) -> Cochain
     # structure constants of n in this basis: onto[k] lists (a, b, coeff)
     # with a < b and coeff the x_k-coefficient of [x_a, x_b]
     onto = [[] for _ in range(R)]
+    idx = [L.index[lab] for lab in labels]
+    n_position = {i: k for k, i in enumerate(idx)}
     for a in range(R):
         for b in range(a + 1, R):
-            z = L.bracket(L.basis_vector(labels[a]), L.basis_vector(labels[b]))
-            for k in range(R):
-                coeff = z[L.index[labels[k]]]
-                if coeff != 0:
-                    onto[k].append((a, b, coeff))
+            for i, coeff in L.structure(idx[a], idx[b]).items():
+                if i in n_position:
+                    onto[n_position[i]].append((a, b, coeff))
 
     # C^q has basis (S, m), S a q-subset of n's basis and m a module basis
     # index, numbered (index of S) * dim + m
@@ -607,105 +596,19 @@ def ce_cohomology(L: LieAlgebra, borel: BorelData, W: ExplicitModule) -> dict:
     return coh
 
 
-# -- m-module character peeling -----------------------------------------
-
-
-def _freudenthal_character(rs, m_pos, m_simple, Lam):
-    """Weight multiplicities of the irreducible module of the reductive
-    subalgebra with positive roots m_pos and highest weight Lam (fund
-    coords on the full Cartan)."""
-    rho_m = [Fraction(0)] * rs.rank
-    for c in m_pos:
-        f = rs.root_to_weight(c)
-        for i in range(rs.rank):
-            rho_m[i] += Fraction(f[i], 2)
-    simple_fund = [rs.root_to_weight(c) for c in m_simple]
-
-    def below(lam):
-        """Lam - lam as nonnegative-integer combination of m-simples."""
-        diff = [a - b for a, b in zip(Lam, lam)]
-        if all(x == 0 for x in diff):
-            return True
-        if not simple_fund:
-            return False
-        mat = [[simple_fund[j][i] for j in range(len(simple_fund))] for i in range(rs.rank)]
-        sol = solve(mat, diff)
-        if sol is None:
-            return False
-        if any(x.denominator != 1 or x < 0 for x in sol):
-            return False
-        # simple roots are independent: solution unique if it exists
-        for i in range(rs.rank):
-            if sum(mat[i][j] * sol[j] for j in range(len(sol))) != diff[i]:
-                return False
-        return True
-
-    def ip(a, b):
-        return rs.weight_ip(list(a), list(b))
-
-    mults = {}
-
-    def mult(lam):
-        lam = tuple(lam)
-        if lam in mults:
-            return mults[lam]
-        if lam == tuple(Lam):
-            mults[lam] = 1
-            return 1
-        if not below(lam):
-            mults[lam] = 0
-            return 0
-        num = Fraction(0)
-        for c in m_pos:
-            alpha = rs.root_to_weight(c)
-            k = 1
-            while True:
-                up = tuple(l + k * a for l, a in zip(lam, alpha))
-                if not below(up):
-                    break
-                m_up = mult(up)
-                if m_up:
-                    num += 2 * m_up * ip(up, alpha)
-                k += 1
-        lp = [l + r for l, r in zip(Lam, rho_m)]
-        mp = [l + r for l, r in zip(lam, rho_m)]
-        den = ip(lp, lp) - ip(mp, mp)
-        if den == 0:
-            mults[lam] = 0
-            return 0
-        val = num / den
-        if val.denominator != 1 or val < 0:
-            raise InvariantViolation(
-                f"Freudenthal multiplicity {val} is not a natural number"
-            )
-        mults[lam] = int(val)
-        return mults[lam]
-
-    # explore support: BFS downward by m-simple roots
-    char = {}
-    frontier = [tuple(Lam)]
-    seen = set(frontier)
-    while frontier:
-        nxt = []
-        for lam in frontier:
-            m = mult(lam)
-            if m == 0:
-                continue
-            char[lam] = m
-            for sf in simple_fund:
-                down = tuple(l - s for l, s in zip(lam, sf))
-                if down not in seen:
-                    seen.add(down)
-                    nxt.append(down)
-        frontier = nxt
-    return char
+# -- m-module decomposition --------------------------------------------
 
 
 def decompose_as_m_module(L: LieAlgebra, borel: BorelData, weight_dims: dict):
-    """Greedy peeling of an h_std-weight character into irreducible
-    m-characters, ordered by height of the surviving dominant weight."""
+    """Multiplicities of the irreducible m-modules in an h_std-weight
+    character, sorted by highest weight.
+
+    By Weyl's character formula, chi * prod over the positive roots alpha
+    of m of (1 - e^-alpha) has coefficient mult(lam) at each m-dominant lam,
+    the multiplicity of the simple m-module of highest weight lam.  That
+    reads the unique decomposition off any finite W_m-invariant character;
+    the character is one of an m-module iff no multiplicity is negative."""
     rs = L.rs
-    m_pos = borel.m_pos_roots
     m_simple = borel.m_simple_roots
     char = {tuple(w): int(m) for w, m in weight_dims.items() if m}
     # Weyl(m)-invariance of the character
@@ -716,38 +619,36 @@ def decompose_as_m_module(L: LieAlgebra, borel: BorelData, weight_dims: dict):
                 raise NotAnMCharacter(
                     f"character not invariant under reflection in {c}"
                 )
-    height_vec = [Fraction(0)] * rs.rank
-    for c in m_pos:
-        f = rs.root_to_weight(c)
-        for i in range(rs.rank):
-            height_vec[i] += f[i]
-
-    def m_dominant(w):
-        return all(rs.pair_coroot(list(w), c) >= 0 for c in m_simple)
+    # prod (1 - e^-alpha) as {shift: sign}, the term e^-shift
+    signs = {(0,) * rs.rank: 1}
+    for c in borel.m_pos_roots:
+        alpha = rs.root_to_weight(c)
+        nxt = dict(signs)
+        for shift, sign in signs.items():
+            up = tuple(x + a for x, a in zip(shift, alpha))
+            nxt[up] = nxt.get(up, 0) - sign
+        signs = {k: v for k, v in nxt.items() if v}
 
     out = []
-    guard = sum(char.values()) + 1
-    while char:
-        guard -= 1
-        if guard < 0:
-            raise NotAnMCharacter("peeling does not terminate")
-        cands = [w for w in char if m_dominant(w)]
-        if not cands:
-            raise NotAnMCharacter("no dominant weight survives")
-        top = max(
-            cands, key=lambda w: (rs.weight_ip(list(w), height_vec), w)
-        )
-        mult = char[top]
-        irr = _freudenthal_character(rs, m_pos, m_simple, list(top))
-        for w, m in irr.items():
-            new = char.get(w, 0) - mult * m
-            if new < 0:
-                raise NotAnMCharacter("peeling goes negative")
-            if new == 0:
-                char.pop(w, None)
-            else:
-                char[w] = new
-        out.append((top, mult))
+    seen = set()
+    for w in char:
+        for shift in signs:
+            lam = tuple(x - y for x, y in zip(w, shift))
+            if lam in seen:
+                continue
+            seen.add(lam)
+            if not borel.m_dominant(Weight("g", lam)):
+                continue
+            mult = sum(
+                sign * char.get(tuple(x + y for x, y in zip(lam, sh)), 0)
+                for sh, sign in signs.items()
+            )
+            if mult < 0:
+                raise NotAnMCharacter(
+                    f"multiplicity {mult} of highest weight {lam} is negative"
+                )
+            if mult:
+                out.append((lam, mult))
     out.sort(key=lambda x: x[0])
     return out
 
@@ -794,7 +695,6 @@ def compare_kostant_vs_oracle(
         degrees=degrees,
         cohomology={r: coh.get(r, {}) for r in degrees},
         m_decompositions=decomps,
-        euler_ok=True,
         match_with_kostant=match,
         diff=diff,
     )

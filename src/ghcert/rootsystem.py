@@ -214,9 +214,6 @@ class RootSystem:
             frontier = new
         return sorted(roots, key=lambda c: (sum(c), c))
 
-    def is_root(self, c) -> bool:
-        return tuple(c) in self.root_set
-
     def height(self, c) -> int:
         return sum(c)
 

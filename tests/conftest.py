@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -62,6 +63,24 @@ def borel_from_case(raw):
 
     fr, reg, pd, borel = adapted_borel(parse_input(raw))
     return fr.L, fr.emb, reg, pd, borel
+
+
+def brute_force_condition_2(form, mu, rho, S):
+    """(ok, witness, enumerated) over every count tuple in lexicographic
+    order: the first nonempty T with <mu + 2 rho - rho_T, rho_T> <= 0 is
+    the witness."""
+    groups = S.items()
+    c = [m + 2 * r for m, r in zip(mu.coords, rho.coords)]
+    tuples = list(itertools.product(*(range(m + 1) for _, m in groups)))
+    for counts in tuples[1:]:
+        rho_t = [
+            sum(k * w[i] for (w, _), k in zip(groups, counts)) / 2
+            for i in range(len(c))
+        ]
+        if form.ip([a - b for a, b in zip(c, rho_t)], rho_t) <= 0:
+            witness = tuple((w, k) for (w, _), k in zip(groups, counts) if k)
+            return False, witness, len(tuples) - 1
+    return True, None, len(tuples) - 1
 
 
 @pytest.fixture

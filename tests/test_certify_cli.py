@@ -147,25 +147,44 @@ def test_round_trip_higher_rank(algebra):
 
 
 def test_reductivity_battery_runs_once(monkeypatch):
+    """One closure of k and one reductivity battery per certify and per
+    verify, whether called through ghcert.embedding or a name imported
+    from it."""
+    import ghcert.certify
     import ghcert.embedding
 
-    calls = []
-    battery = ghcert.embedding.verify_reductive
+    calls = {"verify_reductive": [], "close_generators": []}
 
-    def counted(*args):
-        calls.append(args)
-        return battery(*args)
+    def counting(name):
+        fn = getattr(ghcert.embedding, name)
 
-    monkeypatch.setattr(ghcert.embedding, "verify_reductive", counted)
+        def counted(*args):
+            calls[name].append(args)
+            return fn(*args)
+
+        return counted
+
+    for name in calls:
+        wrapped = counting(name)
+        monkeypatch.setattr(ghcert.embedding, name, wrapped)
+        monkeypatch.setattr(ghcert.certify, name, wrapped, raising=False)
+
+    def counts():
+        return {name: len(c) for name, c in calls.items()}
+
+    once = {"verify_reductive": 1, "close_generators": 1}
     # no simple ideal of A2 lies in k; REDUCTION splits one off
     for raw, reduced in ((CASES["a2_principal"], False), (REDUCTION, True)):
-        calls.clear()
+        for c in calls.values():
+            c.clear()
         cert = certify(parse_input(raw), raw)
-        assert (cert["reduction"] is not None) == reduced and len(calls) == 1
-        calls.clear()
+        assert (cert["reduction"] is not None) == reduced
+        assert counts() == once
+        for c in calls.values():
+            c.clear()
         ok, reasons = verify_certificate(cert, raw)
         assert ok, reasons
-        assert len(calls) == 1
+        assert counts() == once
 
 
 def test_verify_rejects_wrong_input():

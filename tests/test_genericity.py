@@ -19,6 +19,8 @@ from ghcert.genericity import (
 from ghcert.parabolic import build_parabolic, rho_vectors
 from ghcert.weights import Weight, WeightMultiset
 
+from conftest import brute_force_condition_2
+
 F = Fraction
 
 
@@ -158,15 +160,14 @@ def _random_instance(rng, dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_pruned_matches_exhaustive(dim):
+def test_condition_2_matches_brute_force(dim):
     rng = random.Random(42 + dim)
     for _ in range(60):
         form, mu, rho, S = _random_instance(rng, dim)
-        a = check_condition_2(form, mu, rho, S, method="exhaustive")
-        b = check_condition_2(form, mu, rho, S, method="pruned")
-        assert a.ok == b.ok
-        assert a.witness == b.witness
-        assert a.enumerated_count == b.enumerated_count
+        res = check_condition_2(form, mu, rho, S)
+        assert (res.ok, res.witness, res.enumerated_count) == (
+            brute_force_condition_2(form, mu, rho, S)
+        )
 
 
 def test_evaluate_genericity_passes_on_witness():

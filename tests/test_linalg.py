@@ -9,7 +9,6 @@ from ghcert.linalg import (
     rank,
     rref,
     rref_in_place,
-    solve,
 )
 
 F = Fraction
@@ -60,12 +59,6 @@ def test_nullspace_orthogonal_to_rows():
         assert all(
             sum(row[i] * v[i] for i in range(3)) == 0 for row in m
         )
-
-
-def test_solve_consistent_and_inconsistent():
-    m = fm([[1, 1], [0, 1]])
-    assert solve(m, [F(3), F(1)]) == [F(2), F(1)]
-    assert solve(fm([[1, 1], [2, 2]]), [F(1), F(3)]) is None
 
 
 def test_matvec():

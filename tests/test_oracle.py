@@ -140,6 +140,34 @@ def test_decompose_rejects_non_character():
         decompose_as_m_module(L, borel, {(F(1), F(1)): 1})
 
 
+@pytest.mark.parametrize(
+    "ctype,lam1,lam2",
+    [("A2", (1, 0), (1, 1)), ("B2", (0, 1), (1, 1)), ("G2", (1, 0), (0, 1))],
+)
+def test_decompose_sum_of_g_characters(ctype, lam1, lam2):
+    L = build_algebra(ctype)
+    m_is_g = build_borel(L, [F(0)] * L.rank)
+    regular = build_borel(L, [F(1), F(5)])
+    assert regular.m_pos_roots == ()
+    char = Counter()
+    for lam, mult in ((lam1, 1), (lam2, 2)):
+        W = construct_module(L, regular, regular.apply_wb(w(*lam)))
+        for x in W.weight_of_basis:
+            char[x.coords] += mult
+    assert decompose_as_m_module(L, m_is_g, char) == sorted(
+        [(w(*lam1).coords, 1), (w(*lam2).coords, 2)]
+    )
+
+
+def test_decompose_rejects_negative_multiplicity():
+    # invariant under the Weyl group of sl2, but ch V(2) - ch V(0)
+    L = build_algebra("A1")
+    with pytest.raises(NotAnMCharacter):
+        decompose_as_m_module(
+            L, build_borel(L, [F(0)]), {(F(2),): 1, (F(-2),): 1}
+        )
+
+
 def test_compare_matches_on_nonabelian_levi():
     L = build_algebra("A2")
     borel = build_borel(L, [F(1), F(-1)])
