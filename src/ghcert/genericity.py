@@ -6,6 +6,7 @@ of the t-weights of n.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from ghcert.algebra import LieAlgebra
 from ghcert.borel import BorelData
@@ -112,46 +113,57 @@ def check_condition_2(
     The empty submultiset is excluded (it would demand 0 > 0).  The
     witness is the first violating submultiset, counts taken
     lexicographically in the sorted order of S.
+
+    With h_j = w_j / 2 over the distinct weights w_j of S, c = mu + 2 rho
+    and n_j the count of w_j in T, the tested value is the quadratic
+    sum_j n_j a_j - sum_{j,l} n_j n_l Q_jl, where a_j = <c, h_j> and
+    Q_jl = <h_j, h_l>.  Both tables take one matvec per distinct weight and
+    are scaled by one positive common denominator into ints, so the walk
+    over the count tuples does int additions only.
     """
     groups = S.items()  # sorted (coords, mult)
     combos = 1
     for _, mult in groups:
         combos *= mult + 1
-    if combos > 2**cap:
+    if (combos - 1).bit_length() > cap:
         raise SearchTooLarge(f"{combos} submultisets exceeds the 2^{cap} cap")
     enumerated = combos - 1
-    dim = len(mu.coords)
     c = [m + 2 * r for m, r in zip(mu.coords, rho.coords)]
-    halves = [tuple(Fraction(x, 2) for x in coords) for coords, _ in groups]
-
+    halves = [[Fraction(x, 2) for x in coords] for coords, _ in groups]
+    images = [matvec(form.gram_inv, h) for h in halves]
+    a = [sum(x * y for x, y in zip(c, g)) for g in images]
+    Q = [[sum(x * y for x, y in zip(h, g)) for g in images] for h in halves]
+    D = 1
+    for x in a + [q for row in Q for q in row]:
+        D = lcm(D, x.denominator)
+    a = [int(x * D) for x in a]
+    Q = [[int(q * D) for q in row] for row in Q]
+    # raising n_j by one adds step[j] - 2 acc[j], acc = sum_l n_l Q[l]
+    step = [a[j] - Q[j][j] for j in range(len(groups))]
+    mults = [mult for _, mult in groups]
+    counts = [0] * len(groups)
     witness = None
 
-    def value(hs):
-        diff = [a - b for a, b in zip(c, hs)]
-        return form.ip(diff, hs)
-
-    def dfs(idx, hs, counts, any_chosen):
+    def dfs(idx, val, acc, any_chosen):
         nonlocal witness
-        if witness is not None:
-            return
         if idx == len(groups):
-            if any_chosen and value(hs) <= 0:
+            if any_chosen and val <= 0:
                 witness = tuple(
                     (groups[j][0], counts[j]) for j in range(len(groups)) if counts[j]
                 )
             return
-        coords, mult = groups[idx]
-        half = halves[idx]
-        cur = list(hs)
-        for k in range(mult + 1):
+        row = Q[idx]
+        for k in range(mults[idx] + 1):
+            if k:
+                val += step[idx] - 2 * acc[idx]
+                acc = [x + y for x, y in zip(acc, row)]
             counts[idx] = k
-            dfs(idx + 1, tuple(cur), counts, any_chosen or k > 0)
+            dfs(idx + 1, val, acc, any_chosen or k > 0)
             if witness is not None:
                 return
-            cur = [a + b for a, b in zip(cur, half)]
         counts[idx] = 0
 
-    dfs(0, (Fraction(0),) * dim, [0] * len(groups), False)
+    dfs(0, 0, [0] * len(groups), False)
     return Cond2Result(ok=witness is None, witness=witness, enumerated_count=enumerated)
 
 

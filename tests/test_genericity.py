@@ -131,11 +131,83 @@ def test_condition_2_cap():
         check_condition_2(form, Weight("t", (F(0),)), Weight("t", (F(0),)), S, cap=4)
 
 
-def _random_instance(rng, dim):
+def test_condition_2_huge_cap_is_prompt():
+    # a cap far beyond any multiset is only compared by bit length
+    form = TStarForm([[F(1)]])
+    S = WeightMultiset("t")
+    S.add((F(1),), 3)
+    S.add((F(2),), 2)
+    mu, rho = Weight("t", (F(1),)), Weight("t", (F(0),))
+    assert check_condition_2(form, mu, rho, S, cap=10**12) == check_condition_2(
+        form, mu, rho, S
+    )
+
+
+@pytest.mark.parametrize(
+    "mults, cap, fits",
+    [
+        ((1, 1, 1), 3, True),  # 2^3 submultisets
+        ((1, 1, 1), 2, False),
+        ((3,), 2, True),  # 4 = 2^2
+        ((4,), 2, False),  # 5 = 2^2 + 1
+    ],
+)
+def test_condition_2_cap_boundary(mults, cap, fits):
+    form = TStarForm([[F(1)]])
+    S = WeightMultiset("t")
+    for i, m in enumerate(mults):
+        S.add((F(i + 1),), m)
+    args = (form, Weight("t", (F(40),)), Weight("t", (F(0),)), S)
+    if fits:
+        assert check_condition_2(*args, cap=cap).ok
+    else:
+        with pytest.raises(SearchTooLarge):
+            check_condition_2(*args, cap=cap)
+
+
+def test_condition_2_witness_is_first_not_least():
+    form = TStarForm([[F(1)]])
+    S = WeightMultiset("t")
+    S.add((F(-2),), 2)
+    S.add((F(6),), 1)
+    mu, rho = Weight("t", (F(4),)), Weight("t", (F(0),))
+    # [DERIVED] <4 - h, h> with h = (sum of T)/2, counts in lexicographic
+    # order: (0,1) -> 3, (1,0) -> -5, (1,1) -> 4, (2,0) -> -12, (2,1) -> 3.
+    # The first violation is (1,0); the least value is at (2,0).
+    res = check_condition_2(form, mu, rho, S)
+    assert not res.ok
+    assert res.witness == (((F(-2),), 1),)
+
+
+def test_condition_2_zero_value_survives_scaling():
+    form = TStarForm([[F(1)]])
+    S = WeightMultiset("t")
+    S.add((F(-9, 5),), 1)
+    S.add((F(-9, 7),), 1)
+    mu, rho = Weight("t", (F(-54, 35),)), Weight("t", (F(0),))
+    # [DERIVED] <c - h, h> with c = -54/35: T = {-9/7} and T = {-9/5}
+    # both give 81/140 > 0; T = {-9/5, -9/7} gives exactly 0, which
+    # violates only if the scaling to integers rounds nothing.
+    res = check_condition_2(form, mu, rho, S)
+    assert res.witness == (((F(-9, 5),), 1), ((F(-9, 7),), 1))
+
+
+def test_condition_2_empty_multiset():
+    form = TStarForm([[F(2), F(1)], [F(1), F(3)]])
+    mu, rho = Weight("t", (F(1), F(-1))), Weight("t", (F(0), F(1, 2)))
+    S = WeightMultiset("t")
+    res = check_condition_2(form, mu, rho, S)
+    assert (res.ok, res.witness, res.enumerated_count) == (True, None, 0)
+    assert brute_force_condition_2(form, mu, rho, S) == (True, None, 0)
+
+
+def _random_instance(rng, dim, den=lambda: 1):
+    """A random positive definite form, multiset, mu and rho; den() draws
+    the denominator of each coordinate (1 keeps them in Z, rho in Z/2)."""
     gram = None
     while gram is None:
         a = [
-            [F(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(dim)
+            [F(rng.randint(-2, 2), den()) for _ in range(dim)] for _ in range(dim)
         ]
         g = [[sum(a[i][k] * a[j][k] for k in range(dim)) for j in range(dim)]
              for i in range(dim)]
@@ -148,18 +220,18 @@ def _random_instance(rng, dim):
     S = WeightMultiset("t")
     total = 0
     while total < rng.randint(1, 12):
-        w = tuple(F(rng.randint(-3, 3)) for _ in range(dim))
+        w = tuple(F(rng.randint(-3, 3), den()) for _ in range(dim))
         if all(x == 0 for x in w):
             continue
         m = rng.randint(1, 3)
         S.add(w, m)
         total += m
-    mu = Weight("t", tuple(F(rng.randint(-6, 6)) for _ in range(dim)))
-    rho = Weight("t", tuple(F(rng.randint(-3, 3), 2) for _ in range(dim)))
+    mu = Weight("t", tuple(F(rng.randint(-6, 6), den()) for _ in range(dim)))
+    rho = Weight("t", tuple(F(rng.randint(-3, 3), 2 * den()) for _ in range(dim)))
     return form, mu, rho, S
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_condition_2_matches_brute_force(dim):
     rng = random.Random(42 + dim)
     for _ in range(60):
@@ -168,6 +240,23 @@ def test_condition_2_matches_brute_force(dim):
         assert (res.ok, res.witness, res.enumerated_count) == (
             brute_force_condition_2(form, mu, rho, S)
         )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_condition_2_matches_brute_force_thirds_and_fifths(dim):
+    rng = random.Random(142 + dim)
+    dens = set()  # of <w, w> over the weights, and of the inverse Gram matrix
+    for _ in range(60):
+        form, mu, rho, S = _random_instance(rng, dim, lambda: rng.choice((1, 3, 5)))
+        dens.update(form.ip(w, w).denominator for w, _ in S.items())
+        dens.update(x.denominator for row in form.gram_inv for x in row)
+        res = check_condition_2(form, mu, rho, S)
+        assert (res.ok, res.witness, res.enumerated_count) == (
+            brute_force_condition_2(form, mu, rho, S)
+        )
+    # the common denominator of the pairings takes factors 3 and 5
+    assert any(d % 3 == 0 for d in dens)
+    assert any(d % 5 == 0 for d in dens)
 
 
 def test_evaluate_genericity_passes_on_witness():
