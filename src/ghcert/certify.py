@@ -44,7 +44,7 @@ from ghcert.genericity import (
     induced_form_on_tstar,
 )
 from ghcert.kostant import kostant_cohomology
-from ghcert.oracle import compare_kostant_vs_oracle
+from ghcert.oracle import DEFAULT_DIM_CAP, compare_kostant_vs_oracle
 from ghcert.parabolic import ParabolicData, RhoVectors, build_parabolic, rho_vectors
 from ghcert.rootsystem import CartanType
 from ghcert.weights import Weight
@@ -145,7 +145,7 @@ class ProblemInput:
     max_height: int = 6
     seed: int = 0
     cond2_cap: int = genericity.DEFAULT_COND2_CAP
-    dim_cap: int = 5000
+    dim_cap: int = DEFAULT_DIM_CAP
     mode: str = "certify"
 
 
@@ -174,7 +174,7 @@ def parse_input(data: dict) -> ProblemInput:
         max_height=search.get("max_height", 6),
         seed=search.get("seed", 0),
         cond2_cap=caps.get("cond2", genericity.DEFAULT_COND2_CAP),
-        dim_cap=caps.get("dim", 5000),
+        dim_cap=caps.get("dim", DEFAULT_DIM_CAP),
         mode=data.get("mode", "certify"),
     )
 

@@ -7,6 +7,7 @@ computations, and compare the outcome with the Weyl-group formula.
 import itertools
 import math
 from collections import Counter, deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,15 +34,19 @@ class _VermaOps:
     """Left actions of Chevalley generators on PBW monomials in the
     lowering operators of the adapted Borel, over a formal highest-weight
     vector of weight nu.  Monomials are exponent tuples indexed by the
-    b-positive roots in their canonical order."""
+    b-positive roots in their canonical order.  Chevalley structure
+    constants and an integral nu keep every coefficient an integer."""
 
     def __init__(self, L: LieAlgebra, borel: BorelData, nu: Weight):
         self.L = L
         self.pos = borel.pos_roots
         self.N = len(self.pos)
-        self.nu = nu.coords
+        self.nu = tuple(_as_int(x, "coordinate of nu") for x in nu.coords)
         rs = L.rs
-        self.root_fund = [rs.root_to_weight(c) for c in self.pos]
+        self.root_fund = [
+            tuple(_as_int(x, "coordinate of a root") for x in rs.root_to_weight(c))
+            for c in self.pos
+        ]
         self.pos_index = {c: j for j, c in enumerate(self.pos)}
         # kind[i]: how the ambient basis element i acts, as ("h", i),
         # ("raise", j) or ("lower", j) for the j-th b-positive root; the
@@ -72,6 +77,13 @@ class _VermaOps:
         self._phi = [int(p * self._scale) for p in phi]
         self._depth_memo = {}
 
+    def bracket(self, i, j):
+        """[x_i, x_j] of two ambient basis elements, integer coefficients."""
+        return {
+            k: _as_int(c, "structure constant")
+            for k, c in self.L.structure(i, j).items()
+        }
+
     def mono_weight(self, mono):
         """Weight of (monomial applied to the highest vector), fund coords."""
         w = list(self.nu)
@@ -88,14 +100,14 @@ class _VermaOps:
             return self._f_memo[key]
         first = next((i for i, a in enumerate(mono) if a), None)
         if first is None or j <= first:
-            out = {self._inc(mono, j): Fraction(1)}
+            out = {self._inc(mono, j): 1}
         else:
             rest = self._dec(mono, first)
             out = {}
             for m, c in self.f_on_mono(j, rest).items():
                 for m2, c2 in self.f_on_mono(first, m).items():
                     _acc(out, m2, c * c2)
-            bracket = self.L.structure(self.lower_idx[j], self.lower_idx[first])
+            bracket = self.bracket(self.lower_idx[j], self.lower_idx[first])
             for i, c in bracket.items():
                 kind, idx = self.kind[i]
                 if kind != "lower":
@@ -121,8 +133,8 @@ class _VermaOps:
             for m, c in self.e_on_mono(j, rest).items():
                 for m2, c2 in self.f_on_mono(first, m).items():
                     _acc(out, m2, c * c2)
-            bracket = self.L.structure(self.raise_idx[j], self.lower_idx[first])
-            for m2, c2 in self.act_ambient(bracket, {rest: Fraction(1)}).items():
+            bracket = self.bracket(self.raise_idx[j], self.lower_idx[first])
+            for m2, c2 in self.act_ambient(bracket, {rest: 1}).items():
                 _acc(out, m2, c2)
             out = {m: c for m, c in out.items() if c != 0}
         self._e_memo[key] = out
@@ -192,7 +204,15 @@ class _VermaOps:
 
 
 def _acc(d, k, v):
-    d[k] = d.get(k, Fraction(0)) + v
+    d[k] = d.get(k, 0) + v
+
+
+def _as_int(x, what):
+    """x as an int; raises InvariantViolation if it is not an integer."""
+    x = Fraction(x)
+    if x.denominator != 1:
+        raise InvariantViolation(f"{what} {x} is not an integer")
+    return x.numerator
 
 
 # -- module construction -------------------------------------------------
@@ -202,9 +222,20 @@ def _acc(d, k, v):
 class ExplicitModule:
     dim: int
     weight_of_basis: list  # Weight on h_std per basis vector
-    action: dict  # ambient basis label -> dim x dim matrix (columns act)
     nu: Weight
     borel: BorelData
+    # ambient basis label -> its action's columns, built on first request
+    _build_columns: Callable[[tuple], list] = field(repr=False, compare=False)
+    _columns: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def action(self, label) -> list:
+        """The action of an ambient basis element as dim sparse columns: the
+        m-th is {row: coefficient}, the image of basis vector m, nonzero
+        entries only.  Built once, on first request, and kept."""
+        cols = self._columns.get(label)
+        if cols is None:
+            cols = self._columns[label] = self._build_columns(label)
+        return cols
 
 
 def b_weyl_dimension(borel: BorelData, nu: Weight) -> int:
@@ -281,7 +312,12 @@ def construct_module(
     modulo the maximal submodule, which is generated by f_i^(n_i+1) over
     the b-simple lowerings.  Each Verma weight space keeps one echelon form:
     first the submodule, untracked, then the module basis vectors found in
-    it, tracked by their basis index."""
+    it, tracked by their basis index.
+
+    The module keeps these blocks.  The action of an ambient basis element
+    is straightened and reduced against them only when first asked for
+    (`ExplicitModule.action`), so a caller pays only for the columns it
+    reads; a Cartan element's action is read off the weights."""
     if not (borel.dominant(nu) and borel.integral(nu)):
         raise NonDominant(f"nu = {nu.coords} is not b-dominant integral")
     target = b_weyl_dimension(borel, nu)
@@ -293,7 +329,7 @@ def construct_module(
     sing_exp = {
         j: int(rs.pair_coroot(nu.coords, ops.pos[j])) + 1 for j in simple_idx
     }
-    v0 = {(0,) * ops.N: Fraction(1)}
+    v0 = {(0,) * ops.N: 1}
 
     blocks = {}  # depth -> _Echelon of that Verma weight space
 
@@ -373,48 +409,45 @@ def construct_module(
         return comb
 
     weights = [
-        Weight("g", ops.mono_weight(next(iter(basis_verma[i]))))
-        for i in range(dim)
+        Weight("g", tuple(map(Fraction, ops.mono_weight(next(iter(v))))))
+        for v in basis_verma
     ]
-    action = {}
-    for i, label in enumerate(L.basis):
-        mat = [[Fraction(0)] * dim for _ in range(dim)]
+
+    def build_columns(label):
+        i = L.index[label]
         kind, idx = ops.kind[i]
-        for col in range(dim):
-            if kind == "h":
-                # h_idx acts on a weight vector by the weight's coordinate
-                mat[col][col] = weights[col].coords[idx]
-            else:
-                z = ops.act_ambient({i: Fraction(1)}, basis_verma[col])
-                for row, c in coords_in_basis(z).items():
-                    mat[row][col] = c
-        action[label] = mat
+        if kind == "h":
+            # h_idx acts on a weight vector by the weight's coordinate
+            return [
+                {col: wt.coords[idx]} if wt.coords[idx] else {}
+                for col, wt in enumerate(weights)
+            ]
+        return [coords_in_basis(ops.act_ambient({i: 1}, v)) for v in basis_verma]
+
     return ExplicitModule(
-        dim=dim, weight_of_basis=weights, action=action, nu=nu, borel=borel
+        dim=dim, weight_of_basis=weights, nu=nu, borel=borel,
+        _build_columns=build_columns,
     )
 
 
 def check_module_relations(L: LieAlgebra, W: ExplicitModule) -> bool:
-    """action([x,y]) == [action(x), action(y)] over all basis pairs."""
-    labels = L.basis
-    for i, a in enumerate(labels):
+    """action([x,y]) == [action(x), action(y)] over all basis pairs, one
+    column at a time."""
+    acts = [W.action(label) for label in L.basis]
+    for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            b = labels[j]
-            lhs = [[Fraction(0)] * W.dim for _ in range(W.dim)]
-            for k, z in L.structure(i, j).items():
-                mk = W.action[labels[k]]
-                for r in range(W.dim):
-                    for c in range(W.dim):
-                        lhs[r][c] += z * mk[r][c]
-            ma, mb = W.action[a], W.action[b]
-            for r in range(W.dim):
-                for c in range(W.dim):
-                    comm = sum(
-                        ma[r][k] * mb[k][c] - mb[r][k] * ma[k][c]
-                        for k in range(W.dim)
-                    )
-                    if comm != lhs[r][c]:
-                        return False
+            bracket = L.structure(i, j)
+            for m in range(W.dim):
+                # ([x_i, x_j] - x_i x_j + x_j x_i) applied to basis vector m
+                out = {}
+                for k, z in bracket.items():
+                    _axpy(out, z, acts[k][m])
+                for r, c in acts[j][m].items():
+                    _axpy(out, -c, acts[i][r])
+                for r, c in acts[i][m].items():
+                    _axpy(out, c, acts[j][r])
+                if out:
+                    return False
     return True
 
 
@@ -442,11 +475,16 @@ class OracleReport:
 
 
 def _n_roots(borel: BorelData):
-    return tuple(
+    """The b-positive roots spanning n; refuses dim n above MAX_N_DIM,
+    whose complex has 2^dim n cochain spaces."""
+    n_roots = tuple(
         c
         for c in borel.pos_roots
         if root_value_on(borel.L, borel.h, c) > 0
     )
+    if len(n_roots) > MAX_N_DIM:
+        raise DimCapExceeded(f"dim n = {len(n_roots)} exceeds cap {MAX_N_DIM}")
+    return n_roots
 
 
 def build_complex(L: LieAlgebra, borel: BorelData, W: ExplicitModule) -> CochainComplex:
@@ -456,8 +494,6 @@ def build_complex(L: LieAlgebra, borel: BorelData, W: ExplicitModule) -> Cochain
     rs = L.rs
     n_roots = _n_roots(borel)
     R = len(n_roots)
-    if R > MAX_N_DIM:
-        raise DimCapExceeded(f"dim n = {R} exceeds cap {MAX_N_DIM}")
     labels = []
     for c in n_roots:
         if c in rs.root_index:
@@ -465,14 +501,7 @@ def build_complex(L: LieAlgebra, borel: BorelData, W: ExplicitModule) -> Cochain
         else:
             labels.append(("f", tuple(-x for x in c)))
     dim = W.dim
-    # act[k][m]: nonzero (row, entry) of column m of the k-th generator
-    act = []
-    for lab in labels:
-        mat = W.action[lab]
-        act.append(
-            [[(r, mat[r][m]) for r in range(dim) if mat[r][m] != 0]
-             for m in range(dim)]
-        )
+    act = [W.action(lab) for lab in labels]
     root_fund = [rs.root_to_weight(c) for c in n_roots]
 
     # structure constants of n in this basis: onto[k] lists (a, b, coeff)
@@ -531,7 +560,7 @@ def build_complex(L: LieAlgebra, borel: BorelData, W: ExplicitModule) -> Cochain
                 placed = [
                     (base + r, sign * c)
                     for act_k, base, sign in grow
-                    for r, c in act_k[m]
+                    for r, c in act_k[m].items()
                 ]
                 placed.extend((base + m, c) for base, c in swap)
                 for row, c in placed:
@@ -664,19 +693,22 @@ def compare_kostant_vs_oracle(
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> OracleReport:
     """Structural equality of the Weyl-group formula and the brute-force
-    complex, degree by degree, as multisets of m-highest weights."""
+    complex, degree by degree, as multisets of m-highest weights.  The
+    cheap refusals (dim n, the degree range) come before any module work."""
+    _n_roots(borel)
+    degrees = list(degrees)
+    kostant_sides = {}
+    for r in degrees:
+        summands = kostant_cohomology(L, borel, nu, r).summands
+        kostant_sides[r] = dict(Counter(s.gamma.coords for s in summands))
     W = construct_module(L, borel, nu, dim_cap=dim_cap)
     coh = ce_cohomology(L, borel, W)
     decomps = {}
     match = True
     diff = {}
-    degrees = list(degrees)
     for r in degrees:
         oracle_side = decompose_as_m_module(L, borel, coh.get(r, {}))
-        kost = kostant_cohomology(L, borel, nu, r)
-        kost_side = {}
-        for s in kost.summands:
-            kost_side[s.gamma.coords] = kost_side.get(s.gamma.coords, 0) + 1
+        kost_side = kostant_sides[r]
         oracle_dict = {w: m for w, m in oracle_side}
         decomps[r] = oracle_side
         if oracle_dict != kost_side:

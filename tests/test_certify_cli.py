@@ -286,6 +286,30 @@ def test_cli_degree_out_of_range_is_invalid_input(write_input, capsys):
         assert "not in [0, 1]" in capsys.readouterr().err
 
 
+def _no_module(*args, **kwargs):
+    raise AssertionError("the oracle built a module")
+
+
+def test_cli_oracle_degree_range_checked_before_module(write_input, monkeypatch, capsys):
+    import ghcert.oracle
+
+    monkeypatch.setattr(ghcert.oracle, "construct_module", _no_module)
+    inp = write_input("in.json", CASES["b2_sl2"])
+    assert main(["oracle-compare", inp, "--nu=3,-1", "--degrees=0..9"]) == 2
+    assert "length 5 not in [0, 4]" in capsys.readouterr().err
+
+
+def test_cli_oracle_n_cap_checked_before_module(write_input, monkeypatch, capsys):
+    """t = h in A5: n is spanned by all 15 positive roots, over the cap."""
+    import ghcert.oracle
+
+    monkeypatch.setattr(ghcert.oracle, "construct_module", _no_module)
+    cartan = [unit(35, i) for i in range(5)]
+    inp = write_input("in.json", problem("A5", cartan, cartan))
+    assert main(["oracle-compare", inp, "--nu=0,0,0,0,0", "--degrees=0..1"]) == 4
+    assert capsys.readouterr().err == "error: dim n = 15 exceeds cap 12\n"
+
+
 def test_cli_negative_nu_as_separate_argument(write_input, capsys):
     """A weight with a leading minus sign is a value, not an option, and
     gives the same output as the `--nu=VALUE` form."""

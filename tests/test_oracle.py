@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from ghcert import oracle
 from ghcert.algebra import build_algebra
 from ghcert.borel import build_borel
 from ghcert.errors import (
     ComplexInconsistent,
     DimCapExceeded,
+    InvariantViolation,
     NonDominant,
     NotAnMCharacter,
 )
@@ -79,8 +81,7 @@ def test_highest_weight_vector_annihilated():
     assert len(hw) == 1
     col = hw[0]
     for c in L.rs.positive_roots:
-        mat = W.action[("e", c)]
-        assert all(mat[r][col] == 0 for r in range(W.dim))
+        assert W.action(("e", c))[col] == {}
 
 
 def test_nondominant_rejected():
@@ -200,7 +201,7 @@ def dense_differentials(L, W, n_roots):
     q-subsets of n's basis in lexicographic order and m over W's basis."""
     R = len(n_roots)
     labels = n_labels(L, n_roots)
-    act = [W.action[lab] for lab in labels]
+    act = [W.action(lab) for lab in labels]
     nbrack = {}
     for a, b in itertools.combinations(range(R), 2):
         z = L.bracket(L.basis_vector(labels[a]), L.basis_vector(labels[b]))
@@ -220,7 +221,9 @@ def dense_differentials(L, W, n_roots):
                     continue
                 T = tuple(sorted(S + (k,)))
                 for r in range(W.dim):
-                    d[index[q + 1][(T, r)]][col] += (-1) ** T.index(k) * act[k][r][m]
+                    d[index[q + 1][(T, r)]][col] += (
+                        (-1) ** T.index(k) * act[k][m].get(r, 0)
+                    )
             for k in S:
                 rest = tuple(x for x in S if x != k)
                 sgn_k = (-1) ** sum(1 for x in rest if x < k)
@@ -262,11 +265,9 @@ def test_tampered_action_breaks_d_squared():
     L, _, _, _, borel = borel_from_case(CASES["b2_sl2"])
     W = construct_module(L, borel, w(2, -1))
     cx = build_complex(L, borel, W)
-    mat = W.action[n_labels(L, cx.n_roots)[0]]
-    row, col = next(
-        (r, c) for r in range(W.dim) for c in range(W.dim) if mat[r][c] != 0
-    )
-    mat[row][col] *= 2  # still weight-preserving, no longer a representation
+    cols = W.action(n_labels(L, cx.n_roots)[0])
+    col, row = next((c, r) for c in range(W.dim) for r in cols[c])
+    cols[col][row] *= 2  # still weight-preserving, no longer a representation
     with pytest.raises(ComplexInconsistent, match="d compose d"):
         build_complex(L, borel, W)
 
@@ -276,6 +277,97 @@ def test_action_across_weights_is_rejected():
     W = construct_module(L, borel, w(2, -1))
     cx = build_complex(L, borel, W)
     # a root vector cannot map a weight vector to itself
-    W.action[n_labels(L, cx.n_roots)[0]][0][0] = F(1)
+    W.action(n_labels(L, cx.n_roots)[0])[0][0] = F(1)
     with pytest.raises(ComplexInconsistent, match="mixes weights"):
         build_complex(L, borel, W)
+
+
+# -- the lazy sparse action ---------------------------------------------
+
+
+def test_oracle_builds_only_the_n_columns(monkeypatch):
+    L, _, _, _, borel = borel_from_case(CASES["b2_sl2"])
+    built = []
+    construct = oracle.construct_module
+
+    def spy(*args, **kwargs):
+        W = construct(*args, **kwargs)
+        build = W._build_columns
+
+        def record(label):
+            built.append(label)
+            return build(label)
+
+        W._build_columns = record
+        return W
+
+    monkeypatch.setattr(oracle, "construct_module", spy)
+    rep = compare_kostant_vs_oracle(L, borel, w(2, -1), range(5))
+    assert rep.match_with_kostant
+    n = n_labels(L, oracle._n_roots(borel))
+    assert sorted(built) == sorted(n)  # each n column once, nothing else
+    assert len(n) < L.dim - L.rank
+
+
+def test_n_column_leaving_the_module_is_rejected(monkeypatch):
+    L, _, _, _, borel = borel_from_case(CASES["b2_sl2"])
+    target = L.index[n_labels(L, oracle._n_roots(borel))[0]]
+    act = oracle._VermaOps.act_ambient
+
+    def corrupted(self, vec, elem):
+        out = act(self, vec, elem)
+        if vec == {target: 1} and out:
+            # a term of the highest weight, not homogeneous with the rest
+            out[(0,) * self.N] = 1
+        return out
+
+    monkeypatch.setattr(oracle._VermaOps, "act_ambient", corrupted)
+    with pytest.raises(InvariantViolation, match="leaves the constructed module"):
+        compare_kostant_vs_oracle(L, borel, w(2, -1), range(5))
+
+
+def test_non_integral_structure_constant_is_rejected(monkeypatch):
+    L, borel = std_borel("A2")
+    monkeypatch.setattr(L, "structure", lambda i, j: {0: F(1, 2)})
+    with pytest.raises(InvariantViolation, match="structure constant 1/2"):
+        construct_module(L, borel, w(1, 1))
+
+
+def dense_relations_hold(L, W):
+    """The matrix form of check_module_relations: action([x,y]) equals the
+    commutator of the dense action matrices, over all basis pairs."""
+    d = W.dim
+    mats = []
+    for label in L.basis:
+        mat = [[F(0)] * d for _ in range(d)]
+        for col, entries in enumerate(W.action(label)):
+            for row, c in entries.items():
+                mat[row][col] = c
+        mats.append(mat)
+    for i, j in itertools.combinations(range(L.dim), 2):
+        lhs = [[F(0)] * d for _ in range(d)]
+        for k, z in L.structure(i, j).items():
+            for r in range(d):
+                for c in range(d):
+                    lhs[r][c] += z * mats[k][r][c]
+        a, b = mats[i], mats[j]
+        for r in range(d):
+            for c in range(d):
+                comm = sum(a[r][k] * b[k][c] - b[r][k] * a[k][c] for k in range(d))
+                if comm != lhs[r][c]:
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("ctype,nu", [("A2", (1, 1)), ("B2", (1, 0)), ("G2", (1, 0))])
+def test_sparse_relations_match_dense_reference(ctype, nu):
+    L, borel = std_borel(ctype)
+    W = construct_module(L, borel, w(*nu))
+    assert check_module_relations(L, W) is True
+    assert dense_relations_hold(L, W) is True
+    # doubling one entry of a root vector's action breaks the relations
+    cols = W.action(("e", L.rs.positive_roots[0]))
+    col, row = next((c, r) for c in range(W.dim) for r in cols[c])
+    cols[col][row] *= 2
+    assert check_module_relations(L, W) is False
+    assert dense_relations_hold(L, W) is False
