@@ -9,17 +9,12 @@ dominant weights.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from ghcert.algebra import LieAlgebra
 from ghcert.errors import InvariantViolation
 from ghcert.linalg import matvec
 from ghcert.weights import Weight
-
-
-def root_value_on(L: LieAlgebra, h, c) -> Fraction:
-    """Value of the root c (simple-root coords) on a Cartan element h."""
-    f = L.rs.root_to_weight(c)
-    return sum(Fraction(h[i]) * f[i] for i in range(L.rank))
 
 
 @dataclass
@@ -49,84 +44,67 @@ class BorelData:
         return Weight("g", tuple(matvec([list(r) for r in self.w_b], list(lam.coords))))
 
 
-def _indecomposables(rs, pos):
-    posset = set(pos)
-    out = []
-    for c in pos:
-        dec = False
-        for a in pos:
-            b = tuple(x - y for x, y in zip(c, a))
-            if b != c and b in posset and a != c:
-                dec = True
-                break
-        if dec:
-            continue
-        out.append(c)
-    return tuple(out)
-
-
 def build_borel(L: LieAlgebra, h) -> BorelData:
+    """The adapted Borel, worked out in integers: roots are carried by their
+    fundamental coordinates, h is scaled by the lcm of its denominators
+    (only the sign of a root's value on h is read), and w_b is the product
+    of the integer simple reflections that sift 2 rho_b to 2 rho."""
     rs = L.rs
-    pos = []
-    for c in rs.positive_roots:
-        v = root_value_on(L, h, c)
-        if v > 0 or v == 0:
-            pos.append(c)
-        else:
-            pos.append(tuple(-x for x in c))
+    n = rs.rank
+    scale = lcm(*(Fraction(x).denominator for x in h))
+    hz = [int(Fraction(x) * scale) for x in h]
+    # (root, fundamental coords, scaled value on h) of each b-positive root;
     # negatives of standard positives with negative h-value are b-positive
-    pos = tuple(sorted(pos, key=lambda c: (abs(sum(c)), c)))
-    simple = _indecomposables(rs, pos)
+    signed = []
+    for c, f in zip(rs.positive_roots, rs.positive_root_weights):
+        v = sum(x * y for x, y in zip(hz, f))
+        if v < 0:
+            c, f, v = tuple(-x for x in c), tuple(-x for x in f), -v
+        signed.append((c, f, v))
+    signed.sort(key=lambda t: (abs(sum(t[0])), t[0]))
+    pos = tuple(c for c, _, _ in signed)
 
-    # sift the regular b-dominant vector to find w_b
-    lam = [Fraction(0)] * rs.rank
-    for c in pos:
-        f = rs.root_to_weight(c)
-        for i in range(rs.rank):
-            lam[i] += f[i]
+    # sift the regular b-dominant vector 2 rho_b to find w_b
+    two_rho_b = tuple(sum(f[i] for _, f, _ in signed) for i in range(n))
+    lam = two_rho_b
     word = []
-    guard = 0
     while True:
-        neg = next((i for i in range(rs.rank) if lam[i] < 0), None)
+        neg = next((i for i in range(n) if lam[i] < 0), None)
         if neg is None:
             break
-        lam = list(rs.reflect_simple(neg, lam))
+        lam = rs.reflect_simple(neg, lam)
         word.append(neg)
-        guard += 1
-        if guard > len(rs.positive_roots):
+        if len(word) > len(rs.positive_roots):
             raise InvariantViolation("w_b word is longer than the number of positive roots")
-    w_b = None
+    # w_b = s_{word[0]} ... s_{word[-1]}; right multiplication by s_i only
+    # changes column i
+    w_b = [[int(r == c) for c in range(n)] for r in range(n)]
     for i in word:
-        m = rs.simple_reflection_matrix(i)
-        w_b = m if w_b is None else [
-            [sum(w_b[r][k] * m[k][c] for k in range(rs.rank)) for c in range(rs.rank)]
-            for r in range(rs.rank)
-        ]
-    if w_b is None:
-        w_b = [[Fraction(int(r == c)) for c in range(rs.rank)] for r in range(rs.rank)]
+        for row in w_b:
+            row[i] -= sum(row[k] * rs.cartan[k][i] for k in range(n))
+
+    def apply(f):
+        return tuple(sum(a * b for a, b in zip(row, f)) for row in w_b)
+
     # sanity: w_b maps the standard positive system onto pos
-    image = {tuple(rs.act_on_root(w_b, c)) for c in rs.positive_roots}
-    if image != set(pos):
+    if {apply(f) for f in rs.positive_root_weights} != {f for _, f, _ in signed}:
         raise InvariantViolation("w_b does not map the standard positive roots onto pos")
+    rho = tuple(sum(row) for row in w_b)
+    if tuple(2 * x for x in rho) != two_rho_b:
+        raise InvariantViolation(f"half-sum of pos {two_rho_b}/2 != w_b(rho) {rho}")
 
-    rho = Weight("g", tuple(matvec(w_b, [Fraction(1)] * rs.rank)))
-    half = [Fraction(0)] * rs.rank
-    for c in pos:
-        f = rs.root_to_weight(c)
-        for i in range(rs.rank):
-            half[i] += Fraction(f[i], 2)
-    if tuple(half) != rho.coords:
-        raise InvariantViolation(f"half-sum of pos {tuple(half)} != w_b(rho) {rho.coords}")
-
-    m_pos = tuple(c for c in pos if root_value_on(L, h, c) == 0)
-    m_simple = _indecomposables(rs, m_pos)
+    # w_b maps the standard simple roots onto the simple roots of pos; those
+    # vanishing on h are the simple roots of m
+    simple_f = {apply([rs.cartan[j][i] for j in range(n)]) for i in range(n)}
+    simple = tuple(c for c, f, _ in signed if f in simple_f)
+    m_simple = tuple(c for c, f, v in signed if v == 0 and f in simple_f)
     return BorelData(
         L=L,
         h=list(h),
         pos_roots=pos,
         simple_roots=simple,
-        w_b=tuple(tuple(row) for row in w_b),
-        rho=rho,
-        m_pos_roots=m_pos,
+        w_b=tuple(tuple(Fraction(x) for x in row) for row in w_b),
+        rho=Weight("g", tuple(Fraction(x) for x in rho)),
+        m_pos_roots=tuple(c for c, _, v in signed if v == 0),
         m_simple_roots=m_simple,
     )

@@ -358,7 +358,7 @@ def derive(fr: Front, raw_input: dict, witness: Witness | None,
         rep = _stage(
             "compare_kostant_vs_oracle",
             compare_kostant_vs_oracle,
-            L, borel, nu, [pd.r], dim_cap=fr.pin.dim_cap,
+            L, borel, nu, [dec], dim_cap=fr.pin.dim_cap,
         )
         oracle_match = rep.match_with_kostant
 

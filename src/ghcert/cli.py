@@ -5,10 +5,10 @@ rejected by `verify`, 2 = invalid input, 3 = internal invariant violation
 or any other unexpected error, 4 = a search/size cap was exceeded.
 """
 
-import argparse
 import json
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from ghcert.certify import (
     adapted_borel,
@@ -124,9 +124,9 @@ def cmd_oracle_compare(args):
     fr, _, _, borel = adapted_borel(pin)
     L = fr.L
     nu = _parse_nu(args.nu, L.rank)
-    degrees = _parse_degrees(args.degrees)
     try:
-        rep = compare_kostant_vs_oracle(L, borel, nu, degrees, dim_cap=pin.dim_cap)
+        kostant = [kostant_cohomology(L, borel, nu, r) for r in _parse_degrees(args.degrees)]
+        rep = compare_kostant_vs_oracle(L, borel, nu, kostant, dim_cap=pin.dim_cap)
     except (NonDominant, LengthOutOfRange) as exc:
         raise InputInvalid(str(exc))
     _emit(
@@ -161,43 +161,87 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
-def build_parser():
-    p = argparse.ArgumentParser(
-        prog="ghc",
-        description="Decide the ideal/non-ideal dichotomy for an embedded "
-        "reductive subalgebra and certify the existence witness.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
+USAGE = """\
+usage:
+  ghc certify <input.json> [--out report.json] [--oracle-check] [--seed N]
+  ghc check-ideal <input.json>
+  ghc kostant --type A2 --nu 1,1 --k-spec <input.json> --degree r
+  ghc oracle-compare <input.json> --nu a,b --degrees 0..q
+  ghc verify <report.json> <input.json>
 
-    c = sub.add_parser("certify", help="run the full pipeline and emit a certificate")
-    c.add_argument("input")
-    c.add_argument("--out", default=None)
-    c.add_argument("--oracle-check", action="store_true")
-    c.add_argument("--seed", type=int, default=None)
-    c.set_defaults(fn=cmd_certify)
+Decide the ideal/non-ideal dichotomy for an embedded reductive subalgebra
+and certify the existence witness. -h or --help prints this text.
+"""
 
-    c = sub.add_parser("check-ideal", help="report whether k is an ideal of g")
-    c.add_argument("input")
-    c.set_defaults(fn=cmd_check_ideal)
 
-    c = sub.add_parser("kostant", help="cohomology decomposition at one degree")
-    c.add_argument("--type", required=True)
-    c.add_argument("--nu", required=True)
-    c.add_argument("--k-spec", required=True, dest="k_spec")
-    c.add_argument("--degree", required=True, type=int)
-    c.set_defaults(fn=cmd_kostant)
+def cmd_help(args):
+    sys.stdout.write(USAGE)
+    return 0
 
-    c = sub.add_parser("oracle-compare", help="brute-force check of the formula")
-    c.add_argument("input")
-    c.add_argument("--nu", required=True)
-    c.add_argument("--degrees", required=True)
-    c.set_defaults(fn=cmd_oracle_compare)
 
-    c = sub.add_parser("verify", help="recheck a certificate against its input")
-    c.add_argument("report")
-    c.add_argument("input")
-    c.set_defaults(fn=cmd_verify)
-    return p
+# command: (positionals, value options, flags, required options). A value
+# option maps to the type of its value; an option --k-spec is read into the
+# attribute k_spec; command oracle-compare runs cmd_oracle_compare.
+COMMANDS = {
+    "certify": (("input",), {"--out": str, "--seed": int}, ("--oracle-check",), ()),
+    "check-ideal": (("input",), {}, (), ()),
+    "kostant": ((), {"--type": str, "--nu": str, "--k-spec": str, "--degree": int}, (),
+                ("--type", "--nu", "--k-spec", "--degree")),
+    "oracle-compare": (("input",), {"--nu": str, "--degrees": str}, (), ("--nu", "--degrees")),
+    "verify": (("report", "input"), {}, (), ()),
+}
+
+
+def _dest(option):
+    return option[2:].replace("-", "_")
+
+
+def parse_argv(argv):
+    """(handler, arguments) for an argv; raises InputInvalid on a malformed
+    one. A value option takes the next token as its value, whatever it
+    looks like, or is written --opt=value; the last of a repeated option
+    wins."""
+    if not argv:
+        raise InputInvalid("no command given (ghc --help lists them)")
+    if argv[0] in ("-h", "--help"):
+        return cmd_help, None
+    if argv[0] not in COMMANDS:
+        raise InputInvalid(f"unknown command {argv[0]!r} (ghc --help lists them)")
+    command = argv[0]
+    positionals, options, flags, required = COMMANDS[command]
+    args = {_dest(o): None for o in options}
+    args.update({_dest(f): False for f in flags})
+    given = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if token in ("-h", "--help"):
+            return cmd_help, None
+        if name in options:
+            if not eq:
+                value = next(tokens, None)
+                if value is None:
+                    raise InputInvalid(f"{command}: {name} needs a value")
+            try:
+                args[_dest(name)] = options[name](value)
+            except ValueError:
+                raise InputInvalid(f"{command}: {name} needs an integer, got {value!r}")
+        elif token in flags:
+            args[_dest(token)] = True
+        elif name in flags:
+            raise InputInvalid(f"{command}: {name} takes no value")
+        elif token.startswith("-"):
+            raise InputInvalid(f"{command}: unknown option {name}")
+        elif len(given) < len(positionals):
+            given.append(token)
+        else:
+            raise InputInvalid(f"{command}: unexpected argument {token!r}")
+    missing = [f"<{p}>" for p in positionals[len(given):]]
+    missing += [o for o in required if args[_dest(o)] is None]
+    if missing:
+        raise InputInvalid(f"{command}: missing {' '.join(missing)}")
+    args.update(zip(positionals, given))
+    return globals()["cmd_" + command.replace("-", "_")], SimpleNamespace(**args)
 
 
 def _exit_code(exc: GhcError) -> int:
@@ -209,25 +253,11 @@ def _exit_code(exc: GhcError) -> int:
     return 3
 
 
-def _join_nu(argv):
-    """Rewrite `--nu VALUE` as `--nu=VALUE`, so that a weight with a
-    leading minus sign such as `-1,1` is not taken for an option."""
-    out = []
-    it = iter(argv)
-    for arg in it:
-        if arg == "--nu":
-            value = next(it, None)
-            out.append(arg if value is None else f"--nu={value}")
-        else:
-            out.append(arg)
-    return out
-
-
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_join_nu(argv))
     try:
-        return args.fn(args)
+        fn, args = parse_argv(argv)
+        return fn(args)
     except GhcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ghcert.algebra import LieAlgebra
-from ghcert.borel import BorelData, root_value_on
+from ghcert.borel import BorelData
 from ghcert.errors import (
     ComplexInconsistent,
     DimCapExceeded,
@@ -20,7 +20,6 @@ from ghcert.errors import (
     NonDominant,
     NotAnMCharacter,
 )
-from ghcert.kostant import kostant_cohomology
 from ghcert.weights import Weight
 
 DEFAULT_DIM_CAP = 5000
@@ -477,11 +476,9 @@ class OracleReport:
 def _n_roots(borel: BorelData):
     """The b-positive roots spanning n; refuses dim n above MAX_N_DIM,
     whose complex has 2^dim n cochain spaces."""
-    n_roots = tuple(
-        c
-        for c in borel.pos_roots
-        if root_value_on(borel.L, borel.h, c) > 0
-    )
+    # every b-positive root is >= 0 on h; those of m vanish on it
+    m_roots = set(borel.m_pos_roots)
+    n_roots = tuple(c for c in borel.pos_roots if c not in m_roots)
     if len(n_roots) > MAX_N_DIM:
         raise DimCapExceeded(f"dim n = {len(n_roots)} exceeds cap {MAX_N_DIM}")
     return n_roots
@@ -689,18 +686,19 @@ def compare_kostant_vs_oracle(
     L: LieAlgebra,
     borel: BorelData,
     nu: Weight,
-    degrees,
+    kostant: list,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> OracleReport:
     """Structural equality of the Weyl-group formula and the brute-force
-    complex, degree by degree, as multisets of m-highest weights.  The
-    cheap refusals (dim n, the degree range) come before any module work."""
+    complex, degree by degree, as multisets of m-highest weights.  `kostant`
+    lists the formula's decompositions (`kostant_cohomology`) at the degrees
+    to compare; the caller has computed them, so a degree out of range is
+    refused before any module work, and so is dim n above the cap."""
     _n_roots(borel)
-    degrees = list(degrees)
-    kostant_sides = {}
-    for r in degrees:
-        summands = kostant_cohomology(L, borel, nu, r).summands
-        kostant_sides[r] = dict(Counter(s.gamma.coords for s in summands))
+    degrees = [dec.degree for dec in kostant]
+    kostant_sides = {
+        dec.degree: dict(Counter(s.gamma.coords for s in dec.summands)) for dec in kostant
+    }
     W = construct_module(L, borel, nu, dim_cap=dim_cap)
     coh = ce_cohomology(L, borel, W)
     decomps = {}

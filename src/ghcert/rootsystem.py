@@ -173,6 +173,11 @@ class RootSystem:
             off += r
         self.positive_roots = self._generate_positive_roots()
         self.root_index = {c: i for i, c in enumerate(self.positive_roots)}
+        # fundamental coordinates of each positive root, as ints
+        self.positive_root_weights = tuple(
+            tuple(sum(c[j] * row[j] for j in range(self.rank)) for row in self.cartan)
+            for c in self.positive_roots
+        )
         self.root_set = set(self.positive_roots) | {
             tuple(-x for x in c) for c in self.positive_roots
         }
@@ -252,11 +257,6 @@ class RootSystem:
 
     def weight_to_root_coords(self, lam):
         return tuple(matvec(self.cartan_inverse(), [Fraction(x) for x in lam]))
-
-    def weight_ip(self, lam, mu) -> Fraction:
-        """(lambda, mu) for two weights in fundamental coordinates."""
-        c = self.weight_to_root_coords(mu)
-        return sum(lam[j] * c[j] * self.d[j] for j in range(self.rank))
 
     def coroot_coeffs(self, c):
         """Integer coefficients of beta^vee on the simple coroots h_i."""

@@ -65,6 +65,16 @@ def borel_from_case(raw):
     return fr.L, fr.emb, reg, pd, borel
 
 
+def compare_at(L, borel, nu, degrees):
+    """compare_kostant_vs_oracle against the formula's decompositions at
+    `degrees`."""
+    from ghcert.kostant import kostant_cohomology
+    from ghcert.oracle import compare_kostant_vs_oracle
+
+    kostant = [kostant_cohomology(L, borel, nu, r) for r in degrees]
+    return compare_kostant_vs_oracle(L, borel, nu, kostant)
+
+
 def brute_force_condition_2(form, mu, rho, S):
     """(ok, witness, enumerated) over every count tuple in lexicographic
     order: the first nonempty T with <mu + 2 rho - rho_T, rho_T> <= 0 is

@@ -20,12 +20,11 @@ from ghcert.oracle import (
     build_complex,
     ce_cohomology,
     check_module_relations,
-    compare_kostant_vs_oracle,
     construct_module,
 )
 from ghcert.weights import Weight, WeightMultiset
 
-from conftest import CASES, borel_from_case, brute_force_condition_2
+from conftest import CASES, borel_from_case, brute_force_condition_2, compare_at
 
 F = Fraction
 
@@ -77,7 +76,7 @@ ORACLE_CASES = (
 @pytest.mark.parametrize("case,nu,degrees", ORACLE_CASES)
 def test_criterion_2_kostant_oracle_agreement(case, nu, degrees):
     L, emb, reg, pd, borel = borel_from_case(CASES[case])
-    rep = compare_kostant_vs_oracle(L, borel, w(*nu), degrees)
+    rep = compare_at(L, borel, w(*nu), degrees)
     assert rep.match_with_kostant, rep.diff
     if case == "a2_torus":
         counts = [sum(m for _, m in rep.m_decompositions[r]) for r in degrees]
@@ -90,7 +89,7 @@ def test_criterion_2_principal_witness_degree():
     nu = Weight("g", tuple(F(x) for x in map(Fraction, cert["witness"]["nu"])))
     L, emb, reg, pd, borel = borel_from_case(raw)
     assert pd.r == 2
-    rep = compare_kostant_vs_oracle(L, borel, nu, [pd.r])
+    rep = compare_at(L, borel, nu, [pd.r])
     assert rep.match_with_kostant
 
 

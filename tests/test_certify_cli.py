@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -394,3 +398,60 @@ def test_cli_seed_override(write_input, tmp_path):
     assert main(["certify", inp, "--out", out, "--seed", "3"]) == 0
     cert = json.loads(open(out).read())
     assert cert["verdict"]["kind"] == "ExistsWitness"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "no command given"),
+        (["bogus"], "unknown command 'bogus'"),
+        (["certify"], "certify: missing <input>"),
+        (["verify", "IN"], "verify: missing <input>"),
+        (["check-ideal", "IN", "IN"], "check-ideal: unexpected argument"),
+        (["certify", "IN", "--deg", "1"], "certify: unknown option --deg"),
+        (["certify", "IN", "--oracle-check=1"], "--oracle-check takes no value"),
+        (["certify", "IN", "--seed"], "certify: --seed needs a value"),
+        (["certify", "IN", "--seed", "x"], "--seed needs an integer, got 'x'"),
+        (["kostant", "--type", "A2", "--nu", "1,1", "--k-spec", "IN", "--degree=one"],
+         "--degree needs an integer, got 'one'"),
+        (["kostant", "--type", "A2", "--nu", "1,1", "--k-spec", "IN"],
+         "kostant: missing --degree"),
+        (["oracle-compare", "IN", "--degrees", "0..1"], "oracle-compare: missing --nu"),
+    ],
+)
+def test_cli_usage_error_returns_2(argv, message, write_input, capsys):
+    inp = write_input("in.json", CASES["a2_torus"])
+    assert main([inp if a == "IN" else a for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and message in out.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["certify", "--help"],
+                                  ["kostant", "--type", "A2", "-h"]])
+def test_cli_help_returns_0(argv, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("usage:\n") and "ghc oracle-compare" in out.out
+    assert out.err == ""
+
+
+def test_cli_options_in_any_order_last_wins(write_input, tmp_path):
+    inp = write_input("in.json", CASES["a2_torus"])
+    out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
+    assert main(["certify", inp, "--seed", "3", "--out", out1]) == 0
+    assert main(["certify", "--out=unused", "--seed=0", "--seed=3", "--out", out2, inp]) == 0
+    assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+def test_cli_import_leaves_out_argparse_and_gettext():
+    """Building an argparse parser costs a cold request several ms (the
+    first gettext lookups import locale); the command table needs neither."""
+    code = ("import sys, ghcert.cli; "
+            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -19,13 +19,12 @@ from ghcert.oracle import (
     build_complex,
     ce_cohomology,
     check_module_relations,
-    compare_kostant_vs_oracle,
     construct_module,
     decompose_as_m_module,
 )
 from ghcert.weights import Weight
 
-from conftest import CASES, borel_from_case
+from conftest import CASES, borel_from_case, compare_at
 
 F = Fraction
 
@@ -173,7 +172,7 @@ def test_compare_matches_on_nonabelian_levi():
     L = build_algebra("A2")
     borel = build_borel(L, [F(1), F(-1)])
     nu = borel.apply_wb(w(1, 1))
-    rep = compare_kostant_vs_oracle(L, borel, nu, range(3))
+    rep = compare_at(L, borel, nu, range(3))
     assert rep.match_with_kostant
     assert rep.diff == {}
 
@@ -182,7 +181,7 @@ def test_compare_b2_nonabelian_levi():
     L = build_algebra("B2")
     borel = build_borel(L, [F(1), F(0)])
     nu = borel.apply_wb(w(1, 0))
-    rep = compare_kostant_vs_oracle(L, borel, nu, range(4))
+    rep = compare_at(L, borel, nu, range(4))
     assert rep.match_with_kostant
 
 
@@ -302,7 +301,7 @@ def test_oracle_builds_only_the_n_columns(monkeypatch):
         return W
 
     monkeypatch.setattr(oracle, "construct_module", spy)
-    rep = compare_kostant_vs_oracle(L, borel, w(2, -1), range(5))
+    rep = compare_at(L, borel, w(2, -1), range(5))
     assert rep.match_with_kostant
     n = n_labels(L, oracle._n_roots(borel))
     assert sorted(built) == sorted(n)  # each n column once, nothing else
@@ -323,7 +322,7 @@ def test_n_column_leaving_the_module_is_rejected(monkeypatch):
 
     monkeypatch.setattr(oracle._VermaOps, "act_ambient", corrupted)
     with pytest.raises(InvariantViolation, match="leaves the constructed module"):
-        compare_kostant_vs_oracle(L, borel, w(2, -1), range(5))
+        compare_at(L, borel, w(2, -1), range(5))
 
 
 def test_non_integral_structure_constant_is_rejected(monkeypatch):

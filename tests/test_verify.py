@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghcert.certify
+import ghcert.oracle
 from ghcert.certify import canonical_json, certify, parse_input, verify_certificate
 from ghcert.cli import main
 from ghcert.errors import GenericNuNotFound
@@ -122,16 +123,26 @@ def test_oracle_check_round_trip(monkeypatch):
     assert cert["witness"]["oracle_checked"] is True
     assert cert["witness"]["oracle_match"] is True
 
-    calls = []
+    calls, kostant_calls = [], []
     oracle = ghcert.certify.compare_kostant_vs_oracle
+    kostant = ghcert.certify.kostant_cohomology
 
     def counted(*args, **kwargs):
         calls.append(args)
         return oracle(*args, **kwargs)
 
+    def kostant_counted(*args):
+        kostant_calls.append(args)
+        return kostant(*args)
+
     monkeypatch.setattr(ghcert.certify, "compare_kostant_vs_oracle", counted)
+    # counted wherever the name was imported, the oracle included
+    for module in (ghcert.certify, ghcert.oracle):
+        monkeypatch.setattr(module, "kostant_cohomology", kostant_counted, raising=False)
     assert verify_certificate(cert, raw) == (True, [])
     assert len(calls) == 1  # verify re-runs the oracle
+    # on the decomposition derive holds, not a second one
+    assert len(kostant_calls) == 1
     calls.clear()
     assert verify_certificate(json.loads(certificate("a1_t")), raw) == (True, [])
     assert not calls  # and only when the certificate says it was run
