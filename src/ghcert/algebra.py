@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ghcert.errors import DimensionMismatch, InvariantViolation
-from ghcert.linalg import intersect_row_spaces, row_space_contains, rref
+from ghcert.linalg import rref
 from ghcert.rootsystem import CartanType, RootSystem
 
 
@@ -303,16 +303,19 @@ class Subspace:
         return len(self.rows)
 
     def contains(self, v) -> bool:
-        return row_space_contains([list(r) for r in self.rows], list(v))
+        """Reduce v at the pivots: in RREF each pivot column is a unit
+        column, so v is in the span exactly when nothing is left over."""
+        rest = list(v)
+        for row in self.rows:
+            c = rest[next(i for i, x in enumerate(row) if x)]
+            if c:
+                for i, x in enumerate(row):
+                    if x:
+                        rest[i] -= c * x
+        return not any(rest)
 
     def contains_subspace(self, other) -> bool:
         return all(self.contains(r) for r in other.rows)
-
-    def intersect(self, other) -> "Subspace":
-        red = intersect_row_spaces(
-            [list(r) for r in self.rows], [list(r) for r in other.rows]
-        )
-        return Subspace(red, self.ambient)
 
     def sum(self, other) -> "Subspace":
         return Subspace.from_vectors(

@@ -28,7 +28,7 @@ from ghcert.errors import (
     PipelineError,
     SearchTooLarge,
 )
-from ghcert.kostant import kostant_cohomology, m_weyl_dimension
+from ghcert.kostant import kostant_cohomology
 from ghcert.oracle import compare_kostant_vs_oracle
 from ghcert.weights import Weight
 
@@ -64,9 +64,12 @@ def _parse_degrees(text):
     if ".." in text:
         lo, hi = text.split("..", 1)
         try:
-            return list(range(int(lo), int(hi) + 1))
+            degrees = list(range(int(lo), int(hi) + 1))
         except ValueError:
             raise InputInvalid(f"bad degree range {text!r}")
+        if not degrees:
+            raise InputInvalid(f"empty degree range {text!r}")
+        return degrees
     try:
         return [int(x) for x in text.split(",")]
     except ValueError:
@@ -109,7 +112,7 @@ def cmd_kostant(args):
             "summands": [
                 {
                     "gamma": enc_vec(s.gamma.coords),
-                    "dim": m_weyl_dimension(borel, s.gamma),
+                    "dim": s.dim,
                 }
                 for s in dec.summands
             ],

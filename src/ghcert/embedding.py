@@ -21,7 +21,7 @@ from ghcert.errors import (
     ReducedToZero,
     TNotInK,
 )
-from ghcert.linalg import matvec, nullspace, rank, transpose
+from ghcert.linalg import matvec, nullspace, rank
 from ghcert.rootsystem import CartanType
 from ghcert.weights import WeightMultiset
 from ghcert import algebra as _algebra
@@ -133,41 +133,23 @@ def make_embedding(L: LieAlgebra, gens, t_rows) -> EmbeddedSubalgebra:
         for y in t.rows[i:]:
             if any(c != 0 for c in L.bracket(list(x), list(y))):
                 raise InputInvalid("t is not abelian")
-    # t must be self-centralizing in k (a Cartan subalgebra of k)
-    cent = centralizer_in(L, t, k)
-    if cent != t:
+    # t must be self-centralizing in k (a Cartan subalgebra of k): k is
+    # t-invariant, so C_k(t) = k_0, the zero t-weight part of the grading
+    grading = t_grading(L, k, t)
+    k0 = grading.k_dims.get((Fraction(0),) * t.dim, 0)
+    if k0 != t.dim:
         raise InputInvalid(
-            f"t (dim {t.dim}) is not self-centralizing in k (centralizer dim {cent.dim})"
+            f"t (dim {t.dim}) is not self-centralizing in k (centralizer dim {k0})"
         )
-    return EmbeddedSubalgebra(k, t, checks, t_grading(L, k, t))
-
-
-def centralizer_in(L: LieAlgebra, t: Subspace, k: Subspace):
-    """{x in k : [t, x] = 0} as a Subspace."""
-    rows = [list(r) for r in k.rows]
-    if not rows:
-        return Subspace((), L.dim)
-    cols = []
-    for x in rows:
-        col = []
-        for tv in t.rows:
-            col.extend(L.bracket(list(tv), x))
-        cols.append(col)
-    coeff = transpose(cols)
-    sols = nullspace(coeff, n_cols=len(rows)) if coeff else []
-    vecs = []
-    for s in sols:
-        vecs.append([sum(s[i] * rows[i][c] for i in range(len(rows))) for c in range(L.dim)])
-    return Subspace.from_vectors(vecs, L.dim)
+    return EmbeddedSubalgebra(k, t, checks, grading)
 
 
 def is_ideal(L: LieAlgebra, k: Subspace) -> bool:
-    for i in range(L.dim):
-        b = L.basis_vector(L.basis[i])
-        for x in k.rows:
-            if not k.contains(L.bracket(b, list(x))):
-                return False
-    return True
+    """Every ideal of semisimple g is a sum of simple ideals, and those are
+    independent: k is an ideal exactly when the factors inside it fill it."""
+    return k.dim == sum(
+        ideal.dim for ideal in L.simple_ideal_subspaces() if k.contains_subspace(ideal)
+    )
 
 
 def killing_perp(L: LieAlgebra, k: Subspace) -> Subspace:
@@ -177,7 +159,7 @@ def killing_perp(L: LieAlgebra, k: Subspace) -> Subspace:
     pairing = [matvec(L.killing_matrix, list(r)) for r in k.rows]
     perp_rows = nullspace(pairing, n_cols=L.dim)
     perp = Subspace.from_vectors(perp_rows, L.dim)
-    if k.intersect(perp).dim != 0:
+    if k.sum(perp).dim != k.dim + perp.dim:
         raise DegenerateRestriction("k meets its Killing complement nontrivially")
     if k.dim + perp.dim != L.dim:
         raise InvariantViolation(
@@ -226,21 +208,14 @@ def split_off_contained_ideals(L: LieAlgebra, k: Subspace, t: Subspace):
         else:
             old_columns.append(L.index[(label[0], embed_root(label[1]))])
 
-    rest = ideals[kept[0]]
-    for i in kept[1:]:
-        rest = rest.sum(ideals[i])
-    k_rest = k.intersect(rest)
-    t_rest = t.intersect(rest)
-    if k_rest.dim != k.dim - sum(ideals[i].dim for i in contained):
+    # k holds the dropped ideals, so its rows cut to the kept columns span
+    # k ∩ rest; once t holds their Cartan, the same holds for t
+    k_red = Subspace.from_vectors([[row[c] for c in old_columns] for row in k.rows], L_red.dim)
+    t_red = Subspace.from_vectors([[row[c] for c in old_columns] for row in t.rows], L_red.dim)
+    if k_red.dim != k.dim - sum(ideals[i].dim for i in contained):
         raise InputInvalid("k does not split along the contained ideals")
-    if t_rest.dim != t.dim - sum(L.ctype.factors[i][1] for i in contained):
+    if t_red.dim != t.dim - sum(L.ctype.factors[i][1] for i in contained):
         raise InputInvalid("t does not split along the contained ideals")
-    k_red = Subspace.from_vectors(
-        [[row[c] for c in old_columns] for row in k_rest.rows], L_red.dim
-    )
-    t_red = Subspace.from_vectors(
-        [[row[c] for c in old_columns] for row in t_rest.rows], L_red.dim
-    )
     return Reduction(tuple(contained), L_red, k_red, t_red, tuple(old_columns))
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from ghcert.algebra import LieAlgebra
 from ghcert.borel import BorelData
-from ghcert.errors import InvariantViolation, NonDominant
+from ghcert.errors import NonDominant
 from ghcert.linalg import inverse, matvec
 from ghcert.weights import Weight
 
@@ -15,6 +15,7 @@ from ghcert.weights import Weight
 @dataclass(frozen=True)
 class KostantSummand:
     gamma: Weight
+    dim: int  # of the simple m-module with b_m-highest weight gamma
 
 
 @dataclass
@@ -39,19 +40,6 @@ def m_rho(borel: BorelData) -> Weight:
     return Weight("g", tuple(half))
 
 
-def m_weyl_dimension(borel: BorelData, gamma: Weight) -> int:
-    """Dimension of the simple m-module with b_m-highest weight gamma."""
-    rs = borel.L.rs
-    rho_m = m_rho(borel)
-    shifted = [g + r for g, r in zip(gamma.coords, rho_m.coords)]
-    val = Fraction(1)
-    for c in borel.m_pos_roots:
-        val *= rs.weight_root_ip(shifted, c) / rs.weight_root_ip(rho_m.coords, c)
-    if val.denominator != 1 or val <= 0:
-        raise InvariantViolation(f"m-Weyl dimension of {gamma.coords} is {val}")
-    return int(val)
-
-
 def kostant_cohomology(L: LieAlgebra, borel: BorelData, nu: Weight, r: int) -> CohomologyDecomposition:
     """Degree-r decomposition: one summand per length-r Weyl element whose
     shifted image is dominant for m; only those summands survive.
@@ -68,14 +56,16 @@ def kostant_cohomology(L: LieAlgebra, borel: BorelData, nu: Weight, r: int) -> C
     # nu + rho is integral, and w_b and w_b^-1 are integer matrices
     base = tuple(int(x) for x in matvec(inverse([list(row) for row in borel.w_b]), shifted))
     w_b = [[int(x) for x in row] for row in borel.w_b]
+    rho_m = m_rho(borel).coords
     included = []
     for el in rs.weyl_elements_of_length(r):
         img = matvec(w_b, rs.weyl_act(el, base))
         gamma = Weight("g", tuple(i - p for i, p in zip(img, rho.coords)))
         if borel.m_dominant(gamma):
-            included.append(KostantSummand(gamma=gamma))
+            dim = rs.weyl_dimension(gamma.coords, borel.m_pos_roots, rho_m)
+            included.append(KostantSummand(gamma, dim))
     included.sort(key=lambda s: s.gamma.coords)
-    total = sum(m_weyl_dimension(borel, s.gamma) for s in included)
+    total = sum(s.dim for s in included)
     return CohomologyDecomposition(degree=r, summands=included, total_dim=total)
 
 

@@ -11,8 +11,6 @@ from ghcert.linalg.matrix import (
     transpose,
     inverse,
     det,
-    row_space_contains,
-    intersect_row_spaces,
 )
 
 __all__ = [
@@ -26,6 +24,4 @@ __all__ = [
     "transpose",
     "inverse",
     "det",
-    "row_space_contains",
-    "intersect_row_spaces",
 ]

@@ -148,33 +148,3 @@ def inverse(m):
         raise ZeroDivisionError("matrix is singular")
     return [row[n:] for row in red]
 
-
-def row_space_contains(m, v) -> bool:
-    """Whether vector v lies in the row space of m."""
-    if all(x == 0 for x in v):
-        return True
-    if not m:
-        return False
-    return rank(m) == rank(list(m) + [list(v)])
-
-
-def intersect_row_spaces(a, b):
-    """Canonical basis of rowspace(a) ∩ rowspace(b).
-
-    Solves x·a = y·b by a nullspace computation on the stacked coefficient
-    matrix, then maps the x parts back through a.
-    """
-    if not a or not b:
-        return []
-    n = len(a[0])
-    ka, kb = len(a), len(b)
-    # columns: coefficients (x, y); rows: the n coordinate equations
-    coeff = [[a[i][c] for i in range(ka)] + [-b[j][c] for j in range(kb)] for c in range(n)]
-    sols = nullspace(coeff, n_cols=ka + kb)
-    vecs = []
-    for s in sols:
-        v = [sum(s[i] * a[i][c] for i in range(ka)) for c in range(n)]
-        if any(x != 0 for x in v):
-            vecs.append(v)
-    red, _ = rref(vecs) if vecs else ([], [])
-    return red

@@ -237,19 +237,6 @@ class ExplicitModule:
         return cols
 
 
-def b_weyl_dimension(borel: BorelData, nu: Weight) -> int:
-    rs = borel.L.rs
-    shifted = [n + p for n, p in zip(nu.coords, borel.rho.coords)]
-    val = Fraction(1)
-    for c in borel.pos_roots:
-        val *= rs.weight_root_ip(shifted, c) / rs.weight_root_ip(
-            borel.rho.coords, c
-        )
-    if val.denominator != 1 or val <= 0:
-        raise InvariantViolation(f"Weyl dimension {val} is not a positive integer")
-    return int(val)
-
-
 class _Echelon:
     """Echelon form of sparse vectors ({key: Fraction}), grown one vector at
     a time.  Each row is scaled to 1 at its least key, which leads no other
@@ -319,7 +306,7 @@ def construct_module(
     reads; a Cartan element's action is read off the weights."""
     if not (borel.dominant(nu) and borel.integral(nu)):
         raise NonDominant(f"nu = {nu.coords} is not b-dominant integral")
-    target = b_weyl_dimension(borel, nu)
+    target = L.rs.weyl_dimension(nu.coords, borel.pos_roots, borel.rho.coords)
     if target > dim_cap:
         raise DimCapExceeded(f"weyl dimension {target} exceeds cap {dim_cap}")
     ops = _VermaOps(L, borel, nu)

@@ -349,18 +349,20 @@ class RootSystem:
     def is_integral(self, lam) -> bool:
         return all(Fraction(x).denominator == 1 for x in lam)
 
-    def weyl_dimension(self, lam) -> int:
-        """Weyl dimension formula; exact positive integer."""
-        if not (self.is_dominant(lam) and self.is_integral(lam)):
+    def weyl_dimension(self, lam, pos_roots, rho) -> int:
+        """Weyl dimension formula for the positive system pos_roots with
+        half-sum rho: the product of (lam + rho, a) / (rho, a) over a in
+        pos_roots, an exact positive integer. lam must be integral and
+        dominant for pos_roots, that is (lam + rho, a) >= (rho, a) for each a."""
+        if not self.is_integral(lam):
             raise NonDominant(f"{lam} is not dominant integral")
-        rho = self.rho()
-        num = Fraction(1)
-        den = Fraction(1)
-        shifted = [Fraction(x) + 1 for x in lam]
-        for c in self.positive_roots:
-            num *= self.weight_root_ip(shifted, c)
-            den *= self.weight_root_ip(rho, c)
-        val = num / den
+        shifted = [Fraction(x) + r for x, r in zip(lam, rho)]
+        val = Fraction(1)
+        for c in pos_roots:
+            num, den = self.weight_root_ip(shifted, c), self.weight_root_ip(rho, c)
+            if num < den:
+                raise NonDominant(f"{lam} is not dominant integral")
+            val *= num / den
         if val.denominator != 1 or val <= 0:
             raise InvariantViolation(f"Weyl dimension of {lam} is {val}")
         return int(val)

@@ -16,7 +16,6 @@ from ghcert.genericity import TStarForm, check_condition_2
 from ghcert.kostant import kostant_cohomology, verify_vanishing
 from ghcert.linalg import det
 from ghcert.oracle import (
-    b_weyl_dimension,
     build_complex,
     ce_cohomology,
     check_module_relations,
@@ -209,7 +208,7 @@ def test_criterion_7_module_soundness(ctype, nu):
     borel = build_borel(L, [F(1)] * L.rank)
     lam = w(*nu)
     W = construct_module(L, borel, lam)
-    assert W.dim == b_weyl_dimension(borel, lam)
+    assert W.dim == L.rs.weyl_dimension(lam.coords, borel.pos_roots, borel.rho.coords)
     assert check_module_relations(L, W)
 
 

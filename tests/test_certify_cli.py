@@ -294,6 +294,27 @@ def _no_module(*args, **kwargs):
     raise AssertionError("the oracle built a module")
 
 
+def test_cli_oracle_empty_degree_range_is_invalid_input(write_input, monkeypatch, capsys):
+    """A range with its ends reversed names no degree; comparing nothing is
+    refused rather than reported as a match."""
+    import ghcert.oracle
+
+    monkeypatch.setattr(ghcert.oracle, "construct_module", _no_module)
+    inp = write_input("in.json", CASES["b2_sl2"])
+    assert main(["oracle-compare", inp, "--nu", "1,0", "--degrees", "3..1"]) == 2
+    assert capsys.readouterr().err == "error: empty degree range '3..1'\n"
+
+
+def test_cli_empty_t_with_nonzero_k_is_invalid_input(write_input, capsys):
+    """t = 0 centralizes all of k, so it is no Cartan subalgebra of k != 0."""
+    inp = write_input("in.json", problem("A2", [unit(8, 0), unit(8, 2), unit(8, 5)], []))
+    assert main(["certify", inp]) == 2
+    assert capsys.readouterr().err == (
+        "error: stage 'make_embedding': t (dim 0) is not self-centralizing "
+        "in k (centralizer dim 4)\n"
+    )
+
+
 def test_cli_oracle_degree_range_checked_before_module(write_input, monkeypatch, capsys):
     import ghcert.oracle
 

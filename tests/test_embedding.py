@@ -1,8 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from ghcert.algebra import LieAlgebra, Subspace, build_algebra
+from ghcert.certify import parse_input
 from ghcert.embedding import (
     choose_regular,
     close_generators,
@@ -14,8 +16,11 @@ from ghcert.embedding import (
     t_grading,
     verify_reductive,
 )
-from ghcert.errors import InputInvalid, NoRegularFound, NotTInvariant
+from ghcert.errors import InputInvalid, NoRegularFound, NotTInvariant, ReducedToZero
+from ghcert.linalg import nullspace, rank
 from ghcert.rootsystem import CartanType
+
+from conftest import CASES, REDUCTION
 
 F = Fraction
 
@@ -91,7 +96,7 @@ def test_killing_perp_dims(a2):
     k = close_generators(a2, principal_sl2(a2))
     perp = killing_perp(a2, k)
     assert perp.dim == 5
-    assert perp.intersect(k).dim == 0
+    assert perp.sum(k).dim == perp.dim + k.dim
 
 
 def test_killing_perp_torus():
@@ -191,3 +196,150 @@ def test_no_regular_in_trivial_t():
     emb = make_embedding(L, [unit(3, 0)], [unit(3, 0)])
     with pytest.raises(NoRegularFound):
         choose_regular(L, emb, max_height=0)
+
+
+# -- the front against the textbook definitions ---------------------------
+#
+# The front reads the ideal test, membership, C_k(t) and the reduced pair
+# off coordinates; the references below solve for them in general linear
+# algebra, as the definitions state them.
+
+
+def rank_contains(space, v):
+    """v in span(space.rows), by the rank test."""
+    rows = [list(r) for r in space.rows]
+    return rank(rows + [list(v)]) == len(rows)
+
+
+def ad_invariant(L, k):
+    """[g, k] ⊆ k, bracket by bracket."""
+    return all(
+        rank_contains(k, L.bracket(L.basis_vector(label), list(x)))
+        for label in L.basis
+        for x in k.rows
+    )
+
+
+def centralizer_dim(L, k, t):
+    """dim {x in k : [t, x] = 0}, by a nullspace solve on k's coefficients."""
+    rows = [list(r) for r in k.rows]
+    if not rows:
+        return 0
+    # one equation per coordinate of each [t_i, x]; none when t = 0
+    eqs = []
+    for tv in t.rows:
+        brackets = [L.bracket(list(tv), x) for x in rows]
+        eqs += [[b[c] for b in brackets] for c in range(L.dim)]
+    return len(nullspace(eqs, n_cols=len(rows)))
+
+
+def intersect(a, b):
+    """a ∩ b: solve x·a = y·b and map the x part back through a."""
+    if a.dim == 0 or b.dim == 0:
+        return Subspace((), a.ambient)
+    eqs = [
+        [r[c] for r in a.rows] + [-r[c] for r in b.rows] for c in range(a.ambient)
+    ]
+    sols = nullspace(eqs, n_cols=a.dim + b.dim)
+    return Subspace.from_vectors(
+        [[sum(s[i] * r[c] for i, r in enumerate(a.rows)) for c in range(a.ambient)]
+         for s in sols],
+        a.ambient,
+    )
+
+
+def _factor_sums():
+    """Every sum of simple factors of A1xA1, A1xA2 and B2xA1, as (name, g,
+    k, t): t is the Cartan of the chosen factors, or, with the extra torus,
+    k also holds the Cartan of the other factors and t = h."""
+    for ctype in ("A1xA1", "A1xA2", "B2xA1"):
+        L = build_algebra(ctype)
+        ideals = L.simple_ideal_subspaces()
+        n = len(ideals)
+        for size in range(n + 1):
+            for chosen in itertools.combinations(range(n), size):
+                for torus in (False, True):
+                    if torus and size == n:
+                        continue
+                    rows = [list(r) for i in chosen for r in ideals[i].rows]
+                    cartan = [
+                        L.basis_vector(("h", j))
+                        for i in range(n)
+                        if i in chosen or torus
+                        for j in L.rs.factor_ranges[i]
+                    ]
+                    yield (
+                        f"{ctype}:{'+'.join(f'g{i}' for i in chosen) or '0'}{'+h' if torus else ''}",
+                        L,
+                        Subspace.from_vectors(rows + cartan, L.dim),
+                        Subspace.from_vectors(cartan, L.dim),
+                    )
+
+
+def _case(raw):
+    pin = parse_input(raw)
+    L = build_algebra(pin.algebra)
+    return (
+        L,
+        close_generators(L, pin.generators),
+        Subspace.from_vectors([list(r) for r in pin.cartan_t], L.dim),
+    )
+
+
+FRONT_INPUTS = (
+    [(name, *_case(raw)) for name, raw in CASES.items()]
+    + [("reduction", *_case(REDUCTION))]
+    + list(_factor_sums())
+)
+
+
+@pytest.mark.parametrize("name,L,k,t", FRONT_INPUTS, ids=[x[0] for x in FRONT_INPUTS])
+def test_front_matches_definitions(name, L, k, t):
+    assert is_ideal(L, k) == ad_invariant(L, k)
+
+    units = [L.basis_vector(label) for label in L.basis]
+    for space in (k, t):
+        probes = units + [list(r) for r in space.rows]
+        if space.dim:
+            total = [sum(col) for col in zip(*space.rows)]
+            probes += [total] + [[a + b for a, b in zip(total, u)] for u in units]
+        for v in probes:
+            assert space.contains(v) == rank_contains(space, v)
+
+    # dim k_0 of the grading is dim C_k(t), for t and for every sub-torus
+    # spanned by a prefix of its rows, the empty one included
+    for j in range(t.dim + 1):
+        sub = Subspace(t.rows[:j], L.dim)
+        k0 = t_grading(L, k, sub).k_dims.get((F(0),) * j, 0)
+        assert k0 == centralizer_dim(L, k, sub)
+
+    if k.dim == L.dim:
+        with pytest.raises(ReducedToZero):
+            split_off_contained_ideals(L, k, t)
+        return
+    red = split_off_contained_ideals(L, k, t)
+    if red is None:
+        return
+    rest = Subspace.from_vectors(
+        [
+            list(r)
+            for i, ideal in enumerate(L.simple_ideal_subspaces())
+            if i not in red.removed_factors
+            for r in ideal.rows
+        ],
+        L.dim,
+    )
+    for full, cut in ((k, red.k), (t, red.t)):
+        expect = Subspace.from_vectors(
+            [[row[c] for c in red.old_columns] for row in intersect(full, rest).rows],
+            red.algebra.dim,
+        )
+        assert cut == expect
+
+
+def test_split_off_rejects_t_without_a_dropped_cartan():
+    """REDUCTION's k holds the first factor, but t = span(h2) lacks its Cartan."""
+    L, k, _ = _case(REDUCTION)
+    t = Subspace.from_vectors([unit(6, 1)], 6)
+    with pytest.raises(InputInvalid, match="t does not split along the contained ideals"):
+        split_off_contained_ideals(L, k, t)

@@ -7,7 +7,7 @@ from ghcert.borel import build_borel
 from ghcert.errors import NonDominant
 from ghcert.kostant import (
     kostant_cohomology,
-    m_weyl_dimension,
+    m_rho,
     verify_vanishing,
 )
 from ghcert.weights import Weight
@@ -94,6 +94,10 @@ def test_levi_dominance_filter():
     assert total == 3  # [DERIVED] |W|/|W_m| = 6/2 minimal coset representatives
 
 
+def m_weyl_dimension(borel, gamma):
+    return borel.L.rs.weyl_dimension(gamma.coords, borel.m_pos_roots, m_rho(borel).coords)
+
+
 def test_m_weyl_dimension():
     L = build_algebra("A2")
     borel = build_borel(L, [F(1), F(-1)])
@@ -109,6 +113,7 @@ def test_total_dims_follow_weyl_dimension():
     nu = borel.apply_wb(w(1, 0))
     for r in range(3):
         dec = kostant_cohomology(L, borel, nu, r)
-        assert dec.total_dim == sum(
+        assert [s.dim for s in dec.summands] == [
             m_weyl_dimension(borel, s.gamma) for s in dec.summands
-        )
+        ]
+        assert dec.total_dim == sum(s.dim for s in dec.summands)

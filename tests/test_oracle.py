@@ -15,7 +15,6 @@ from ghcert.errors import (
     NotAnMCharacter,
 )
 from ghcert.oracle import (
-    b_weyl_dimension,
     build_complex,
     ce_cohomology,
     check_module_relations,
@@ -69,7 +68,7 @@ def test_dimension_matches_weyl_formula(ctype, nu):
     L, borel = std_borel(ctype)
     lam = w(*nu)
     W = construct_module(L, borel, lam)
-    assert W.dim == b_weyl_dimension(borel, lam)
+    assert W.dim == L.rs.weyl_dimension(lam.coords, borel.pos_roots, borel.rho.coords)
     assert check_module_relations(L, W)
 
 

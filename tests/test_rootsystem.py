@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ghcert.errors import InvalidCartanType, LengthOutOfRange
+from ghcert.errors import InvalidCartanType, LengthOutOfRange, NonDominant
 from ghcert.rootsystem import CartanType, root_system
 
 F = Fraction
@@ -119,13 +119,24 @@ def test_pairings_against_cartan_matrix():
             assert rs.pair_coroot(lam, alpha_j) == (1 if i == j else 0)
 
 
+def standard_weyl_dimension(ctype, lam):
+    rs = root_system(ctype)
+    return rs.weyl_dimension(lam, rs.positive_roots, rs.rho())
+
+
 def test_weyl_dimension_formula():
-    assert root_system("A1").weyl_dimension([F(3)]) == 4
-    assert root_system("A2").weyl_dimension([F(1), F(0)]) == 3
-    assert root_system("A2").weyl_dimension([F(1), F(1)]) == 8
-    assert root_system("B2").weyl_dimension([F(1), F(0)]) == 5
-    assert root_system("B2").weyl_dimension([F(0), F(1)]) == 4
-    assert root_system("G2").weyl_dimension([F(1), F(0)]) == 7
+    assert standard_weyl_dimension("A1", [F(3)]) == 4
+    assert standard_weyl_dimension("A2", [F(1), F(0)]) == 3
+    assert standard_weyl_dimension("A2", [F(1), F(1)]) == 8
+    assert standard_weyl_dimension("B2", [F(1), F(0)]) == 5
+    assert standard_weyl_dimension("B2", [F(0), F(1)]) == 4
+    assert standard_weyl_dimension("G2", [F(1), F(0)]) == 7
+
+
+@pytest.mark.parametrize("lam", [[F(-1), F(2)], [F(1, 2), F(0)]])
+def test_weyl_dimension_rejects_non_dominant_integral(lam):
+    with pytest.raises(NonDominant):
+        standard_weyl_dimension("A2", lam)
 
 
 def test_dominance():
