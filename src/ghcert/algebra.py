@@ -131,6 +131,8 @@ class LieAlgebra:
         self._build_structure()
         self._ad_cache = {}
         self._killing = None
+        self._killing_matrix = None
+        self._simple_ideals = None
 
     # -- construction ---------------------------------------------------
 
@@ -224,61 +226,74 @@ class LieAlgebra:
             self._ad_cache[i] = m
         return self._ad_cache[i]
 
-    @property
-    def killing_matrix(self):
-        """Gram matrix of the Killing form, tr(ad b_i ad b_j).
+    def _killing_form(self):
+        """The support of the Killing form, in integers: the (h, h) block and
+        one value K(e_a, f_a) per positive root a, in root order.
 
-        The trace is summed over the sparse structure constants:
-        tr(ad b_i ad b_j) = sum over (k, r) of c_{ir}^k c_{jk}^r, where ad b_i
-        is kept as a map (k, r) -> c_{ir}^k of its nonzero entries.
+        K(h_i, h_j) = sum over all roots of a(h_i) a(h_j), twice the sum over
+        the positive ones.  Invariance gives K([e_a, f_a], h_a) =
+        K(e_a, [f_a, h_a]) = a(h_a) K(e_a, f_a) = 2 K(e_a, f_a) for the coroot
+        h_a = [e_a, f_a].  K pairs g_a only with g_-a, so every other entry
+        is 0.
         """
         if self._killing is None:
-            ads = []
-            for i in range(self.dim):
-                entries = {}
-                for r in range(self.dim):
-                    for k, c in self.structure(i, r).items():
-                        entries[(k, r)] = c
-                ads.append(entries)
-            km = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-            for i in range(self.dim):
-                a = ads[i]
-                for j in range(i, self.dim):
-                    b = ads[j]
-                    tr = Fraction(0)
-                    for (k, r), c in a.items():
-                        d = b.get((r, k))
-                        if d:
-                            tr += c * d
-                    km[i][j] = km[j][i] = tr
-            self._killing = km
+            n = self.rank
+            weights = self.rs.positive_root_weights
+            hh = [[2 * sum(f[i] * f[j] for f in weights) for j in range(n)] for i in range(n)]
+            ef = []
+            for c in self.rs.positive_roots:
+                co = self.rs.coroot_coeffs(c)
+                ef.append(sum(co[i] * co[j] * hh[i][j] for i in range(n) for j in range(n)) // 2)
+            self._killing = (hh, ef)
         return self._killing
+
+    @property
+    def killing_matrix(self):
+        """Gram matrix of the Killing form, tr(ad b_i ad b_j), filled from
+        its support (`_killing_form`)."""
+        if self._killing_matrix is None:
+            hh, ef = self._killing_form()
+            n, npos = self.rank, len(ef)
+            zero = Fraction(0)
+            km = [[zero] * self.dim for _ in range(self.dim)]
+            for i in range(n):
+                km[i][:n] = [Fraction(x) for x in hh[i]]
+            for a, k in enumerate(ef):
+                km[n + a][n + npos + a] = km[n + npos + a][n + a] = Fraction(k)
+            self._killing_matrix = km
+        return self._killing_matrix
 
     def killing(self, x, y) -> Fraction:
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("element length does not match algebra dimension")
-        km = self.killing_matrix
+        hh, ef = self._killing_form()
+        n, npos = self.rank, len(ef)
         total = Fraction(0)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = km[i]
-            total += xi * sum(row[j] * yj for j, yj in enumerate(y) if yj)
+        for i in range(n):
+            if x[i]:
+                total += x[i] * sum(hh[i][j] * y[j] for j in range(n) if y[j])
+        for a, k in enumerate(ef):
+            e, f = n + a, n + npos + a
+            if (x[e] and y[f]) or (x[f] and y[e]):
+                total += k * (x[e] * y[f] + x[f] * y[e])
         return total
 
     def simple_ideal_subspaces(self):
-        """One coordinate Subspace per simple factor, in factor order."""
-        out = []
-        for fr in self.rs.factor_ranges:
-            labels = [("h", i) for i in fr]
-            for kind in ("e", "f"):
-                labels += [
-                    (kind, c)
-                    for c in self.rs.positive_roots
-                    if any(c[i] for i in fr)
-                ]
-            out.append(Subspace.from_vectors([self.basis_vector(l) for l in labels], self.dim))
-        return out
+        """One coordinate Subspace per simple factor, in factor order; built
+        once per algebra."""
+        if self._simple_ideals is None:
+            out = []
+            for fr in self.rs.factor_ranges:
+                labels = [("h", i) for i in fr]
+                for kind in ("e", "f"):
+                    labels += [
+                        (kind, c)
+                        for c in self.rs.positive_roots
+                        if any(c[i] for i in fr)
+                    ]
+                out.append(Subspace.from_vectors([self.basis_vector(l) for l in labels], self.dim))
+            self._simple_ideals = tuple(out)
+        return self._simple_ideals
 
 
 class Subspace:

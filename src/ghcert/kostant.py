@@ -7,9 +7,11 @@ from fractions import Fraction
 
 from ghcert.algebra import LieAlgebra
 from ghcert.borel import BorelData
-from ghcert.errors import NonDominant
-from ghcert.linalg import inverse, matvec
+from ghcert.errors import InvariantViolation, LengthOutOfRange, NonDominant, SearchTooLarge
 from ghcert.weights import Weight
+
+# the most minimal coset representatives one degree's search may visit
+COSET_CAP = 4 * 10**6
 
 
 @dataclass(frozen=True)
@@ -40,28 +42,107 @@ def m_rho(borel: BorelData) -> Weight:
     return Weight("g", tuple(half))
 
 
-def kostant_cohomology(L: LieAlgebra, borel: BorelData, nu: Weight, r: int) -> CohomologyDecomposition:
-    """Degree-r decomposition: one summand per length-r Weyl element whose
-    shifted image is dominant for m; only those summands survive.
+def _coset_representatives(rs, J, length):
+    """The elements u of W^J (u(alpha_j) > 0 for j in J) of one length, each
+    as a reduced word (i_1, ..., i_l) for u = s_{i_1} ... s_{i_l}.
 
-    The lengths are taken in the adapted positive system, whose Weyl
-    elements are w_b w w_b^-1 for w of standard length r; their image of
-    nu + rho is w_b w (w_b^-1 (nu + rho)).
+    Breadth-first in integers on the orbit of lambda_J, the sum of the
+    fundamental weights outside J, whose stabiliser is W_J: u is keyed by
+    u(lambda_J), and s_i u is one longer and again in W^J exactly when
+    <u(lambda_J), alpha_i^vee> > 0.  Only the last level is kept.
+    """
+    level = {tuple(int(i not in J) for i in range(rs.rank)): ()}
+    visited = 1
+    for step in range(length):
+        nxt = {}
+        for point, word in level.items():
+            for i, x in enumerate(point):
+                if x > 0:
+                    img = rs.reflect_simple(i, point)
+                    if img not in nxt:
+                        nxt[img] = (i,) + word
+        visited += len(nxt)
+        if visited > COSET_CAP:
+            raise SearchTooLarge(
+                f"W^J search to length {length} visits more than {COSET_CAP} "
+                f"elements (at length {step + 1})"
+            )
+        level = nxt
+    return list(level.values())
+
+
+def _longest_word(rs, J):
+    """A reduced word of the longest element of W_J, found by walking
+    sum_{j in J} omega_j to its J-antidominant image."""
+    point = tuple(int(i in J) for i in range(rs.rank))
+    word = []
+    while True:
+        i = next((j for j in J if point[j] > 0), None)
+        if i is None:
+            return word
+        point = rs.reflect_simple(i, point)
+        word.append(i)
+
+
+def _act(rs, word, lam):
+    """s_{i_l} ... s_{i_1}(lam) for word (i_1, ..., i_l): the inverse of the
+    element the word spells, or the element itself when it is an involution."""
+    for i in word:
+        lam = rs.reflect_simple(i, lam)
+    return lam
+
+
+def kostant_cohomology(L: LieAlgebra, borel: BorelData, nu: Weight, r: int) -> CohomologyDecomposition:
+    """Degree-r decomposition: one summand gamma = w(nu + rho) - rho per
+    minimal coset representative w of W_m in W of length r (Kostant).
+
+    In the standard frame pulled back by w_b, m's simple roots are the
+    standard simple roots alpha_j, j in J, that w_b maps onto them, and the
+    kept w are the inverses of the u in W^J.  Those of length r are reached
+    from the nearer end: u -> w_0 u w_{0,J} reverses length on W^J, whose
+    longest element has length dim n.
     """
     if not (borel.dominant(nu) and borel.integral(nu)):
         raise NonDominant(f"nu = {nu.coords} is not b-dominant integral")
     rs = L.rs
-    rho = borel.rho
-    shifted = [n + p for n, p in zip(nu.coords, rho.coords)]
-    # nu + rho is integral, and w_b and w_b^-1 are integer matrices
-    base = tuple(int(x) for x in matvec(inverse([list(row) for row in borel.w_b]), shifted))
+    n_pos = len(rs.positive_roots)
+    if r < 0 or r > n_pos:
+        raise LengthOutOfRange(f"length {r} not in [0, {n_pos}]")
+    n = rs.rank
     w_b = [[int(x) for x in row] for row in borel.w_b]
-    rho_m = m_rho(borel).coords
+    rho = [int(x) for x in borel.rho.coords]
+    m_simple = {tuple(int(x) for x in rs.root_to_weight(c)) for c in borel.m_simple_roots}
+    J = [
+        i for i in range(n)
+        if tuple(sum(row[j] * rs.cartan[j][i] for j in range(n)) for row in w_b) in m_simple
+    ]
+    top = n_pos - len(borel.m_pos_roots)  # dim n
     included = []
-    for el in rs.weyl_elements_of_length(r):
-        img = matvec(w_b, rs.weyl_act(el, base))
-        gamma = Weight("g", tuple(i - p for i, p in zip(img, rho.coords)))
-        if borel.m_dominant(gamma):
+    if r <= top:
+        # base = w_b^-1 (nu + rho_b), in integers: w_b^-1 = s_{i_l} ... s_{i_1}
+        # for the word (i_1, ..., i_l) that sifts w_b(rho) = rho_b back to rho
+        back, point = [], tuple(rho)
+        while any(x < 0 for x in point):
+            i = next(i for i, x in enumerate(point) if x < 0)
+            point = rs.reflect_simple(i, point)
+            back.append(i)
+        base = _act(rs, back, tuple(int(x) + p for x, p in zip(nu.coords, rho)))
+        if r <= top - r:
+            images = [_act(rs, u, base) for u in _coset_representatives(rs, J, r)]
+        else:
+            # w = w_{0,J} u'^-1 w_0 for u' in W^J of length dim n - r
+            w0, w0J = _longest_word(rs, range(n)), _longest_word(rs, J)
+            start = _act(rs, w0, base)
+            images = [
+                _act(rs, w0J, _act(rs, u, start))
+                for u in _coset_representatives(rs, J, top - r)
+            ]
+        rho_m = m_rho(borel).coords
+        for img in images:
+            if any(img[j] <= 0 for j in J):
+                raise InvariantViolation(f"Kostant image {img} is not dominant for m")
+            coords = (sum(a * b for a, b in zip(row, img)) - p for row, p in zip(w_b, rho))
+            gamma = Weight("g", tuple(Fraction(x) for x in coords))
             dim = rs.weyl_dimension(gamma.coords, borel.m_pos_roots, rho_m)
             included.append(KostantSummand(gamma, dim))
     included.sort(key=lambda s: s.gamma.coords)

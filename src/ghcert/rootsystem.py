@@ -302,6 +302,11 @@ class RootSystem:
         that lengthen w, those with <w(rho), alpha_i^vee> > 0.  The levels
         are kept on the instance and extended only when a longer length is
         asked for.  Returns levels 0..max_len (all when None).
+
+        The program does not call this: `kostant` walks only the minimal coset
+        representatives.  It stays as the tests' reference for that search,
+        and because the benchmark's tracer wraps it and
+        `weyl_elements_of_length` by name.
         """
         if self.ctype.weyl_order() > WEYL_ORDER_CAP:
             raise SearchTooLarge(
@@ -338,13 +343,6 @@ class RootSystem:
         return lam
 
     # -- weights -------------------------------------------------------
-
-    def rho(self):
-        """Half-sum of the positive roots, in fundamental coordinates."""
-        return tuple(Fraction(1) for _ in range(self.rank))
-
-    def is_dominant(self, lam) -> bool:
-        return all(x >= 0 for x in lam)
 
     def is_integral(self, lam) -> bool:
         return all(Fraction(x).denominator == 1 for x in lam)

@@ -78,6 +78,36 @@ def test_killing_matrix_matches_dense_trace(ctype):
     assert L.killing_matrix == dense
 
 
+def sparse_trace_killing(L):
+    """tr(ad b_i ad b_j) = sum over (k, r) of c_{ir}^k c_{jk}^r, summed over
+    the nonzero structure constants of each ad b_i."""
+    ads = [
+        {(k, r): c for r in range(L.dim) for k, c in L.structure(i, r).items()}
+        for i in range(L.dim)
+    ]
+    km = [[F(0)] * L.dim for _ in range(L.dim)]
+    for i in range(L.dim):
+        for j in range(i, L.dim):
+            b = ads[j]
+            km[i][j] = km[j][i] = sum(
+                (c * b[(r, k)] for (k, r), c in ads[i].items() if (r, k) in b), F(0)
+            )
+    return km
+
+
+@pytest.mark.parametrize("ctype", ["D4", "F4", "E6", "B2xA1"])
+def test_killing_matrix_matches_sparse_trace(ctype):
+    L = build_algebra(ctype)
+    km = sparse_trace_killing(L)
+    assert L.killing_matrix == km
+    # killing(x, y) reads only the support; check it on mixed vectors
+    x = [F(i % 5 - 2, 1 + i % 3) for i in range(L.dim)]
+    y = [F(3 - i % 7) for i in range(L.dim)]
+    assert L.killing(x, y) == sum(
+        x[i] * km[i][j] * y[j] for i in range(L.dim) for j in range(L.dim)
+    )
+
+
 def test_sl2_structure():
     L = build_algebra("A1")
     h = L.basis_vector(("h", 0))

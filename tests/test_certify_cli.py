@@ -136,7 +136,7 @@ def test_certificate_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize("algebra", ["A3", "B3", "C3", "D4", "F4", "E6"])
+@pytest.mark.parametrize("algebra", ["A3", "B3", "C3", "D4", "F4", "E6", "E7", "E8"])
 def test_round_trip_higher_rank(algebra):
     # k = sl2 on the first simple root alpha_1
     L = build_algebra(algebra)

@@ -121,7 +121,8 @@ def test_pairings_against_cartan_matrix():
 
 def standard_weyl_dimension(ctype, lam):
     rs = root_system(ctype)
-    return rs.weyl_dimension(lam, rs.positive_roots, rs.rho())
+    # rho, the half-sum of the positive roots, is (1, ..., 1) in fundamental coordinates
+    return rs.weyl_dimension(lam, rs.positive_roots, [F(1)] * rs.rank)
 
 
 def test_weyl_dimension_formula():
@@ -140,9 +141,11 @@ def test_weyl_dimension_rejects_non_dominant_integral(lam):
 
 
 def test_dominance():
-    rs = root_system("A2")
-    assert rs.is_dominant([F(1), F(0)])
-    assert not rs.is_dominant([F(-1), F(2)])
+    # a weight is dominant when every fundamental coordinate is >= 0; the
+    # Weyl dimension formula accepts exactly those (integral) weights
+    assert standard_weyl_dimension("A2", [F(1), F(0)]) == 3
+    with pytest.raises(NonDominant):
+        standard_weyl_dimension("A2", [F(-1), F(2)])
 
 
 def test_root_ip_lengths():
