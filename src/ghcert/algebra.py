@@ -99,11 +99,13 @@ class _StructureConstants:
         elif s in self.pos_index:
             # x positive, y negative, x+y positive: cycle through z = -(x+y)
             z = _neg(s)
-            ratio = self.rs.root_ip(z, z) / self.rs.root_ip(x, x)
-            v = self.n(y, z) * ratio
-            if v.denominator != 1:
-                raise InvariantViolation(f"structure constant N{(x, y)} = {v} is not an integer")
-            val = int(v)
+            norm2 = self.rs.root_norm2
+            num = self.n(y, z) * norm2[z]
+            val, r = divmod(num, norm2[x])
+            if r:
+                raise InvariantViolation(
+                    f"structure constant N{(x, y)} = {Fraction(num, norm2[x])} is not an integer"
+                )
         else:
             # x positive, y negative, x+y negative
             val = self.n(_neg(y), _neg(x))
@@ -280,18 +282,16 @@ class LieAlgebra:
 
     def simple_ideal_subspaces(self):
         """One coordinate Subspace per simple factor, in factor order; built
-        once per algebra."""
+        once per algebra.  A factor is spanned by basis vectors, so its RREF
+        rows are those unit vectors in basis order."""
         if self._simple_ideals is None:
             out = []
             for fr in self.rs.factor_ranges:
-                labels = [("h", i) for i in fr]
-                for kind in ("e", "f"):
-                    labels += [
-                        (kind, c)
-                        for c in self.rs.positive_roots
-                        if any(c[i] for i in fr)
-                    ]
-                out.append(Subspace.from_vectors([self.basis_vector(l) for l in labels], self.dim))
+                idx = sorted(
+                    i for i, (kind, data) in enumerate(self.basis)
+                    if (data in fr if kind == "h" else any(data[j] for j in fr))
+                )
+                out.append(Subspace([self.basis_vector(self.basis[i]) for i in idx], self.dim))
             self._simple_ideals = tuple(out)
         return self._simple_ideals
 

@@ -2,6 +2,10 @@
 with a given highest weight explicitly, compute the Lie-algebra cohomology of
 the nilradical from the Chevalley-Eilenberg complex by exact rank
 computations, and compare the outcome with the Weyl-group formula.
+
+The linear algebra runs on Python ints: Verma vectors have integer PBW
+coefficients, the echelon forms eliminate fraction-free, and the complex
+is scaled by one common denominator so that its blocks are integral.
 """
 
 import itertools
@@ -20,6 +24,7 @@ from ghcert.errors import (
     NonDominant,
     NotAnMCharacter,
 )
+from ghcert.linalg import inverse
 from ghcert.weights import Weight
 
 DEFAULT_DIM_CAP = 5000
@@ -68,20 +73,32 @@ class _VermaOps:
                 self.kind.append(("lower", j))
         self._f_memo = {}
         self._e_memo = {}
-        # rho is strictly positive on every b-positive root; its pairings,
-        # scaled to integers, bound the exponents of a monomial
-        self._rho = list(borel.rho.coords)
-        phi = [Fraction(rs.weight_root_ip(self._rho, c)) for c in self.pos]
-        self._scale = math.lcm(*(p.denominator for p in phi))
-        self._phi = [int(p * self._scale) for p in phi]
+        self._bracket_memo = {}
+        # coordinates on the b-simple roots, a Z-basis of the root lattice in
+        # which every b-positive root has non-negative coordinates
+        simple = borel.simple_roots
+        inv = inverse([[Fraction(b[i]) for b in simple] for i in range(rs.rank)])
+        self._to_simple = [
+            [_as_int(x, "b-simple coordinate") for x in row] for row in inv
+        ]
+        pos_simple = [self.simple_coords(c) for c in self.pos]
+        self._pos_simple = pos_simple
+        # _dead[j]: the coordinates that no root from the j-th on reaches
+        self._dead = [
+            [i for i in range(rs.rank) if not any(c[i] for c in pos_simple[j:])]
+            for j in range(self.N)
+        ]
         self._depth_memo = {}
 
     def bracket(self, i, j):
         """[x_i, x_j] of two ambient basis elements, integer coefficients."""
-        return {
-            k: _as_int(c, "structure constant")
-            for k, c in self.L.structure(i, j).items()
-        }
+        key = (i, j)
+        if key not in self._bracket_memo:
+            self._bracket_memo[key] = {
+                k: _as_int(c, "structure constant")
+                for k, c in self.L.structure(i, j).items()
+            }
+        return self._bracket_memo[key]
 
     def mono_weight(self, mono):
         """Weight of (monomial applied to the highest vector), fund coords."""
@@ -174,32 +191,51 @@ class _VermaOps:
         lst[j] -= 1
         return tuple(lst)
 
+    def simple_coords(self, c):
+        """Coordinates of a root-lattice element (standard simple-root
+        coordinates) on the b-simple roots."""
+        return tuple(sum(x * y for x, y in zip(row, c)) for row in self._to_simple)
+
     def monos_with_depth(self, depth):
         """All exponent tuples whose root-sum equals depth (simple-root
-        coordinates of the standard system), listed once per depth."""
+        coordinates of the standard system), listed once per depth, in
+        lexicographic order."""
         if depth not in self._depth_memo:
-            self._depth_memo[depth] = self._list_monos(depth)
+            self._depth_memo[depth] = self._list_monos(self.simple_coords(depth))
         return self._depth_memo[depth]
 
-    def _list_monos(self, depth):
-        pos, phi, N = self.pos, self._phi, self.N
+    def _list_monos(self, target):
+        """Exponent tuples with root-sum `target` in b-simple coordinates.
+        A branch stops once a coordinate of what is left goes negative, or
+        stays nonzero where no remaining root reaches."""
+        pos, dead, N = self._pos_simple, self._dead, self.N
+        out = []
+        exps = [0] * N
 
-        def rec(j, cur, budget):
-            if j == N:
-                return [()] if not any(cur) else []
-            sub = []
-            a = 0
-            d = cur
-            while budget >= 0:
-                for tail in rec(j + 1, d, budget):
-                    sub.append((a,) + tail)
-                a += 1
-                budget -= phi[j]
-                d = tuple(x - y for x, y in zip(d, pos[j]))
-            return sub
+        def rec(j, cur):
+            if any(cur[i] for i in dead[j]):
+                return
+            c = pos[j]
+            if j == N - 1:
+                # the last exponent is forced
+                i = next(i for i, y in enumerate(c) if y)
+                a = cur[i] // c[i]
+                if all(x == a * y for x, y in zip(cur, c)):
+                    exps[j] = a
+                    out.append(tuple(exps))
+                    exps[j] = 0
+                return
+            while True:
+                rec(j + 1, cur)
+                cur = tuple(x - y for x, y in zip(cur, c))
+                if min(cur) < 0:
+                    break
+                exps[j] += 1
+            exps[j] = 0
 
-        budget = self.L.rs.weight_root_ip(self._rho, depth) * self._scale
-        return rec(0, depth, math.floor(budget))
+        if min(target, default=0) >= 0:
+            rec(0, target)
+        return out
 
 
 def _acc(d, k, v):
@@ -238,44 +274,107 @@ class ExplicitModule:
 
 
 class _Echelon:
-    """Echelon form of sparse vectors ({key: Fraction}), grown one vector at
-    a time.  Each row is scaled to 1 at its least key, which leads no other
-    row, and records as {ident: coefficient} the combination of inserted
-    vectors that it equals, modulo the span of those inserted without an
-    ident."""
+    """Echelon form of sparse integer vectors ({key: int}, nonzero entries
+    only), grown one vector at a time without fractions.  Each row is a
+    primitive integer vector, positive at its least key, which leads no
+    other row.  A row records (combination, den): den * row equals the
+    integer combination {ident: coefficient} of inserted vectors, modulo
+    the span of those inserted without an ident."""
 
     def __init__(self):
-        self.rows = {}  # leading key -> (row, combination)
+        self.rows = {}  # leading key -> (row, combination, den)
 
     def reduce(self, vec):
-        """(remainder, combination) with vec = remainder + combination,
-        modulo the untracked span; the remainder is empty iff vec lies in
-        the span of the rows."""
-        vec = dict(vec)
+        """(p, q, remainder, combination) with p * vec = q * remainder +
+        combination, modulo the untracked span, and p > 0; the remainder is
+        empty iff vec lies in the span of the rows.
+
+        A step cancels the remainder's entry a at its least key against the
+        row's leading entry b: it subtracts (a/b) * row when b divides a,
+        and otherwise cross-multiplies, (b/g) * remainder - (a/g) * row with
+        g = gcd(a, b), and divides out the content."""
+        cur = dict(vec)
         comb = {}
-        while vec:
-            lead = min(vec)
-            hit = self.rows.get(lead)
+        p = q = 1
+        rows = self.rows
+        while cur:
+            lead = min(cur)
+            hit = rows.get(lead)
             if hit is None:
                 break
-            row, row_comb = hit
-            f = vec[lead]
-            _axpy(vec, -f, row)
-            _axpy(comb, f, row_comb)
-        return vec, comb
+            row, row_comb, den = hit
+            a, b = cur[lead], row[lead]
+            u = c = 1
+            if a % b == 0:
+                _axpy(cur, -(a // b), row)
+                a //= b
+            else:
+                g = math.gcd(a, b)
+                u, a = b // g, a // g
+                for k in cur:
+                    cur[k] *= u
+                _axpy(cur, -a, row)
+                c = math.gcd(*cur.values()) or 1
+                if c > 1:
+                    for k in cur:
+                        cur[k] //= c
+            # u * old = c * cur + a * row and den * row = row_comb, so
+            # (u den p) vec = (den q c) cur + (q a) row_comb + (u den) comb;
+            # an untracked row lies in the untracked span, so den drops out
+            if not row_comb:
+                den = 1
+            scale = u * den
+            if scale != 1:
+                for k in comb:
+                    comb[k] *= scale
+                p *= scale
+            if row_comb:
+                _axpy(comb, q * a, row_comb)
+            q *= den * c
+            if scale != 1 or c != 1:
+                g = math.gcd(p, q, *comb.values())
+                if g != 1:
+                    p, q = p // g, q // g
+                    comb = {k: x // g for k, x in comb.items()}
+        return p, q, cur, comb
 
     def insert(self, vec, ident=None):
         """Add vec as a row unless the rows span it; True iff it was added."""
-        rem, comb = self.reduce(vec)
+        p, q, rem, comb = self.reduce(vec)
         if not rem:
             return False
         lead = min(rem)
-        inv = Fraction(1) / rem[lead]
-        comb = {k: -c * inv for k, c in comb.items()}
+        c = math.gcd(*rem.values())
+        if rem[lead] < 0:
+            c = -c
+        if c != 1:
+            rem = {k: x // c for k, x in rem.items()}
+        # (q c) row = p vec - comb
+        comb = {k: -x for k, x in comb.items()}
         if ident is not None:
-            comb[ident] = inv
-        self.rows[lead] = ({k: x * inv for k, x in rem.items()}, comb)
+            comb[ident] = p
+        den = q * c
+        if comb:
+            g = math.gcd(den, *comb.values())
+            if den < 0:
+                g = -g
+            den //= g
+            comb = {k: x // g for k, x in comb.items()}
+        else:
+            den = 1
+        self.rows[lead] = (rem, comb, den)
         return True
+
+    def coords(self, vec):
+        """The combination of tracked vectors that vec equals modulo the
+        untracked span, {ident: int, or Fraction where not integral}; None
+        when vec is not in the span of the rows."""
+        p, _, rem, comb = self.reduce(vec)
+        if rem:
+            return None
+        if p == 1:
+            return comb
+        return {k: x // p if x % p == 0 else Fraction(x, p) for k, x in comb.items()}
 
 
 def _axpy(y, a, x):
@@ -313,7 +412,8 @@ def construct_module(
     rs = L.rs
     simple_idx = [ops.pos_index[c] for c in borel.simple_roots]
     sing_exp = {
-        j: int(rs.pair_coroot(nu.coords, ops.pos[j])) + 1 for j in simple_idx
+        j: _as_int(rs.pair_coroot(nu.coords, ops.pos[j]), "coroot pairing") + 1
+        for j in simple_idx
     }
     v0 = {(0,) * ops.N: 1}
 
@@ -389,15 +489,12 @@ def construct_module(
     def coords_in_basis(elem):
         if not elem:
             return {}
-        rem, comb = get_block(depth_of(next(iter(elem)))).reduce(elem)
-        if rem:
+        comb = get_block(depth_of(next(iter(elem)))).coords(elem)
+        if comb is None:
             raise InvariantViolation("action leaves the constructed module")
         return comb
 
-    weights = [
-        Weight("g", tuple(map(Fraction, ops.mono_weight(next(iter(v))))))
-        for v in basis_verma
-    ]
+    int_weights = [ops.mono_weight(next(iter(v))) for v in basis_verma]
 
     def build_columns(label):
         i = L.index[label]
@@ -405,13 +502,16 @@ def construct_module(
         if kind == "h":
             # h_idx acts on a weight vector by the weight's coordinate
             return [
-                {col: wt.coords[idx]} if wt.coords[idx] else {}
-                for col, wt in enumerate(weights)
+                {col: wt[idx]} if wt[idx] else {}
+                for col, wt in enumerate(int_weights)
             ]
         return [coords_in_basis(ops.act_ambient({i: 1}, v)) for v in basis_verma]
 
     return ExplicitModule(
-        dim=dim, weight_of_basis=weights, nu=nu, borel=borel,
+        dim=dim,
+        weight_of_basis=[Weight("g", wt) for wt in int_weights],
+        nu=nu,
+        borel=borel,
         _build_columns=build_columns,
     )
 
@@ -444,11 +544,48 @@ def check_module_relations(L: LieAlgebra, W: ExplicitModule) -> bool:
 class CochainComplex:
     n_roots: tuple  # b-positive roots spanning n, in borel order
     bases: list  # per degree: list of (subset tuple, module index)
-    weights: list  # per degree: weight tuple per basis element
-    # d_q : C^q -> C^(q+1) in blocks per weight, {weight: {column:
+    weights: list  # per degree: weight tuple (ints) per basis element
+    # D * d_q : C^q -> C^(q+1) in blocks per weight, {weight: {column:
     # {row: entry}}} with basis indices of C^q and C^(q+1); only nonzero
-    # entries and columns are stored
+    # entries and columns are stored, all integers
     differentials: list
+    # D: the least common denominator of n's action, which scales every d_q
+    # to integers; D * d has the ranks of d
+    scale: int
+
+    def cohomology(self) -> dict:
+        """Cohomology dimensions per degree and weight, from the ranks of
+        the integer blocks; checks the Euler identity per weight."""
+        R = len(self.n_roots)
+        cdims = [Counter(wq) for wq in self.weights]  # per degree: {weight: dim}
+        ranks = []  # per degree: {weight: rank of d_q on that block}
+        for blocks in self.differentials:
+            ranks.append({})
+            for wt, cols in blocks.items():
+                ech = _Echelon()
+                for entries in cols.values():
+                    ech.insert(entries)
+                ranks[-1][wt] = len(ech.rows)
+        coh = {}
+        for q in range(R + 1):
+            coh[q] = {}
+            for w, cd in cdims[q].items():
+                r_out = ranks[q].get(w, 0) if q < R else 0
+                r_in = ranks[q - 1].get(w, 0) if q > 0 else 0
+                h = cd - r_out - r_in
+                if h < 0:
+                    raise ComplexInconsistent(
+                        f"negative cohomology dimension in degree {q}"
+                    )
+                if h > 0:
+                    coh[q][w] = h
+        # Euler identity per weight
+        for w in set().union(*cdims):
+            lhs = sum((-1) ** q * coh[q].get(w, 0) for q in range(R + 1))
+            rhs = sum((-1) ** q * cdims[q][w] for q in range(R + 1))
+            if lhs != rhs:
+                raise ComplexInconsistent("Euler identity fails")
+        return coh
 
 
 @dataclass
@@ -471,25 +608,33 @@ def _n_roots(borel: BorelData):
     return n_roots
 
 
+def _n_labels(L: LieAlgebra, n_roots):
+    """The ambient basis label of each root vector spanning n."""
+    return [
+        ("e", c) if c in L.rs.root_index else ("f", tuple(-x for x in c))
+        for c in n_roots
+    ]
+
+
 def build_complex(L: LieAlgebra, borel: BorelData, W: ExplicitModule) -> CochainComplex:
     """Chevalley-Eilenberg complex of n with coefficients in W, its
-    differentials blocked by h_std-weight.  Checks that every entry
-    preserves weight and that d compose d vanishes."""
+    differentials scaled to integers and blocked by h_std-weight.  Checks
+    that every entry preserves weight and that d compose d vanishes."""
     rs = L.rs
     n_roots = _n_roots(borel)
     R = len(n_roots)
-    labels = []
-    for c in n_roots:
-        if c in rs.root_index:
-            labels.append(("e", c))
-        else:
-            labels.append(("f", tuple(-x for x in c)))
+    labels = _n_labels(L, n_roots)
     dim = W.dim
     act = [W.action(lab) for lab in labels]
-    root_fund = [rs.root_to_weight(c) for c in n_roots]
+    D = math.lcm(*(c.denominator for a in act for col in a for c in col.values()))
+    act = [[{r: int(c * D) for r, c in col.items()} for col in a] for a in act]
+    root_fund = [
+        tuple(_as_int(x, "coordinate of a root") for x in rs.root_to_weight(c))
+        for c in n_roots
+    ]
 
-    # structure constants of n in this basis: onto[k] lists (a, b, coeff)
-    # with a < b and coeff the x_k-coefficient of [x_a, x_b]
+    # structure constants of n in this basis, times D: onto[k] lists
+    # (a, b, D * coeff) with a < b and coeff the x_k-coefficient of [x_a, x_b]
     onto = [[] for _ in range(R)]
     idx = [L.index[lab] for lab in labels]
     n_position = {i: k for k, i in enumerate(idx)}
@@ -497,13 +642,17 @@ def build_complex(L: LieAlgebra, borel: BorelData, W: ExplicitModule) -> Cochain
         for b in range(a + 1, R):
             for i, coeff in L.structure(idx[a], idx[b]).items():
                 if i in n_position:
-                    onto[n_position[i]].append((a, b, coeff))
+                    coeff = _as_int(coeff, "structure constant")
+                    onto[n_position[i]].append((a, b, D * coeff))
 
     # C^q has basis (S, m), S a q-subset of n's basis and m a module basis
     # index, numbered (index of S) * dim + m
     subs = [list(itertools.combinations(range(R), q)) for q in range(R + 1)]
     sub_index = [{S: i for i, S in enumerate(sq)} for sq in subs]
-    module_wts = [x.coords for x in W.weight_of_basis]
+    module_wts = [
+        tuple(_as_int(x, "module weight") for x in wt.coords)
+        for wt in W.weight_of_basis
+    ]
     bases, weights = [], []
     for q in range(R + 1):
         bases.append([(S, m) for S in subs[q] for m in range(dim)])
@@ -569,44 +718,15 @@ def build_complex(L: LieAlgebra, borel: BorelData, W: ExplicitModule) -> Cochain
                 if any(out.values()):
                     raise ComplexInconsistent("d compose d is nonzero")
     return CochainComplex(
-        n_roots=n_roots, bases=bases, weights=weights, differentials=differentials
+        n_roots=n_roots, bases=bases, weights=weights, differentials=differentials,
+        scale=D,
     )
 
 
 def ce_cohomology(L: LieAlgebra, borel: BorelData, W: ExplicitModule) -> dict:
-    """Cohomology dimensions per degree and h_std-weight, exact and blocked
-    per weight."""
-    cx = build_complex(L, borel, W)
-    R = len(cx.n_roots)
-    cdims = [Counter(wq) for wq in cx.weights]  # per degree: {weight: dim}
-    ranks = []  # per degree: {weight: rank of d_q on that block}
-    for blocks in cx.differentials:
-        ranks.append({})
-        for wt, cols in blocks.items():
-            ech = _Echelon()
-            for entries in cols.values():
-                ech.insert(entries)
-            ranks[-1][wt] = len(ech.rows)
-    coh = {}
-    for q in range(R + 1):
-        coh[q] = {}
-        for w, cd in cdims[q].items():
-            r_out = ranks[q].get(w, 0) if q < R else 0
-            r_in = ranks[q - 1].get(w, 0) if q > 0 else 0
-            h = cd - r_out - r_in
-            if h < 0:
-                raise ComplexInconsistent(
-                    f"negative cohomology dimension in degree {q}"
-                )
-            if h > 0:
-                coh[q][w] = h
-    # Euler identity per weight
-    for w in set().union(*cdims):
-        lhs = sum((-1) ** q * coh[q].get(w, 0) for q in range(R + 1))
-        rhs = sum((-1) ** q * cdims[q][w] for q in range(R + 1))
-        if lhs != rhs:
-            raise ComplexInconsistent("Euler identity fails")
-    return coh
+    """Cohomology dimensions per degree and h_std-weight (int tuples), exact
+    and blocked per weight."""
+    return build_complex(L, borel, W).cohomology()
 
 
 # -- m-module decomposition --------------------------------------------

@@ -181,6 +181,13 @@ class RootSystem:
         self.root_set = set(self.positive_roots) | {
             tuple(-x for x in c) for c in self.positive_roots
         }
+        # (c, c) of every root, an integer, computed once per positive root
+        # as sum_j c_j d_j c(h_j)
+        self.root_norm2 = {}
+        for c, f in zip(self.positive_roots, self.positive_root_weights):
+            self.root_norm2[c] = self.root_norm2[tuple(-x for x in c)] = sum(
+                x * d * y for x, d, y in zip(c, self.d, f)
+            )
         self._cartan_inv = None
         # Weyl levels found so far, extended by weyl_by_length
         self._weyl_levels = [[WeylElement((), tuple(1 for _ in range(self.rank)))]]
@@ -240,8 +247,9 @@ class RootSystem:
         return sum(Fraction(c[j] * self.d[j]) * lam[j] for j in range(self.rank) if c[j])
 
     def pair_coroot(self, lam, c) -> Fraction:
-        """<lambda, beta^vee> = 2 (lambda, beta) / (beta, beta)."""
-        return 2 * self.weight_root_ip(lam, c) / self.root_ip(c, c)
+        """<lambda, beta^vee> = 2 (lambda, beta) / (beta, beta) for a root
+        beta."""
+        return Fraction(2 * self.weight_root_ip(lam, c), self.root_norm2[c])
 
     def root_to_weight(self, c):
         """Fundamental coordinates of a root (its values on the h_i)."""
@@ -260,13 +268,15 @@ class RootSystem:
 
     def coroot_coeffs(self, c):
         """Integer coefficients of beta^vee on the simple coroots h_i."""
-        dd = self.root_ip(c, c) / 2
+        norm2 = self.root_norm2[c]
         out = []
         for i in range(self.rank):
-            k = Fraction(c[i] * self.d[i]) / dd
-            if k.denominator != 1:
-                raise InvariantViolation(f"coroot of {c} has coefficient {k} on h_{i}")
-            out.append(int(k))
+            k, r = divmod(2 * c[i] * self.d[i], norm2)
+            if r:
+                raise InvariantViolation(
+                    f"coroot of {c} has coefficient {Fraction(2 * c[i] * self.d[i], norm2)} on h_{i}"
+                )
+            out.append(k)
         return tuple(out)
 
     # -- Weyl group ----------------------------------------------------

@@ -173,3 +173,22 @@ def test_subspace_canonicalization():
     a = Subspace.from_vectors([[F(2), F(0), F(0)]], 3)
     b = Subspace.from_vectors([[F(1), F(0), F(0)]], 3)
     assert a == b and a.dim == 1
+
+
+# every type this file builds
+BUILT_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "F4", "E6", "G2", "A1xA1", "B2xA1"]
+
+
+@pytest.mark.parametrize("ctype", BUILT_TYPES)
+def test_simple_ideal_subspaces_match_row_reduction(ctype):
+    # reference: row-reduce the basis vectors of each factor, the Cartan
+    # part of its nodes and the root vectors supported on them
+    L = build_algebra(ctype)
+    expected = []
+    for fr in L.rs.factor_ranges:
+        labels = [("h", i) for i in fr] + [
+            (kind, c) for kind in ("f", "e") for c in L.rs.positive_roots
+            if any(c[i] for i in fr)
+        ]
+        expected.append(Subspace.from_vectors([L.basis_vector(lab) for lab in labels], L.dim))
+    assert L.simple_ideal_subspaces() == tuple(expected)

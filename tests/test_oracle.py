@@ -1,8 +1,11 @@
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghcert import oracle
 from ghcert.algebra import build_algebra
@@ -237,11 +240,16 @@ def dense_differentials(L, W, n_roots):
 
 @pytest.mark.parametrize("case,nu", [("b2_sl2", (2, -1)), ("g2_sl2", (-1, 1))])
 def test_blocked_differentials_match_dense_reference(case, nu):
+    """The blocked differentials are D times the dense ones, D the least
+    common denominator of n's action columns."""
     L, _, _, _, borel = borel_from_case(CASES[case])
     W = construct_module(L, borel, w(*nu))
     cx = build_complex(L, borel, W)
     bases, dense = dense_differentials(L, W, cx.n_roots)
     assert cx.bases == bases
+    entries = [c for lab in n_labels(L, cx.n_roots) for col in W.action(lab)
+               for c in col.values()]
+    assert cx.scale == math.lcm(*(F(c).denominator for c in entries))
     for q, d in enumerate(dense):
         blocked = {}
         for wt, cols in cx.differentials[q].items():
@@ -250,7 +258,7 @@ def test_blocked_differentials_match_dense_reference(case, nu):
                 for row, c in entries.items():
                     blocked[(row, col)] = c
         expected = {
-            (row, col): c
+            (row, col): cx.scale * c
             for row, line in enumerate(d)
             for col, c in enumerate(line)
             if c != 0
@@ -369,3 +377,150 @@ def test_sparse_relations_match_dense_reference(ctype, nu):
     cols[col][row] *= 2
     assert check_module_relations(L, W) is False
     assert dense_relations_hold(L, W) is False
+
+
+def test_non_integral_structure_constant_in_complex_is_rejected(monkeypatch):
+    L, _, _, _, borel = borel_from_case(CASES["b2_sl2"])
+    W = construct_module(L, borel, w(2, -1))
+    labels = n_labels(L, oracle._n_roots(borel))
+    for label in labels:
+        W.action(label)  # the columns are built before the tampering
+    n_idx = {L.index[label] for label in labels}
+    structure = L.structure
+
+    def halved(i, j):
+        out = structure(i, j)
+        if i in n_idx and j in n_idx:
+            return {k: F(1, 2) for k in out}
+        return out
+
+    monkeypatch.setattr(L, "structure", halved)
+    with pytest.raises(InvariantViolation, match="structure constant 1/2"):
+        build_complex(L, borel, W)
+
+
+# -- the fraction-free echelon against a Fraction reference -------------
+
+
+class FractionEchelon:
+    """Reference: rows scaled to 1 at their least key in Fractions, each
+    with the combination {ident: Fraction} of inserted vectors it equals,
+    modulo the span of the untracked ones."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def reduce(self, vec):
+        vec = {k: F(x) for k, x in vec.items() if x}
+        comb = {}
+        while vec and min(vec) in self.rows:
+            row, row_comb = self.rows[min(vec)]
+            f = vec[min(vec)]
+            for k, x in row.items():
+                vec[k] = vec.get(k, 0) - f * x
+                if not vec[k]:
+                    del vec[k]
+            for k, x in row_comb.items():
+                comb[k] = comb.get(k, 0) + f * x
+        return vec, {k: x for k, x in comb.items() if x}
+
+    def insert(self, vec, ident=None):
+        rem, comb = self.reduce(vec)
+        if not rem:
+            return False
+        inv = 1 / rem[min(rem)]
+        comb = {k: -x * inv for k, x in comb.items()}
+        if ident is not None:
+            comb[ident] = inv
+        self.rows[min(rem)] = ({k: x * inv for k, x in rem.items()}, comb)
+        return True
+
+
+sparse_vectors = st.dictionaries(
+    st.integers(0, 5), st.integers(-6, 6).filter(bool), max_size=5
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(sparse_vectors, st.booleans()), max_size=8),
+    st.lists(st.lists(st.integers(-3, 3), min_size=8, max_size=8), max_size=4),
+    st.lists(sparse_vectors, max_size=3),
+)
+def test_integer_echelon_matches_fraction_reference(inserted, mixes, probes):
+    ech, ref = oracle._Echelon(), FractionEchelon()
+    for ident, (vec, tracked) in enumerate(inserted):
+        ident = ident if tracked else None
+        assert ech.insert(vec, ident) == ref.insert(vec, ident)
+        assert len(ech.rows) == len(ref.rows)  # the rank
+    for row, comb, den in ech.rows.values():
+        lead = min(row)
+        assert row[lead] > 0 and den > 0
+        assert math.gcd(*row.values()) == 1
+    # combinations of the inserted vectors lie in the span, the rest may not
+    for mix in mixes:
+        vec = {}
+        for c, (v, _) in zip(mix, inserted):
+            for k, x in v.items():
+                vec[k] = vec.get(k, 0) + c * x
+        probes = probes + [{k: x for k, x in vec.items() if x}]
+    for vec in probes:
+        rem, comb = ref.reduce(vec)
+        got = ech.coords(vec)
+        if rem:
+            assert got is None
+        else:
+            assert got == comb
+            assert all(isinstance(x, int) for x in got.values() if x.denominator == 1)
+
+
+# -- the pruned PBW enumeration against the unpruned one ----------------
+
+
+def unpruned_monos(L, borel, depth):
+    """Every exponent tuple with root-sum `depth`, in lexicographic order,
+    bounded only by rho: each b-positive root pairs positively with it."""
+    pos, rho = borel.pos_roots, borel.rho.coords
+    phi = [L.rs.weight_root_ip(rho, c) for c in pos]
+    out = []
+
+    def rec(j, cur, budget, exps):
+        if j == len(pos):
+            if not any(cur):
+                out.append(exps)
+            return
+        a = 0
+        while budget >= 0:
+            rec(j + 1, cur, budget, exps + (a,))
+            a += 1
+            budget -= phi[j]
+            cur = tuple(x - y for x, y in zip(cur, pos[j]))
+
+    rec(0, depth, L.rs.weight_root_ip(rho, depth), ())
+    return out
+
+
+ORACLE_LADDER = [
+    ("b2_sl2", (2, -1)), ("b2_sl2", (3, -1)), ("a2_torus", (2, 2)),
+    ("a2_torus", (3, 2)), ("a2_principal", (2, 1)), ("a2_principal", (2, 2)),
+    ("g2_sl2", (-1, 1)),
+]
+
+
+@pytest.mark.parametrize("case,nu", ORACLE_LADDER)
+def test_pruned_monomials_match_unpruned(monkeypatch, case, nu):
+    L, _, _, _, borel = borel_from_case(CASES[case])
+    reached = {}
+    listed = oracle._VermaOps.monos_with_depth
+
+    def spy(self, depth):
+        out = listed(self, depth)
+        reached[depth] = out
+        return out
+
+    monkeypatch.setattr(oracle._VermaOps, "monos_with_depth", spy)
+    rep = compare_at(L, borel, w(*nu), range(len(oracle._n_roots(borel)) + 1))
+    assert rep.match_with_kostant
+    assert any(reached.values())
+    for depth, monos in reached.items():
+        assert monos == unpruned_monos(L, borel, depth)

@@ -155,3 +155,14 @@ def test_root_ip_lengths():
     long_ = (1, 0)
     assert rs.root_ip(short, short) == 2
     assert rs.root_ip(long_, long_) == 4
+
+
+@pytest.mark.parametrize(
+    "ctype", ["A1", "A2", "A5", "B2", "B4", "C3", "D4", "D5", "G2", "F4", "E6", "E7", "E8", "B2xA1"]
+)
+def test_root_norm_table_matches_fraction_sum(ctype):
+    rs = root_system(ctype)
+    assert set(rs.root_norm2) == rs.root_set
+    for c in rs.root_set:
+        n2 = rs.root_norm2[c]
+        assert type(n2) is int and n2 == rs.root_ip(c, c)
