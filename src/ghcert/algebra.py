@@ -1,4 +1,7 @@
-"""Chevalley-basis realization of semisimple Lie algebras over Fraction.
+"""Chevalley-basis realization of semisimple Lie algebras over the
+rationals.  Values are exact and in normal form (`ghcert.linalg.exact`):
+an int when integral, so the structure constants and the Killing form are
+ints.
 
 Basis order (external contract): Cartan generators h_1..h_l (the simple
 coroots), then e_alpha for positive roots alpha in height-then-lex order,
@@ -14,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ghcert.errors import DimensionMismatch, InvariantViolation
-from ghcert.linalg import rref
+from ghcert.linalg import exact, rref
 from ghcert.rootsystem import CartanType, RootSystem
 
 
@@ -70,10 +73,12 @@ class _StructureConstants:
             tuple(x - y for x, y in zip(b, xi)), a
         ) + self.n(_neg(xi), a) * self.n(tuple(x - y for x, y in zip(a, xi)), b)
         denom = self.n(gamma, _neg(xi))
-        val = Fraction(-t) / denom
-        if val.denominator != 1:
-            raise InvariantViolation(f"structure constant N{(a, b)} = {val} is not an integer")
-        return int(val)
+        val, r = divmod(-t, denom)
+        if r:
+            raise InvariantViolation(
+                f"structure constant N{(a, b)} = {Fraction(-t, denom)} is not an integer"
+            )
+        return val
 
     def n(self, x, y) -> int:
         if x not in self.rs.root_set or y not in self.rs.root_set:
@@ -131,7 +136,6 @@ class LieAlgebra:
         self.nconst = _StructureConstants(self.rs)
         self._structure = {}
         self._build_structure()
-        self._ad_cache = {}
         self._killing = None
         self._killing_matrix = None
         self._simple_ideals = None
@@ -152,11 +156,11 @@ class LieAlgebra:
             iff = self.index[("f", c)]
             for i in range(n):
                 if f[i]:
-                    self._put(i, ie, {ie: Fraction(f[i])})
-                    self._put(i, iff, {iff: Fraction(-f[i])})
+                    self._put(i, ie, {ie: f[i]})
+                    self._put(i, iff, {iff: -f[i]})
             # [e_c, f_c] = h_c (the coroot)
             co = rs.coroot_coeffs(c)
-            self._put(ie, iff, {i: Fraction(k) for i, k in enumerate(co) if k})
+            self._put(ie, iff, {i: k for i, k in enumerate(co) if k})
         for a in rs.positive_roots:
             for b in rs.positive_roots:
                 ia, ib = rs.root_index[a], rs.root_index[b]
@@ -167,12 +171,12 @@ class LieAlgebra:
                         self._put(
                             self.index[("e", a)],
                             self.index[("e", b)],
-                            {self.index[("e", s)]: Fraction(nval)},
+                            {self.index[("e", s)]: nval},
                         )
                         self._put(
                             self.index[("f", a)],
                             self.index[("f", b)],
-                            {self.index[("f", s)]: Fraction(-nval)},
+                            {self.index[("f", s)]: -nval},
                         )
                 # [e_a, f_b], a != b
                 if a != b:
@@ -186,17 +190,17 @@ class LieAlgebra:
                         self._put(
                             self.index[("e", a)],
                             self.index[("f", b)],
-                            {tgt: Fraction(nval)},
+                            {tgt: nval},
                         )
 
     # -- basic operations ----------------------------------------------
 
     def zero(self):
-        return [Fraction(0)] * self.dim
+        return [0] * self.dim
 
     def basis_vector(self, label):
         v = self.zero()
-        v[self.index[label]] = Fraction(1)
+        v[self.index[label]] = 1
         return v
 
     def structure(self, i, j):
@@ -217,16 +221,6 @@ class LieAlgebra:
                 for k, c in self.structure(i, j).items():
                     out[k] += xi * yj * c
         return out
-
-    def ad_basis(self, i):
-        """Matrix of ad(b_i) acting on coordinate columns."""
-        if i not in self._ad_cache:
-            m = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-            for j in range(self.dim):
-                for k, c in self.structure(i, j).items():
-                    m[k][j] = c
-            self._ad_cache[i] = m
-        return self._ad_cache[i]
 
     def _killing_form(self):
         """The support of the Killing form, in integers: the (h, h) block and
@@ -256,21 +250,22 @@ class LieAlgebra:
         if self._killing_matrix is None:
             hh, ef = self._killing_form()
             n, npos = self.rank, len(ef)
-            zero = Fraction(0)
-            km = [[zero] * self.dim for _ in range(self.dim)]
+            km = [[0] * self.dim for _ in range(self.dim)]
             for i in range(n):
-                km[i][:n] = [Fraction(x) for x in hh[i]]
+                km[i][:n] = hh[i]
             for a, k in enumerate(ef):
-                km[n + a][n + npos + a] = km[n + npos + a][n + a] = Fraction(k)
+                km[n + a][n + npos + a] = km[n + npos + a][n + a] = k
             self._killing_matrix = km
         return self._killing_matrix
 
-    def killing(self, x, y) -> Fraction:
+    def killing(self, x, y):
+        """K(x, y), read off the support of the Killing form; exact, in
+        normal form."""
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("element length does not match algebra dimension")
         hh, ef = self._killing_form()
         n, npos = self.rank, len(ef)
-        total = Fraction(0)
+        total = 0
         for i in range(n):
             if x[i]:
                 total += x[i] * sum(hh[i][j] * y[j] for j in range(n) if y[j])
@@ -278,7 +273,7 @@ class LieAlgebra:
             e, f = n + a, n + npos + a
             if (x[e] and y[f]) or (x[f] and y[e]):
                 total += k * (x[e] * y[f] + x[f] * y[e])
-        return total
+        return exact(total)
 
     def simple_ideal_subspaces(self):
         """One coordinate Subspace per simple factor, in factor order; built

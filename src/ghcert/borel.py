@@ -8,12 +8,11 @@ dominant weights.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from ghcert.algebra import LieAlgebra
 from ghcert.errors import InvariantViolation
-from ghcert.linalg import matvec
+from ghcert.linalg import exact, matvec
 from ghcert.weights import Weight
 
 
@@ -51,8 +50,9 @@ def build_borel(L: LieAlgebra, h) -> BorelData:
     of the integer simple reflections that sift 2 rho_b to 2 rho."""
     rs = L.rs
     n = rs.rank
-    scale = lcm(*(Fraction(x).denominator for x in h))
-    hz = [int(Fraction(x) * scale) for x in h]
+    h = [exact(x) for x in h]
+    scale = lcm(*(x.denominator for x in h))
+    hz = [int(x * scale) for x in h]
     # (root, fundamental coords, scaled value on h) of each b-positive root;
     # negatives of standard positives with negative h-value are b-positive
     signed = []
@@ -100,11 +100,11 @@ def build_borel(L: LieAlgebra, h) -> BorelData:
     m_simple = tuple(c for c, f, v in signed if v == 0 and f in simple_f)
     return BorelData(
         L=L,
-        h=list(h),
+        h=h,
         pos_roots=pos,
         simple_roots=simple,
-        w_b=tuple(tuple(Fraction(x) for x in row) for row in w_b),
-        rho=Weight("g", tuple(Fraction(x) for x in rho)),
+        w_b=tuple(tuple(row) for row in w_b),
+        rho=Weight("g", rho),
         m_pos_roots=tuple(c for c, _, v in signed if v == 0),
         m_simple_roots=m_simple,
     )

@@ -44,6 +44,7 @@ from ghcert.genericity import (
     induced_form_on_tstar,
 )
 from ghcert.kostant import kostant_cohomology
+from ghcert.linalg import exact
 from ghcert.oracle import DEFAULT_DIM_CAP, compare_kostant_vs_oracle
 from ghcert.parabolic import ParabolicData, RhoVectors, build_parabolic, rho_vectors
 from ghcert.rootsystem import CartanType
@@ -112,16 +113,18 @@ def _check_schema(data):
 
 
 def enc_q(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    """x as a "p/q" string in lowest terms; a float raises InvariantViolation."""
+    x = exact(x)
+    return f"{x.numerator}/{x.denominator}"
 
 
-def dec_q(s) -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
+def dec_q(s):
+    """An input rational, in normal form: an int when integral."""
+    if type(s) is int:
+        return s
     if isinstance(s, str):
         try:
-            return Fraction(s)
+            return exact(Fraction(s))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputInvalid(f"bad rational {s!r}: {exc}") from None
     raise InputInvalid(f"bad rational {s!r}")
@@ -439,7 +442,7 @@ def _rationals(obj, path, key, n):
             x = None
         if x is None or enc_q(x) != s:
             raise _malformed(f"{path}.{key}[{i}]", f'{s!r} is not a "p/q" string in lowest terms')
-        out.append(x)
+        out.append(exact(x))
     return out
 
 

@@ -9,7 +9,6 @@ root decomposition.
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ghcert.algebra import LieAlgebra, Subspace
 from ghcert.errors import (
@@ -21,7 +20,7 @@ from ghcert.errors import (
     ReducedToZero,
     TNotInK,
 )
-from ghcert.linalg import matvec, nullspace, rank
+from ghcert.linalg import exact, matvec, nullspace, rank
 from ghcert.rootsystem import CartanType
 from ghcert.weights import WeightMultiset
 from ghcert import algebra as _algebra
@@ -70,7 +69,7 @@ class RegularElement:
     t_coeffs: tuple  # integer coefficients on the t basis rows
     g_spectrum: tuple  # sorted ((eigenvalue, multiplicity), ...)
 
-    def value(self, w) -> Fraction:
+    def value(self, w):
         """w(h) for a t-weight w (coords tuple)."""
         return sum(c * x for c, x in zip(self.t_coeffs, w))
 
@@ -136,7 +135,7 @@ def make_embedding(L: LieAlgebra, gens, t_rows) -> EmbeddedSubalgebra:
     # t must be self-centralizing in k (a Cartan subalgebra of k): k is
     # t-invariant, so C_k(t) = k_0, the zero t-weight part of the grading
     grading = t_grading(L, k, t)
-    k0 = grading.k_dims.get((Fraction(0),) * t.dim, 0)
+    k0 = grading.k_dims.get((0,) * t.dim, 0)
     if k0 != t.dim:
         raise InputInvalid(
             f"t (dim {t.dim}) is not self-centralizing in k (centralizer dim {k0})"
@@ -232,12 +231,12 @@ def t_grading(L: LieAlgebra, k: Subspace, t: Subspace) -> TGrading:
     weights = []
     for label in L.basis:
         if label[0] == "h":
-            weights.append((Fraction(0),) * t.dim)
+            weights.append((0,) * t.dim)
             continue
         f = L.rs.root_to_weight(label[1])
         sign = 1 if label[0] == "e" else -1
         weights.append(
-            tuple(sign * sum(Fraction(row[i]) * f[i] for i in range(L.rank)) for row in t.rows)
+            tuple(exact(sign * sum(row[i] * f[i] for i in range(L.rank))) for row in t.rows)
         )
     blocks = {}
     for idx, w in enumerate(weights):
@@ -282,15 +281,15 @@ def regular_from_coeffs(L: LieAlgebra, emb: EmbeddedSubalgebra, coeffs):
     """RegularElement for h = sum coeffs[i] * t_basis[i], or None if some
     nonzero joint t-weight of g vanishes on it."""
     t = emb.t
-    coeffs = tuple(Fraction(c) for c in coeffs)
+    coeffs = tuple(exact(c) for c in coeffs)
     spectrum = {}
     for w, idxs in emb.grading.blocks.items():
-        val = sum(c * x for c, x in zip(coeffs, w))
+        val = exact(sum(c * x for c, x in zip(coeffs, w)))
         if val == 0 and any(w):
             return None
         spectrum[val] = spectrum.get(val, 0) + len(idxs)
     h = [
-        sum(c * row[i] for c, row in zip(coeffs, t.rows))
+        exact(sum(c * row[i] for c, row in zip(coeffs, t.rows)))
         for i in range(L.dim)
     ]
     return RegularElement(h=h, t_coeffs=coeffs, g_spectrum=tuple(sorted(spectrum.items())))

@@ -42,7 +42,7 @@ class TStarForm:
             if minor <= 0:
                 raise DegenerateOnT("Killing form is not positive definite on t")
 
-    def ip(self, a, b) -> Fraction:
+    def ip(self, a, b):
         return sum(x * y for x, y in zip(a, matvec(self.gram_inv, list(b))))
 
 
@@ -59,7 +59,7 @@ def restrict_to_t(emb: EmbeddedSubalgebra, nu: Weight) -> Weight:
     return Weight(
         "t",
         tuple(
-            sum(Fraction(row[i]) * nu.coords[i] for i in range(len(nu.coords)))
+            sum(row[i] * nu.coords[i] for i in range(len(nu.coords)))
             for row in emb.t.rows
         ),
     )
@@ -75,8 +75,7 @@ def check_integral_dominant(form: TStarForm, mu: Weight, k_roots, positive_k_roo
     integral = True
     for beta in k_roots.entries:
         bb = form.ip(beta, beta)
-        val = 2 * form.ip(mu.coords, beta) / bb
-        if val.denominator != 1:
+        if Fraction(2 * form.ip(mu.coords, beta), bb).denominator != 1:
             integral = False
             break
     dominant = all(
@@ -231,7 +230,7 @@ def find_generic_nu(
     if pd.r <= 0:
         raise InvariantViolation(f"r = {pd.r}: no cohomology degree to make vanish")
     for lam in _lex_tuples(L.rank, max_coeff):
-        nu0 = borel.apply_wb(Weight("g", tuple(Fraction(x) for x in lam)))
+        nu0 = borel.apply_wb(Weight("g", lam))
         for scale in range(1, max_scale + 1):
             if all(x == 0 for x in lam) and scale > 1:
                 break

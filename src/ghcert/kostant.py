@@ -34,12 +34,11 @@ class CohomologyDecomposition:
 
 def m_rho(borel: BorelData) -> Weight:
     rs = borel.L.rs
-    half = [Fraction(0)] * rs.rank
+    twice = [0] * rs.rank
     for c in borel.m_pos_roots:
-        f = rs.root_to_weight(c)
-        for i in range(rs.rank):
-            half[i] += Fraction(f[i], 2)
-    return Weight("g", tuple(half))
+        for i, x in enumerate(rs.root_to_weight(c)):
+            twice[i] += x
+    return Weight("g", tuple(Fraction(x, 2) for x in twice))
 
 
 def _coset_representatives(rs, J, length):
@@ -109,9 +108,9 @@ def kostant_cohomology(L: LieAlgebra, borel: BorelData, nu: Weight, r: int) -> C
     if r < 0 or r > n_pos:
         raise LengthOutOfRange(f"length {r} not in [0, {n_pos}]")
     n = rs.rank
-    w_b = [[int(x) for x in row] for row in borel.w_b]
-    rho = [int(x) for x in borel.rho.coords]
-    m_simple = {tuple(int(x) for x in rs.root_to_weight(c)) for c in borel.m_simple_roots}
+    w_b = borel.w_b
+    rho = borel.rho.coords
+    m_simple = {rs.root_to_weight(c) for c in borel.m_simple_roots}
     J = [
         i for i in range(n)
         if tuple(sum(row[j] * rs.cartan[j][i] for j in range(n)) for row in w_b) in m_simple
@@ -126,7 +125,7 @@ def kostant_cohomology(L: LieAlgebra, borel: BorelData, nu: Weight, r: int) -> C
             i = next(i for i, x in enumerate(point) if x < 0)
             point = rs.reflect_simple(i, point)
             back.append(i)
-        base = _act(rs, back, tuple(int(x) + p for x, p in zip(nu.coords, rho)))
+        base = _act(rs, back, tuple(x + p for x, p in zip(nu.coords, rho)))
         if r <= top - r:
             images = [_act(rs, u, base) for u in _coset_representatives(rs, J, r)]
         else:
@@ -142,7 +141,7 @@ def kostant_cohomology(L: LieAlgebra, borel: BorelData, nu: Weight, r: int) -> C
             if any(img[j] <= 0 for j in J):
                 raise InvariantViolation(f"Kostant image {img} is not dominant for m")
             coords = (sum(a * b for a, b in zip(row, img)) - p for row, p in zip(w_b, rho))
-            gamma = Weight("g", tuple(Fraction(x) for x in coords))
+            gamma = Weight("g", tuple(coords))
             dim = rs.weyl_dimension(gamma.coords, borel.m_pos_roots, rho_m)
             included.append(KostantSummand(gamma, dim))
     included.sort(key=lambda s: s.gamma.coords)

@@ -1,6 +1,7 @@
 """Exact rational linear algebra."""
 
 from ghcert.linalg.matrix import (
+    exact,
     rref_in_place,
     rref,
     rank,
@@ -14,6 +15,7 @@ from ghcert.linalg.matrix import (
 )
 
 __all__ = [
+    "exact",
     "rref_in_place",
     "rref",
     "rank",

@@ -1,16 +1,32 @@
-"""Dense matrix operations over Fraction, built on one row-reduction kernel.
+"""Dense exact matrix operations, built on one row-reduction kernel.
 
-Matrices are plain lists of lists of Fraction; vectors are lists of
-Fraction.  All functions except ``rref_in_place`` are pure (inputs are
-copied before reduction).  The canonical RREF is part of the package's
+Matrices are plain lists of lists of exact rationals; vectors are lists of
+them.  An exact rational is kept in one normal form (`exact`): an int when
+it is integral, a Fraction only when its denominator exceeds 1, never a
+float.  All functions except ``rref_in_place`` are pure (inputs are copied
+before reduction).  The canonical RREF is part of the package's
 reproducibility contract.
 """
 
 from fractions import Fraction
 
+from ghcert.errors import InvariantViolation
+
+
+def exact(x):
+    """x in normal form: an int when integral, else a Fraction with
+    denominator > 1.  Anything inexact (a float) raises InvariantViolation,
+    so that it cannot pass for an exact value."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    raise InvariantViolation(f"{x!r} is not an exact rational")
+
 
 def rref_in_place(m):
-    """Reduce `m` (list of lists of Fraction) to reduced row echelon form.
+    """Reduce `m` (list of lists of exact rationals) to reduced row echelon
+    form, its entries left in normal form.
 
     Returns the list of pivot column indices.  Rows of zeros sink to the
     bottom.  Deterministic: always picks the first nonzero entry in the
@@ -32,11 +48,11 @@ def rref_in_place(m):
             m[piv_r], m[i_row] = m[i_row], m[piv_r]
         fp = m[piv_r][piv_c]
         if fp != 1:
-            inv = Fraction(1) / fp
+            inv = 1 / Fraction(fp)
             row = m[piv_r]
             for c in range(piv_c, n_cols):
                 if row[c]:
-                    row[c] *= inv
+                    row[c] = exact(row[c] * inv)
         prow = m[piv_r]
         for r in range(n_rows):
             if r == piv_r:
@@ -52,6 +68,10 @@ def rref_in_place(m):
         piv_r += 1
         if piv_r == n_rows:
             break
+    for row in m:
+        for c, x in enumerate(row):
+            if type(x) is not int:
+                row[c] = exact(x)
     return pivots
 
 
@@ -75,7 +95,7 @@ def transpose(m):
 
 
 def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def matmul(a, b):
@@ -100,8 +120,8 @@ def nullspace(m, n_cols=None):
     free = [c for c in range(n_cols) if c not in pivots]
     basis = []
     for f in free:
-        v = [Fraction(0)] * n_cols
-        v[f] = Fraction(1)
+        v = [0] * n_cols
+        v[f] = 1
         for r, p in enumerate(pivots):
             v[p] = -red[r][f]
         basis.append(v)
@@ -109,11 +129,12 @@ def nullspace(m, n_cols=None):
     return red_basis
 
 
-def det(m) -> Fraction:
-    """Determinant via fraction Gaussian elimination (no pivot scaling)."""
+def det(m):
+    """Determinant via fraction Gaussian elimination (no pivot scaling), in
+    normal form."""
     n = len(m)
     if n == 0:
-        return Fraction(1)
+        return 1
     work = [list(row) for row in m]
     sign = 1
     d = Fraction(1)
@@ -124,12 +145,12 @@ def det(m) -> Fraction:
                 piv = r
                 break
         if piv < 0:
-            return Fraction(0)
+            return 0
         if piv != col:
             work[col], work[piv] = work[piv], work[col]
             sign = -sign
         d *= work[col][col]
-        inv = Fraction(1) / work[col][col]
+        inv = 1 / Fraction(work[col][col])
         for r in range(col + 1, n):
             fr = work[r][col]
             if fr == 0:
@@ -137,7 +158,7 @@ def det(m) -> Fraction:
             fr *= inv
             for c in range(col, n):
                 work[r][c] -= work[col][c] * fr
-    return d * sign
+    return exact(d * sign)
 
 
 def inverse(m):
@@ -147,4 +168,3 @@ def inverse(m):
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return [row[n:] for row in red]
-

@@ -24,7 +24,7 @@ from ghcert.errors import (
     NonDominant,
     NotAnMCharacter,
 )
-from ghcert.linalg import inverse
+from ghcert.linalg import exact, inverse
 from ghcert.weights import Weight
 
 DEFAULT_DIM_CAP = 5000
@@ -77,7 +77,7 @@ class _VermaOps:
         # coordinates on the b-simple roots, a Z-basis of the root lattice in
         # which every b-positive root has non-negative coordinates
         simple = borel.simple_roots
-        inv = inverse([[Fraction(b[i]) for b in simple] for i in range(rs.rank)])
+        inv = inverse([[b[i] for b in simple] for i in range(rs.rank)])
         self._to_simple = [
             [_as_int(x, "b-simple coordinate") for x in row] for row in inv
         ]
@@ -244,10 +244,10 @@ def _acc(d, k, v):
 
 def _as_int(x, what):
     """x as an int; raises InvariantViolation if it is not an integer."""
-    x = Fraction(x)
-    if x.denominator != 1:
+    x = exact(x)
+    if type(x) is not int:
         raise InvariantViolation(f"{what} {x} is not an integer")
-    return x.numerator
+    return x
 
 
 # -- module construction -------------------------------------------------

@@ -22,7 +22,7 @@ from ghcert.errors import (
     NonDominant,
     SearchTooLarge,
 )
-from ghcert.linalg import inverse, matvec
+from ghcert.linalg import exact, inverse, matvec
 
 WEYL_ORDER_CAP = 10**7
 
@@ -231,40 +231,38 @@ class RootSystem:
 
     # -- invariant bilinear form ---------------------------------------
 
-    def root_ip(self, b, c) -> Fraction:
+    def root_ip(self, b, c) -> int:
         """(beta, gamma) for roots in simple-root coordinates."""
-        return Fraction(
-            sum(
-                b[i] * c[j] * self.d[i] * self.cartan[i][j]
-                for i in range(self.rank)
-                for j in range(self.rank)
-                if b[i] and c[j]
-            )
+        return sum(
+            b[i] * c[j] * self.d[i] * self.cartan[i][j]
+            for i in range(self.rank)
+            for j in range(self.rank)
+            if b[i] and c[j]
         )
 
-    def weight_root_ip(self, lam, c) -> Fraction:
+    def weight_root_ip(self, lam, c):
         """(lambda, beta) for a weight in fundamental coordinates."""
-        return sum(Fraction(c[j] * self.d[j]) * lam[j] for j in range(self.rank) if c[j])
+        return sum(c[j] * self.d[j] * lam[j] for j in range(self.rank) if c[j])
 
-    def pair_coroot(self, lam, c) -> Fraction:
+    def pair_coroot(self, lam, c):
         """<lambda, beta^vee> = 2 (lambda, beta) / (beta, beta) for a root
-        beta."""
-        return Fraction(2 * self.weight_root_ip(lam, c), self.root_norm2[c])
+        beta, in normal form."""
+        return exact(Fraction(2 * self.weight_root_ip(lam, c), self.root_norm2[c]))
 
-    def root_to_weight(self, c):
-        """Fundamental coordinates of a root (its values on the h_i)."""
+    def root_to_weight(self, c) -> tuple:
+        """Fundamental coordinates of a root (its values on the h_i), ints."""
         return tuple(
-            Fraction(sum(c[j] * self.cartan[i][j] for j in range(self.rank)))
+            sum(c[j] * self.cartan[i][j] for j in range(self.rank))
             for i in range(self.rank)
         )
 
     def cartan_inverse(self):
         if self._cartan_inv is None:
-            self._cartan_inv = inverse([[Fraction(x) for x in row] for row in self.cartan])
+            self._cartan_inv = inverse(self.cartan)
         return self._cartan_inv
 
     def weight_to_root_coords(self, lam):
-        return tuple(matvec(self.cartan_inverse(), [Fraction(x) for x in lam]))
+        return tuple(matvec(self.cartan_inverse(), lam))
 
     def coroot_coeffs(self, c):
         """Integer coefficients of beta^vee on the simple coroots h_i."""
@@ -284,9 +282,9 @@ class RootSystem:
     def simple_reflection_matrix(self, i):
         """Matrix of s_i on fundamental coordinates (columns act on weights)."""
         n = self.rank
-        m = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+        m = [[int(r == c) for c in range(n)] for r in range(n)]
         for j in range(n):
-            m[j][i] -= Fraction(self.cartan[j][i])
+            m[j][i] -= self.cartan[j][i]
         return m
 
     def reflect_simple(self, i, lam):
@@ -355,7 +353,7 @@ class RootSystem:
     # -- weights -------------------------------------------------------
 
     def is_integral(self, lam) -> bool:
-        return all(Fraction(x).denominator == 1 for x in lam)
+        return all(exact(x).denominator == 1 for x in lam)
 
     def weyl_dimension(self, lam, pos_roots, rho) -> int:
         """Weyl dimension formula for the positive system pos_roots with
@@ -364,13 +362,13 @@ class RootSystem:
         dominant for pos_roots, that is (lam + rho, a) >= (rho, a) for each a."""
         if not self.is_integral(lam):
             raise NonDominant(f"{lam} is not dominant integral")
-        shifted = [Fraction(x) + r for x, r in zip(lam, rho)]
+        shifted = [x + r for x, r in zip(lam, rho)]
         val = Fraction(1)
         for c in pos_roots:
             num, den = self.weight_root_ip(shifted, c), self.weight_root_ip(rho, c)
             if num < den:
                 raise NonDominant(f"{lam} is not dominant integral")
-            val *= num / den
+            val *= Fraction(num, den)
         if val.denominator != 1 or val <= 0:
             raise InvariantViolation(f"Weyl dimension of {lam} is {val}")
         return int(val)

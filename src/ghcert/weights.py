@@ -6,12 +6,16 @@ the relevant subalgebra:
 * context "g": values on the standard simple coroots h_1..h_l of the full
   algebra (fundamental coordinates);
 * context "t": values on the user-supplied basis of the torus t.
+
+Coordinates are kept in exact normal form (`ghcert.linalg.exact`): an int
+when integral, otherwise a Fraction; a float is refused.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ghcert.errors import ContextMismatch
+from ghcert.linalg import exact
 
 
 @dataclass(frozen=True)
@@ -20,7 +24,7 @@ class Weight:
     coords: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Fraction(x) for x in self.coords))
+        object.__setattr__(self, "coords", tuple(exact(x) for x in self.coords))
 
     def __add__(self, other):
         if self.context != other.context or len(self.coords) != len(other.coords):
@@ -34,12 +38,12 @@ class Weight:
         return Weight(self.context, tuple(-a for a in self.coords))
 
     def scale(self, k):
-        k = Fraction(k)
+        k = exact(k)
         return Weight(self.context, tuple(k * a for a in self.coords))
 
 
 def zero_weight(context, dim):
-    return Weight(context, (Fraction(0),) * dim)
+    return Weight(context, (0,) * dim)
 
 
 class WeightMultiset:
@@ -55,7 +59,7 @@ class WeightMultiset:
     def add(self, coords, mult=1):
         if mult <= 0:
             raise ValueError("multiplicities must be positive")
-        coords = tuple(Fraction(x) for x in coords)
+        coords = tuple(exact(x) for x in coords)
         self.entries[coords] = self.entries.get(coords, 0) + mult
 
     def total(self) -> int:
@@ -70,11 +74,11 @@ class WeightMultiset:
                 raise ValueError("empty multiset needs explicit dimension")
             return zero_weight(self.context, dim)
         n = len(next(iter(self.entries)))
-        acc = [Fraction(0)] * n
+        acc = [0] * n
         for coords, mult in self.entries.items():
             for i, x in enumerate(coords):
                 acc[i] += mult * x
-        return Weight(self.context, tuple(x / 2 for x in acc))
+        return Weight(self.context, tuple(Fraction(x, 2) for x in acc))
 
     def __eq__(self, other):
         return (

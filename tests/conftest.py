@@ -1,7 +1,14 @@
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
+
+
+def is_normal(x):
+    """The package's exact normal form: an int, or a Fraction that is not
+    integral (never a float, never a Fraction with denominator 1)."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
 
 
 def unit(dim, *idx):
@@ -84,7 +91,7 @@ def brute_force_condition_2(form, mu, rho, S):
     tuples = list(itertools.product(*(range(m + 1) for _, m in groups)))
     for counts in tuples[1:]:
         rho_t = [
-            sum(k * w[i] for (w, _), k in zip(groups, counts)) / 2
+            Fraction(sum(k * w[i] for (w, _), k in zip(groups, counts)), 2)
             for i in range(len(c))
         ]
         if form.ip([a - b for a, b in zip(c, rho_t)], rho_t) <= 0:

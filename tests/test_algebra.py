@@ -60,11 +60,20 @@ def test_killing_nondegenerate(ctype):
     assert det(L.killing_matrix) != 0
 
 
+def dense_ad(L, i):
+    """Matrix of ad(b_i) acting on coordinate columns."""
+    m = [[0] * L.dim for _ in range(L.dim)]
+    for j in range(L.dim):
+        for k, c in L.structure(i, j).items():
+            m[k][j] = c
+    return m
+
+
 @pytest.mark.parametrize("ctype", ["A1xA1", "B2", "G2", "A3", "B3", "C3"])
 def test_killing_matrix_matches_dense_trace(ctype):
     # reference: tr(ad b_i ad b_j) from the dense ad matrices
     L = build_algebra(ctype)
-    ads = [L.ad_basis(i) for i in range(L.dim)]
+    ads = [dense_ad(L, i) for i in range(L.dim)]
     dense = [
         [
             sum(

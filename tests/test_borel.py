@@ -14,7 +14,7 @@ from ghcert.certify import _searched_regular, front, parse_input
 from ghcert.linalg import matvec
 from ghcert.weights import Weight
 
-from conftest import CASES, REDUCTION, problem, unit
+from conftest import CASES, REDUCTION, is_normal, problem, unit
 
 F = Fraction
 
@@ -71,9 +71,10 @@ def reference_borel(L, h) -> BorelData:
 def assert_parity(L, h):
     got = build_borel(L, h)
     assert got == reference_borel(L, h)
-    # the field types that apply_wb, kostant and the certificate read
-    assert all(type(x) is Fraction for row in got.w_b for x in row)
-    assert all(type(x) is Fraction for x in got.rho.coords)
+    # the field types that apply_wb, kostant and the certificate read: exact,
+    # in normal form (integral, so ints), never float
+    assert all(is_normal(x) for row in got.w_b for x in row)
+    assert all(is_normal(x) for x in got.rho.coords)
 
 
 def sl2_on_alpha1(algebra):
