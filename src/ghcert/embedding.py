@@ -228,16 +228,18 @@ def t_grading(L: LieAlgebra, k: Subspace, t: Subspace) -> TGrading:
     projection of k to g_w. The projections' dimensions sum to dim k
     exactly when k = sum of (k ∩ g_w), that is, when k is t-invariant.
     """
+    # the t-weight of each positive root, by root index; f_c has minus it
+    root_wts = [
+        tuple(exact(sum(x * y for x, y in zip(row, f))) for row in t.rows)
+        for f in L.rs.positive_root_weights
+    ]
     weights = []
-    for label in L.basis:
-        if label[0] == "h":
+    for kind, data in L.basis:
+        if kind == "h":
             weights.append((0,) * t.dim)
             continue
-        f = L.rs.root_to_weight(label[1])
-        sign = 1 if label[0] == "e" else -1
-        weights.append(
-            tuple(exact(sign * sum(row[i] * f[i] for i in range(L.rank))) for row in t.rows)
-        )
+        w = root_wts[L.rs.root_index[data]]
+        weights.append(w if kind == "e" else tuple(-x for x in w))
     blocks = {}
     for idx, w in enumerate(weights):
         blocks.setdefault(w, []).append(idx)

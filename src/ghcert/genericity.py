@@ -18,7 +18,7 @@ from ghcert.errors import (
     InvariantViolation,
     SearchTooLarge,
 )
-from ghcert.linalg import det, inverse, matvec
+from ghcert.linalg import det, exact, inverse
 from ghcert.parabolic import ParabolicData, RhoVectors
 from ghcert.weights import Weight, WeightMultiset
 
@@ -28,13 +28,17 @@ DEFAULT_COND2_CAP = 24
 
 
 class TStarForm:
-    """Killing-induced bilinear form on t*: the inverse Gram matrix of t."""
+    """Killing-induced bilinear form on t*: the inverse Gram matrix of t,
+    also kept as the integer matrix inv_scaled = den * gram_inv, den > 0
+    the common denominator of its entries."""
 
     def __init__(self, gram):
         if det(gram) == 0:
             raise DegenerateOnT("Killing form degenerates on t")
         self.gram = gram
         self.gram_inv = inverse(gram)
+        self.den = lcm(*(x.denominator for row in self.gram_inv for x in row))
+        self.inv_scaled = [[int(x * self.den) for x in row] for row in self.gram_inv]
         # positive definiteness via leading principal minors
         n = len(gram)
         for k in range(1, n + 1):
@@ -43,7 +47,9 @@ class TStarForm:
                 raise DegenerateOnT("Killing form is not positive definite on t")
 
     def ip(self, a, b):
-        return sum(x * y for x, y in zip(a, matvec(self.gram_inv, list(b))))
+        """<a, b>, exact, in normal form."""
+        num = sum(x * sum(g * y for g, y in zip(row, b)) for x, row in zip(a, self.inv_scaled))
+        return exact(Fraction(num, self.den))
 
 
 def induced_form_on_tstar(L: LieAlgebra, emb: EmbeddedSubalgebra) -> TStarForm:
@@ -116,9 +122,11 @@ def check_condition_2(
     With h_j = w_j / 2 over the distinct weights w_j of S, c = mu + 2 rho
     and n_j the count of w_j in T, the tested value is the quadratic
     sum_j n_j a_j - sum_{j,l} n_j n_l Q_jl, where a_j = <c, h_j> and
-    Q_jl = <h_j, h_l>.  Both tables take one matvec per distinct weight and
-    are scaled by one positive common denominator into ints, so the walk
-    over the count tuples does int additions only.
+    Q_jl = <h_j, h_l>.  Both tables are built in ints, scaled by one
+    positive factor: with den * gram_inv integral, w_j = u_j / E and
+    c = v / C for integer vectors u_j and v, the factor 4 C E^2 den gives
+    a_j -> 2 E <v, u_j> and Q_jl -> C <u_j, u_l> in the integer form.  The
+    walk over the count tuples does int additions only.
     """
     groups = S.items()  # sorted (coords, mult)
     combos = 1
@@ -128,15 +136,15 @@ def check_condition_2(
         raise SearchTooLarge(f"{combos} submultisets exceeds the 2^{cap} cap")
     enumerated = combos - 1
     c = [m + 2 * r for m, r in zip(mu.coords, rho.coords)]
-    halves = [[Fraction(x, 2) for x in coords] for coords, _ in groups]
-    images = [matvec(form.gram_inv, h) for h in halves]
-    a = [sum(x * y for x, y in zip(c, g)) for g in images]
-    Q = [[sum(x * y for x, y in zip(h, g)) for g in images] for h in halves]
-    D = 1
-    for x in a + [q for row in Q for q in row]:
-        D = lcm(D, x.denominator)
-    a = [int(x * D) for x in a]
-    Q = [[int(q * D) for q in row] for row in Q]
+    C = lcm(*(x.denominator for x in c))
+    v = [int(x * C) for x in c]
+    E = lcm(*(x.denominator for coords, _ in groups for x in coords))
+    u = [[int(x * E) for x in coords] for coords, _ in groups]
+    images = [
+        [sum(g * y for g, y in zip(row, uj)) for row in form.inv_scaled] for uj in u
+    ]
+    a = [2 * E * sum(x * y for x, y in zip(v, g)) for g in images]
+    Q = [[C * sum(x * y for x, y in zip(uj, g)) for g in images] for uj in u]
     # raising n_j by one adds step[j] - 2 acc[j], acc = sum_l n_l Q[l]
     step = [a[j] - Q[j][j] for j in range(len(groups))]
     mults = [mult for _, mult in groups]

@@ -3,14 +3,15 @@ with a given highest weight explicitly, compute the Lie-algebra cohomology of
 the nilradical from the Chevalley-Eilenberg complex by exact rank
 computations, and compare the outcome with the Weyl-group formula.
 
-The linear algebra runs on Python ints: Verma vectors have integer PBW
-coefficients, the echelon forms eliminate fraction-free, and the complex
-is scaled by one common denominator so that its blocks are integral.
+The linear algebra runs on Python ints where it can: the module's
+e-images are scaled to integers, the echelon forms eliminate
+fraction-free, and the complex is scaled by one common denominator so
+that its blocks are integral.
 """
 
 import itertools
 import math
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,222 +25,11 @@ from ghcert.errors import (
     NonDominant,
     NotAnMCharacter,
 )
-from ghcert.linalg import exact, inverse
+from ghcert.linalg import exact
 from ghcert.weights import Weight
 
 DEFAULT_DIM_CAP = 5000
 MAX_N_DIM = 12
-
-
-# -- Verma-coordinate arithmetic ----------------------------------------
-
-
-class _VermaOps:
-    """Left actions of Chevalley generators on PBW monomials in the
-    lowering operators of the adapted Borel, over a formal highest-weight
-    vector of weight nu.  Monomials are exponent tuples indexed by the
-    b-positive roots in their canonical order.  Chevalley structure
-    constants and an integral nu keep every coefficient an integer."""
-
-    def __init__(self, L: LieAlgebra, borel: BorelData, nu: Weight):
-        self.L = L
-        self.pos = borel.pos_roots
-        self.N = len(self.pos)
-        self.nu = tuple(_as_int(x, "coordinate of nu") for x in nu.coords)
-        rs = L.rs
-        self.root_fund = [
-            tuple(_as_int(x, "coordinate of a root") for x in rs.root_to_weight(c))
-            for c in self.pos
-        ]
-        self.pos_index = {c: j for j, c in enumerate(self.pos)}
-        # kind[i]: how the ambient basis element i acts, as ("h", i),
-        # ("raise", j) or ("lower", j) for the j-th b-positive root; the
-        # basis index of the raising and lowering operator of root j
-        self.kind = []
-        self.raise_idx = [None] * self.N
-        self.lower_idx = [None] * self.N
-        for i, (kind, data) in enumerate(L.basis):
-            if kind == "h":
-                self.kind.append(("h", data))
-                continue
-            c = data if kind == "e" else tuple(-x for x in data)
-            if c in self.pos_index:
-                j = self.pos_index[c]
-                self.raise_idx[j] = i
-                self.kind.append(("raise", j))
-            else:
-                j = self.pos_index[tuple(-x for x in c)]
-                self.lower_idx[j] = i
-                self.kind.append(("lower", j))
-        self._f_memo = {}
-        self._e_memo = {}
-        self._bracket_memo = {}
-        # coordinates on the b-simple roots, a Z-basis of the root lattice in
-        # which every b-positive root has non-negative coordinates
-        simple = borel.simple_roots
-        inv = inverse([[b[i] for b in simple] for i in range(rs.rank)])
-        self._to_simple = [
-            [_as_int(x, "b-simple coordinate") for x in row] for row in inv
-        ]
-        pos_simple = [self.simple_coords(c) for c in self.pos]
-        self._pos_simple = pos_simple
-        # _dead[j]: the coordinates that no root from the j-th on reaches
-        self._dead = [
-            [i for i in range(rs.rank) if not any(c[i] for c in pos_simple[j:])]
-            for j in range(self.N)
-        ]
-        self._depth_memo = {}
-
-    def bracket(self, i, j):
-        """[x_i, x_j] of two ambient basis elements, integer coefficients."""
-        key = (i, j)
-        if key not in self._bracket_memo:
-            self._bracket_memo[key] = {
-                k: _as_int(c, "structure constant")
-                for k, c in self.L.structure(i, j).items()
-            }
-        return self._bracket_memo[key]
-
-    def mono_weight(self, mono):
-        """Weight of (monomial applied to the highest vector), fund coords."""
-        w = list(self.nu)
-        for j, a in enumerate(mono):
-            if a:
-                for i in range(len(w)):
-                    w[i] -= a * self.root_fund[j][i]
-        return tuple(w)
-
-    def f_on_mono(self, j, mono):
-        """f_j . mono as a dict of monomials, PBW-straightened."""
-        key = (j, mono)
-        if key in self._f_memo:
-            return self._f_memo[key]
-        first = next((i for i, a in enumerate(mono) if a), None)
-        if first is None or j <= first:
-            out = {self._inc(mono, j): 1}
-        else:
-            rest = self._dec(mono, first)
-            out = {}
-            for m, c in self.f_on_mono(j, rest).items():
-                for m2, c2 in self.f_on_mono(first, m).items():
-                    _acc(out, m2, c * c2)
-            bracket = self.bracket(self.lower_idx[j], self.lower_idx[first])
-            for i, c in bracket.items():
-                kind, idx = self.kind[i]
-                if kind != "lower":
-                    raise InvariantViolation(
-                        "bracket of two lowering operators is not lowering"
-                    )
-                for m2, c2 in self.f_on_mono(idx, rest).items():
-                    _acc(out, m2, c * c2)
-            out = {m: c for m, c in out.items() if c != 0}
-        self._f_memo[key] = out
-        return out
-
-    def e_on_mono(self, j, mono):
-        key = (j, mono)
-        if key in self._e_memo:
-            return self._e_memo[key]
-        first = next((i for i, a in enumerate(mono) if a), None)
-        if first is None:
-            out = {}
-        else:
-            rest = self._dec(mono, first)
-            out = {}
-            for m, c in self.e_on_mono(j, rest).items():
-                for m2, c2 in self.f_on_mono(first, m).items():
-                    _acc(out, m2, c * c2)
-            bracket = self.bracket(self.raise_idx[j], self.lower_idx[first])
-            for m2, c2 in self.act_ambient(bracket, {rest: 1}).items():
-                _acc(out, m2, c2)
-            out = {m: c for m, c in out.items() if c != 0}
-        self._e_memo[key] = out
-        return out
-
-    def act_ambient(self, vec, elem):
-        """Action of an ambient element, {basis index: coefficient}, on a
-        Verma element."""
-        out = {}
-        for i, c in vec.items():
-            kind, idx = self.kind[i]
-            for mono, coeff in elem.items():
-                if kind == "h":
-                    v = self.mono_weight(mono)[idx]
-                    _acc(out, mono, c * coeff * v)
-                elif kind == "raise":
-                    for m2, c2 in self.e_on_mono(idx, mono).items():
-                        _acc(out, m2, c * coeff * c2)
-                else:
-                    for m2, c2 in self.f_on_mono(idx, mono).items():
-                        _acc(out, m2, c * coeff * c2)
-        return {m: c for m, c in out.items() if c != 0}
-
-    def lmul_f(self, j, elem):
-        out = {}
-        for mono, coeff in elem.items():
-            for m2, c2 in self.f_on_mono(j, mono).items():
-                _acc(out, m2, coeff * c2)
-        return {m: c for m, c in out.items() if c != 0}
-
-    def _inc(self, mono, j):
-        lst = list(mono)
-        lst[j] += 1
-        return tuple(lst)
-
-    def _dec(self, mono, j):
-        lst = list(mono)
-        lst[j] -= 1
-        return tuple(lst)
-
-    def simple_coords(self, c):
-        """Coordinates of a root-lattice element (standard simple-root
-        coordinates) on the b-simple roots."""
-        return tuple(sum(x * y for x, y in zip(row, c)) for row in self._to_simple)
-
-    def monos_with_depth(self, depth):
-        """All exponent tuples whose root-sum equals depth (simple-root
-        coordinates of the standard system), listed once per depth, in
-        lexicographic order."""
-        if depth not in self._depth_memo:
-            self._depth_memo[depth] = self._list_monos(self.simple_coords(depth))
-        return self._depth_memo[depth]
-
-    def _list_monos(self, target):
-        """Exponent tuples with root-sum `target` in b-simple coordinates.
-        A branch stops once a coordinate of what is left goes negative, or
-        stays nonzero where no remaining root reaches."""
-        pos, dead, N = self._pos_simple, self._dead, self.N
-        out = []
-        exps = [0] * N
-
-        def rec(j, cur):
-            if any(cur[i] for i in dead[j]):
-                return
-            c = pos[j]
-            if j == N - 1:
-                # the last exponent is forced
-                i = next(i for i, y in enumerate(c) if y)
-                a = cur[i] // c[i]
-                if all(x == a * y for x, y in zip(cur, c)):
-                    exps[j] = a
-                    out.append(tuple(exps))
-                    exps[j] = 0
-                return
-            while True:
-                rec(j + 1, cur)
-                cur = tuple(x - y for x, y in zip(cur, c))
-                if min(cur) < 0:
-                    break
-                exps[j] += 1
-            exps[j] = 0
-
-        if min(target, default=0) >= 0:
-            rec(0, target)
-        return out
-
-
-def _acc(d, k, v):
-    d[k] = d.get(k, 0) + v
 
 
 def _as_int(x, what):
@@ -259,14 +49,15 @@ class ExplicitModule:
     weight_of_basis: list  # Weight on h_std per basis vector
     nu: Weight
     borel: BorelData
-    # ambient basis label -> its action's columns, built on first request
+    # ambient basis label -> its action's columns; the simple root vectors'
+    # come with the module, the others are built on first request
     _build_columns: Callable[[tuple], list] = field(repr=False, compare=False)
     _columns: dict = field(default_factory=dict, repr=False, compare=False)
 
     def action(self, label) -> list:
         """The action of an ambient basis element as dim sparse columns: the
         m-th is {row: coefficient}, the image of basis vector m, nonzero
-        entries only.  Built once, on first request, and kept."""
+        entries only.  Built at most once, and kept."""
         cols = self._columns.get(label)
         if cols is None:
             cols = self._columns[label] = self._build_columns(label)
@@ -387,133 +178,162 @@ def _axpy(y, a, x):
             del y[k]
 
 
+def _div(x, n):
+    """x / n in the normal form of `exact`, for x an int or a Fraction and
+    n a nonzero int."""
+    if type(x) is int and x % n == 0:
+        return x // n
+    return exact(Fraction(x, n))
+
+
+def _root_labels(L: LieAlgebra, roots):
+    """The ambient basis label of the root vector of each root."""
+    return [
+        ("e", c) if c in L.rs.root_index else ("f", tuple(-x for x in c))
+        for c in roots
+    ]
+
+
 def construct_module(
     L: LieAlgebra, borel: BorelData, nu: Weight, dim_cap: int = DEFAULT_DIM_CAP
 ) -> ExplicitModule:
-    """Simple module with b-highest weight nu, built by lowering-operator
-    closure from a formal highest-weight vector with exact row reduction.
+    """Simple module with b-highest weight nu, built in its own basis.
 
-    Vectors live in PBW coordinates of the Verma module and are reduced
-    modulo the maximal submodule, which is generated by f_i^(n_i+1) over
-    the b-simple lowerings.  Each Verma weight space keeps one echelon form:
-    first the submodule, untracked, then the module basis vectors found in
-    it, tracked by their basis index.
+    The basis grows from the highest-weight vector depth by depth, a depth
+    being a point of the root lattice in b-simple-root coordinates, in
+    order of height.  The candidates at a depth are f_i b for b a basis
+    vector one b-simple root up.  A candidate is known by its e-images,
 
-    The module keeps these blocks.  The action of an ambient basis element
-    is straightened and reduced against them only when first asked for
-    (`ExplicitModule.action`), so a caller pays only for the columns it
-    reads; a Cartan element's action is read off the weights."""
+        e_k f_i b = f_i (e_k b) + [k = i] <wt b, h_i> b,   h_i = [e_i, f_i],
+
+    each term read from columns already built.  The module is simple, so
+    no weight vector below the top is killed by every e_k: a combination
+    of candidates vanishes exactly when the same combination of their
+    e-images does.  The e-images, scaled to integers, are reduced by one
+    `_Echelon` per depth; the independent candidates, so scaled, become
+    basis vectors, every candidate's coordinates give its f_i column, and
+    the e-images are the e_k columns.
+
+    Only these simple columns are built here.  Every other root vector's
+    action is built when first asked for (`ExplicitModule.action`), as the
+    commutator x_(beta + alpha_i) = [x_beta, x_(alpha_i)] / N of two
+    columns already there; a Cartan element's is read off the weights."""
     if not (borel.dominant(nu) and borel.integral(nu)):
         raise NonDominant(f"nu = {nu.coords} is not b-dominant integral")
     target = L.rs.weyl_dimension(nu.coords, borel.pos_roots, borel.rho.coords)
     if target > dim_cap:
         raise DimCapExceeded(f"weyl dimension {target} exceeds cap {dim_cap}")
-    ops = _VermaOps(L, borel, nu)
-    rs = L.rs
-    simple_idx = [ops.pos_index[c] for c in borel.simple_roots]
-    sing_exp = {
-        j: _as_int(rs.pair_coroot(nu.coords, ops.pos[j]), "coroot pairing") + 1
-        for j in simple_idx
-    }
-    v0 = {(0,) * ops.N: 1}
+    simple = borel.simple_roots
+    r = len(simple)
+    raising = _root_labels(L, simple)
+    lowering = _root_labels(L, [tuple(-x for x in c) for c in simple])
+    coroots = []  # h_i = [e_i, f_i] as {Cartan index: integer coefficient}
+    for up, down in zip(raising, lowering):
+        h = {
+            k: _as_int(c, "structure constant")
+            for k, c in L.structure(L.index[up], L.index[down]).items()
+        }
+        if any(L.basis[k][0] != "h" for k in h):
+            raise InvariantViolation(f"[{up}, {down}] is not in the Cartan subalgebra")
+        coroots.append(h)
+    simple_wts = [L.rs.root_to_weight(c) for c in simple]
 
-    blocks = {}  # depth -> _Echelon of that Verma weight space
+    weights = [tuple(_as_int(x, "coordinate of nu") for x in nu.coords)]
+    e_cols = [[{}] for _ in range(r)]  # e_cols[k][b]: e_k b
+    f_cols = [[None] for _ in range(r)]  # f_cols[i][b]: f_i b, set one level down
+    level = {(0,) * r: [0]}  # depth -> the basis vectors there, one height
+    while level:
+        candidates = {}  # depth -> [(i, b)], one height further down
+        for depth, ids in level.items():
+            for i in range(r):
+                down = depth[:i] + (depth[i] + 1,) + depth[i + 1:]
+                candidates.setdefault(down, []).extend((i, b) for b in ids)
+        level = {}
+        for depth, cands in candidates.items():
+            ech = _Echelon()
+            for i, b in cands:
+                # the e-images of f_i b, keyed row * r + k for e_k
+                key = {}
+                f_i = f_cols[i]
+                for k in range(r):
+                    for row, c in e_cols[k][b].items():
+                        for row2, c2 in f_i[row].items():
+                            t = row2 * r + k
+                            key[t] = key.get(t, 0) + c * c2
+                wt = weights[b]
+                t = b * r + i
+                key[t] = key.get(t, 0) + sum(c * wt[j] for j, c in coroots[i].items())
+                s = math.lcm(*(x.denominator for x in key.values()))
+                key = {t: int(x * s) for t, x in key.items() if x}
+                comb = ech.coords(key)
+                if comb is not None:
+                    f_i[b] = {j: _div(x, s) for j, x in comb.items()}
+                    continue
+                # a new basis vector, s f_i b, with integer e-images key
+                new = len(weights)
+                if new >= target:
+                    raise InvariantViolation(
+                        "action leaves the constructed module: more independent"
+                        f" vectors than the Weyl dimension {target}"
+                    )
+                ech.insert(key, new)
+                f_i[b] = {new: _div(1, s)}
+                weights.append(tuple(x - y for x, y in zip(wt, simple_wts[i])))
+                for k in range(r):
+                    e_cols[k].append({})
+                    f_cols[k].append(None)
+                for t, x in key.items():
+                    e_cols[t % r][new][t // r] = x
+                level.setdefault(depth, []).append(new)
 
-    def depth_of(mono):
-        d = [0] * rs.rank
-        for j, a in enumerate(mono):
-            if a:
-                for i in range(rs.rank):
-                    d[i] += a * ops.pos[j][i]
-        return tuple(d)
-
-    lowered = {}  # (j, mono) -> mono . f_j^(n_j+1) v0, mono in PBW order
-
-    def lower(j, mono):
-        key = (j, mono)
-        if key not in lowered:
-            first = next((i for i, a in enumerate(mono) if a), None)
-            if first is None:
-                elem = v0
-                for _ in range(sing_exp[j]):
-                    elem = ops.lmul_f(j, elem)
-            else:
-                elem = ops.lmul_f(first, lower(j, ops._dec(mono, first)))
-            lowered[key] = elem
-        return lowered[key]
-
-    def get_block(depth):
-        block = blocks.get(depth)
-        if block is None:
-            block = blocks[depth] = _Echelon()
-            for j, power in sing_exp.items():
-                rem = tuple(
-                    d - power * c for d, c in zip(depth, ops.pos[j])
-                )
-                for mono in ops.monos_with_depth(rem):
-                    block.insert(lower(j, mono))
-        return block
-
-    zero_depth = (0,) * rs.rank
-    if not get_block(zero_depth).insert(v0, 0):
-        raise InvariantViolation("highest-weight vector lies in the submodule")
-    basis_verma = [v0]
-    basis_depth = [zero_depth]
-
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in simple_idx:
-            y = ops.lmul_f(j, basis_verma[i])
-            if not y:
-                continue
-            depth = tuple(
-                d + c for d, c in zip(basis_depth[i], ops.pos[j])
-            )
-            new_id = len(basis_verma)
-            if not get_block(depth).insert(y, new_id):
-                continue
-            if new_id + 1 > dim_cap:
-                raise DimCapExceeded(f"module basis exceeds cap {dim_cap}")
-            basis_verma.append(y)
-            basis_depth.append(depth)
-            queue.append(new_id)
-
-    dim = len(basis_verma)
+    dim = len(weights)
     if dim != target:
         raise InvariantViolation(
             f"constructed dimension {dim} != Weyl dimension {target}"
         )
-
-    # express an arbitrary homogeneous Verma element in the module basis
-    def coords_in_basis(elem):
-        if not elem:
-            return {}
-        comb = get_block(depth_of(next(iter(elem)))).coords(elem)
-        if comb is None:
-            raise InvariantViolation("action leaves the constructed module")
-        return comb
-
-    int_weights = [ops.mono_weight(next(iter(v))) for v in basis_verma]
+    pos = set(borel.pos_roots)
 
     def build_columns(label):
-        i = L.index[label]
-        kind, idx = ops.kind[i]
+        kind, data = label
         if kind == "h":
-            # h_idx acts on a weight vector by the weight's coordinate
-            return [
-                {col: wt[idx]} if wt[idx] else {}
-                for col, wt in enumerate(int_weights)
-            ]
-        return [coords_in_basis(ops.act_ambient({i: 1}, v)) for v in basis_verma]
+            # h_data acts on a weight vector by the weight's coordinate
+            return [{m: wt[data]} if wt[data] else {} for m, wt in enumerate(weights)]
+        root = data if kind == "e" else tuple(-x for x in data)
+        sign = 1 if root in pos else -1
+        # root = beta + sign * alpha_i, beta of the same sign as root
+        for i, a in enumerate(simple):
+            beta = tuple(x - sign * y for x, y in zip(root, a))
+            if tuple(sign * x for x in beta) in pos:
+                break
+        else:
+            raise InvariantViolation(f"no simple root splits off {root}")
+        x_beta = _root_labels(L, [beta])[0]
+        x_i = (raising if sign > 0 else lowering)[i]
+        bracket = L.structure(L.index[x_beta], L.index[x_i])
+        n = _as_int(bracket.get(L.index[label], 0), "structure constant")
+        if len(bracket) != 1 or not n:
+            raise InvariantViolation(f"[{x_beta}, {x_i}] is not a multiple of {label}")
+        act_beta, act_i = module.action(x_beta), module.action(x_i)
+        cols = []
+        for m in range(dim):
+            out = {}
+            for row, c in act_i[m].items():
+                _axpy(out, c, act_beta[row])
+            for row, c in act_beta[m].items():
+                _axpy(out, -c, act_i[row])
+            cols.append({row: _div(c, n) for row, c in out.items()})
+        return cols
 
-    return ExplicitModule(
+    module = ExplicitModule(
         dim=dim,
-        weight_of_basis=[Weight("g", wt) for wt in int_weights],
+        weight_of_basis=[Weight("g", wt) for wt in weights],
         nu=nu,
         borel=borel,
         _build_columns=build_columns,
     )
+    for labels, cols in ((raising, e_cols), (lowering, f_cols)):
+        module._columns.update(zip(labels, cols))
+    return module
 
 
 def check_module_relations(L: LieAlgebra, W: ExplicitModule) -> bool:
@@ -608,14 +428,6 @@ def _n_roots(borel: BorelData):
     return n_roots
 
 
-def _n_labels(L: LieAlgebra, n_roots):
-    """The ambient basis label of each root vector spanning n."""
-    return [
-        ("e", c) if c in L.rs.root_index else ("f", tuple(-x for x in c))
-        for c in n_roots
-    ]
-
-
 def build_complex(L: LieAlgebra, borel: BorelData, W: ExplicitModule) -> CochainComplex:
     """Chevalley-Eilenberg complex of n with coefficients in W, its
     differentials scaled to integers and blocked by h_std-weight.  Checks
@@ -623,7 +435,7 @@ def build_complex(L: LieAlgebra, borel: BorelData, W: ExplicitModule) -> Cochain
     rs = L.rs
     n_roots = _n_roots(borel)
     R = len(n_roots)
-    labels = _n_labels(L, n_roots)
+    labels = _root_labels(L, n_roots)
     dim = W.dim
     act = [W.action(lab) for lab in labels]
     D = math.lcm(*(c.denominator for a in act for col in a for c in col.values()))

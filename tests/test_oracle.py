@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from collections import Counter
@@ -293,11 +294,12 @@ def test_action_across_weights_is_rejected():
 
 def test_oracle_builds_only_the_n_columns(monkeypatch):
     L, _, _, _, borel = borel_from_case(CASES["b2_sl2"])
-    built = []
+    built, eager = [], []
     construct = oracle.construct_module
 
     def spy(*args, **kwargs):
         W = construct(*args, **kwargs)
+        eager.extend(W._columns)
         build = W._build_columns
 
         def record(label):
@@ -310,26 +312,50 @@ def test_oracle_builds_only_the_n_columns(monkeypatch):
     monkeypatch.setattr(oracle, "construct_module", spy)
     rep = compare_at(L, borel, w(2, -1), range(5))
     assert rep.match_with_kostant
-    n = n_labels(L, oracle._n_roots(borel))
-    assert sorted(built) == sorted(n)  # each n column once, nothing else
+    simple = borel.simple_roots
+    # the simple root vectors' columns come with the module, both signs
+    assert sorted(eager) == sorted(
+        n_labels(L, simple) + n_labels(L, [tuple(-x for x in c) for c in simple])
+    )
+    # every other n column once, through b-positive columns only: no
+    # Cartan column, no b-negative one, none twice
+    n = set(n_labels(L, oracle._n_roots(borel)))
+    positive = set(n_labels(L, borel.pos_roots))
+    assert len(built) == len(set(built))
+    assert n - set(eager) <= set(built) <= positive - set(eager)
+    assert n - set(eager)  # some n column is not simple
     assert len(n) < L.dim - L.rank
 
 
 def test_n_column_leaving_the_module_is_rejected(monkeypatch):
+    """A simple column, the first or the last f_i column with a term, gets
+    a term on the highest-weight vector, off its weight.  The e-images
+    below read it, and the module grows past the Weyl dimension."""
     L, _, _, _, borel = borel_from_case(CASES["b2_sl2"])
-    target = L.index[n_labels(L, oracle._n_roots(borel))[0]]
-    act = oracle._VermaOps.act_ambient
+    coords = oracle._Echelon.coords
+    outs = []
 
-    def corrupted(self, vec, elem):
-        out = act(self, vec, elem)
-        if vec == {target: 1} and out:
-            # a term of the highest weight, not homogeneous with the rest
-            out[(0,) * self.N] = 1
-        return out
+    def record(self, vec):
+        outs.append(coords(self, vec))
+        return outs[-1]
 
-    monkeypatch.setattr(oracle._VermaOps, "act_ambient", corrupted)
-    with pytest.raises(InvariantViolation, match="leaves the constructed module"):
-        compare_at(L, borel, w(2, -1), range(5))
+    monkeypatch.setattr(oracle._Echelon, "coords", record)
+    construct_module(L, borel, w(2, -1))
+    nonempty = [i for i, out in enumerate(outs) if out]
+    for target in (nonempty[0], nonempty[-1]):
+        calls = []
+
+        def corrupt_one(self, vec):
+            out = coords(self, vec)
+            if len(calls) == target:
+                out = {**out, 0: 1}
+            calls.append(out)
+            return out
+
+        monkeypatch.setattr(oracle._Echelon, "coords", corrupt_one)
+        with pytest.raises(InvariantViolation, match="leaves the constructed module"):
+            compare_at(L, borel, w(2, -1), range(5))
+        assert len(calls) > target
 
 
 def test_non_integral_structure_constant_is_rejected(monkeypatch):
@@ -474,53 +500,73 @@ def test_integer_echelon_matches_fraction_reference(inserted, mixes, probes):
             assert all(isinstance(x, int) for x in got.values() if x.denominator == 1)
 
 
-# -- the pruned PBW enumeration against the unpruned one ----------------
+# -- the module in its own coordinates, against references --------------
 
 
-def unpruned_monos(L, borel, depth):
-    """Every exponent tuple with root-sum `depth`, in lexicographic order,
-    bounded only by rho: each b-positive root pairs positively with it."""
-    pos, rho = borel.pos_roots, borel.rho.coords
-    phi = [L.rs.weight_root_ip(rho, c) for c in pos]
-    out = []
+WITNESS_CASES = [name for name in CASES if name != "a1a1_factor"]  # k an ideal
 
-    def rec(j, cur, budget, exps):
+
+def lambdas01(rank):
+    return list(itertools.product(range(2), repeat=rank))
+
+
+def kostant_multiplicity(rs, lam, mu, weyl, partitions):
+    """Kostant's multiplicity formula: the multiplicity of the weight mu in
+    the simple module of standard highest weight lam is the sum over w in
+    W of sign(w) P(w(lam + rho) - (mu + rho)), P the number of ways to
+    write a vector as a sum of standard positive roots."""
+    lam_rho = [x + 1 for x in lam]  # rho is (1, ..., 1) in fundamental coords
+    mu_rho = [x + 1 for x in mu]
+    total = 0
+    for el in weyl:
+        img = rs.weyl_act(el, lam_rho)
+        diff = rs.weight_to_root_coords([a - b for a, b in zip(img, mu_rho)])
+        if all(x.denominator == 1 and x >= 0 for x in diff):
+            total += (-1) ** el.length * partitions(tuple(int(x) for x in diff), 0)
+    return total
+
+
+def partition_function(pos):
+    @functools.lru_cache(maxsize=None)
+    def partitions(v, j):
+        """Ways to write v as a sum of the roots pos[j:], with repetition."""
+        if not any(v):
+            return 1
         if j == len(pos):
-            if not any(cur):
-                out.append(exps)
-            return
-        a = 0
-        while budget >= 0:
-            rec(j + 1, cur, budget, exps + (a,))
-            a += 1
-            budget -= phi[j]
-            cur = tuple(x - y for x, y in zip(cur, pos[j]))
+            return 0
+        total = 0
+        while min(v) >= 0:
+            total += partitions(v, j + 1)
+            v = tuple(x - y for x, y in zip(v, pos[j]))
+        return total
 
-    rec(0, depth, L.rs.weight_root_ip(rho, depth), ())
-    return out
+    return partitions
 
 
-ORACLE_LADDER = [
-    ("b2_sl2", (2, -1)), ("b2_sl2", (3, -1)), ("a2_torus", (2, 2)),
-    ("a2_torus", (3, 2)), ("a2_principal", (2, 1)), ("a2_principal", (2, 2)),
-    ("g2_sl2", (-1, 1)),
-]
-
-
-@pytest.mark.parametrize("case,nu", ORACLE_LADDER)
-def test_pruned_monomials_match_unpruned(monkeypatch, case, nu):
+@pytest.mark.parametrize("case", WITNESS_CASES)
+def test_module_relations_and_kostant_multiplicities(case):
+    """The module at nu = w_b(lam), lam in {0,1}^rank, satisfies every
+    bracket relation, and its weights carry the multiplicities of Kostant's
+    formula for the standard highest weight lam: the weights of the simple
+    module are the same whichever Borel reads its highest weight."""
     L, _, _, _, borel = borel_from_case(CASES[case])
-    reached = {}
-    listed = oracle._VermaOps.monos_with_depth
+    rs = L.rs
+    weyl = [el for level in rs.weyl_by_length() for el in level]
+    partitions = partition_function(rs.positive_roots)
+    for lam in lambdas01(L.rank):
+        W = construct_module(L, borel, borel.apply_wb(w(*lam)))
+        assert check_module_relations(L, W), lam
+        mults = Counter(x.coords for x in W.weight_of_basis)
+        for mu, mult in mults.items():
+            assert mult == kostant_multiplicity(rs, lam, mu, weyl, partitions), (lam, mu)
+        # every weight with a positive multiplicity is there
+        assert W.dim == rs.weyl_dimension(w(*lam).coords, rs.positive_roots, [1] * L.rank)
 
-    def spy(self, depth):
-        out = listed(self, depth)
-        reached[depth] = out
-        return out
 
-    monkeypatch.setattr(oracle._VermaOps, "monos_with_depth", spy)
-    rep = compare_at(L, borel, w(*nu), range(len(oracle._n_roots(borel)) + 1))
-    assert rep.match_with_kostant
-    assert any(reached.values())
-    for depth, monos in reached.items():
-        assert monos == unpruned_monos(L, borel, depth)
+@pytest.mark.parametrize("case", ["g2_sl2", "a3_sl2"])
+def test_compare_matches_at_every_degree(case):
+    L, _, _, _, borel = borel_from_case(CASES[case])
+    degrees = range(len(L.rs.positive_roots) + 1)
+    for lam in lambdas01(L.rank):
+        rep = compare_at(L, borel, borel.apply_wb(w(*lam)), degrees)
+        assert rep.match_with_kostant and rep.diff == {}, lam

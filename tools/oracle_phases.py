@@ -7,8 +7,10 @@ The argument is the index of the request in the workload's canonical order
 (`perfbench/inputs.py`, `_oracle_cases`). Each run is one fresh interpreter,
 so every cache starts empty; imports are not timed. The phases follow
 `cmd_oracle_compare`: parse + adapted Borel, the Kostant side at each degree,
-`construct_module`, the action columns of n, `build_complex`, the per-weight
-ranks (`CochainComplex.cohomology`) and the m-decompositions. Prints one JSON
+`construct_module` (the basis and the columns of the simple root vectors
+e_i and f_i of the adapted Borel), the other action columns of n (each a
+commutator of columns already built), `build_complex`, the per-weight ranks
+(`CochainComplex.cohomology`) and the m-decompositions. Prints one JSON
 line: the request, the seconds of each phase and their total, the module and
 cochain dimensions, whether the two sides match, and the process's peak RSS.
 """
@@ -27,7 +29,7 @@ from ghcert.certify import adapted_borel, parse_input  # noqa: E402
 from ghcert.cli import _parse_degrees, _parse_nu  # noqa: E402
 from ghcert.kostant import kostant_cohomology  # noqa: E402
 from ghcert.oracle import (  # noqa: E402
-    _n_labels,
+    _root_labels,
     _n_roots,
     build_complex,
     construct_module,
@@ -55,7 +57,7 @@ def phases(index):
     lap("kostant")
     W = construct_module(L, borel, nu)
     lap("construct_module")
-    for label in _n_labels(L, _n_roots(borel)):
+    for label in _root_labels(L, _n_roots(borel)):
         W.action(label)
     lap("columns")
     cx = build_complex(L, borel, W)
