@@ -9,8 +9,9 @@ then f_alpha in the mirrored (same root) order.
 
 Structure constants are fixed by the extraspecial-pair convention:
 N(xi, eta) = p+1 > 0 for every extraspecial pair (xi, eta), all other
-constants derived through the standard Chevalley identities.  This makes
-every built algebra bit-reproducible.
+constants derived through the standard Chevalley identities in one pass
+over the positive root pairs.  This makes every built algebra
+bit-reproducible.
 """
 
 from fractions import Fraction
@@ -21,101 +22,15 @@ from ghcert.linalg import exact, rref
 from ghcert.rootsystem import CartanType, RootSystem
 
 
-def _neg(c):
-    return tuple(-x for x in c)
-
-
-class _StructureConstants:
-    """N(alpha, beta) for the Chevalley basis of a root system."""
-
-    def __init__(self, rs: RootSystem):
-        self.rs = rs
-        self.pos_index = rs.root_index
-        self.table = {}
-        self.extraspecial = {}
-        self._memo = {}
-        self._fill()
-
-    def _p(self, a, b):
-        """Largest k with b - k*a a root."""
-        k = 0
-        cur = list(b)
-        while True:
-            for i in range(len(cur)):
-                cur[i] -= a[i]
-            if tuple(cur) in self.rs.root_set:
-                k += 1
-            else:
-                return k
-
-    def _fill(self):
-        for gamma in self.rs.positive_roots:
-            if self.rs.height(gamma) < 2:
-                continue
-            pairs = []
-            for a in self.rs.positive_roots:
-                ia = self.pos_index[a]
-                b = tuple(g - x for g, x in zip(gamma, a))
-                ib = self.pos_index.get(b)
-                if ib is not None and ia < ib:
-                    pairs.append((a, b))
-            xi, eta = pairs[0]
-            self.extraspecial[gamma] = (xi, eta)
-            self.table[(xi, eta)] = self._p(xi, eta) + 1
-            for a, b in pairs[1:]:
-                self.table[(a, b)] = self._derive(a, b, xi, eta, gamma)
-
-    def _derive(self, a, b, xi, eta, gamma):
-        # Jacobi identity on (e_a, e_b, e_{-xi}) rearranged for N(a, b);
-        # every constant on the right involves a pair of strictly smaller
-        # height-sum, or the extraspecial pair of gamma itself.
-        t = self.n(b, _neg(xi)) * self.n(
-            tuple(x - y for x, y in zip(b, xi)), a
-        ) + self.n(_neg(xi), a) * self.n(tuple(x - y for x, y in zip(a, xi)), b)
-        denom = self.n(gamma, _neg(xi))
-        val, r = divmod(-t, denom)
-        if r:
-            raise InvariantViolation(
-                f"structure constant N{(a, b)} = {Fraction(-t, denom)} is not an integer"
-            )
-        return val
-
-    def n(self, x, y) -> int:
-        if x not in self.rs.root_set or y not in self.rs.root_set:
-            return 0
-        s = tuple(a + b for a, b in zip(x, y))
-        if s not in self.rs.root_set:
-            return 0
-        key = (x, y)
-        got = self._memo.get(key)
-        if got is not None:
-            return got
-        px = x in self.pos_index
-        py = y in self.pos_index
-        if px and py:
-            if self.pos_index[x] < self.pos_index[y]:
-                val = self.table[(x, y)]
-            else:
-                val = -self.table[(y, x)]
-        elif not px and not py:
-            val = -self.n(_neg(x), _neg(y))
-        elif not px:
-            val = -self.n(y, x)
-        elif s in self.pos_index:
-            # x positive, y negative, x+y positive: cycle through z = -(x+y)
-            z = _neg(s)
-            norm2 = self.rs.root_norm2
-            num = self.n(y, z) * norm2[z]
-            val, r = divmod(num, norm2[x])
-            if r:
-                raise InvariantViolation(
-                    f"structure constant N{(x, y)} = {Fraction(num, norm2[x])} is not an integer"
-                )
-        else:
-            # x positive, y negative, x+y negative
-            val = self.n(_neg(y), _neg(x))
-        self._memo[key] = val
-        return val
+def _divide(num, den, x, y, sign=""):
+    """num / den for the structure constant N(x, sign y), which must be an
+    integer; x and y are positive roots."""
+    val, r = divmod(num, den)
+    if r:
+        raise InvariantViolation(
+            f"structure constant N({x}, {sign}{y}) = {Fraction(num, den)} is not an integer"
+        )
+    return val
 
 
 class LieAlgebra:
@@ -133,7 +48,6 @@ class LieAlgebra:
         )
         self.dim = len(self.basis)
         self.index = {lab: i for i, lab in enumerate(self.basis)}
-        self.nconst = _StructureConstants(self.rs)
         self._structure = {}
         self._build_structure()
         self._killing = None
@@ -148,50 +62,74 @@ class LieAlgebra:
             self._structure[(j, i)] = {k: -v for k, v in coords.items()}
 
     def _build_structure(self):
+        """Fill the bracket table in one pass over the positive root pairs.
+
+        A root is keyed by one integer, sum c_i B^i over its simple-root
+        coordinates c; B exceeds four times every coordinate, so a sum or
+        difference of two roots is a root exactly when its key is one.  The
+        pairs (a, b), a before b, of each positive root g are collected in
+        order of a, and g is visited in root order, that is by height.  The
+        first pair of g is extraspecial and gets N = p + 1, p the largest k
+        with b - k a a root.  Every other pair's N is the Jacobi identity on
+        (e_a, e_b, f_xi) with the extraspecial pair (xi, eta) of g; each
+        constant it reads is of a pair of smaller height sum, or of the
+        extraspecial pair.  A pair then gives the brackets of all six
+        pairs among e_a, e_b, e_g, f_a, f_b, f_g that land on a root vector,
+        by N(-a, -b) = -N(a, b) and the cyclic identity N(g, -a) =
+        N(a, -g) = -N(a, b) (b, b) / (g, g), and likewise for b.
+        """
         rs = self.rs
-        n = self.rank
-        for pi, c in enumerate(rs.positive_roots):
-            f = rs.root_to_weight(c)
-            ie = self.index[("e", c)]
-            iff = self.index[("f", c)]
-            for i in range(n):
-                if f[i]:
-                    self._put(i, ie, {ie: f[i]})
-                    self._put(i, iff, {iff: -f[i]})
+        n, pos = self.rank, rs.positive_roots
+        e0, f0 = n, n + len(pos)  # basis index of e and f of the first root
+        table, put = self._structure, self._put
+        for a, (c, wt) in enumerate(zip(pos, rs.positive_root_weights)):
+            ie, iff = e0 + a, f0 + a
+            for i, x in enumerate(wt):
+                if x:
+                    put(i, ie, {ie: x})
+                    put(i, iff, {iff: -x})
             # [e_c, f_c] = h_c (the coroot)
             co = rs.coroot_coeffs(c)
-            self._put(ie, iff, {i: k for i, k in enumerate(co) if k})
-        for a in rs.positive_roots:
-            for b in rs.positive_roots:
-                ia, ib = rs.root_index[a], rs.root_index[b]
-                if ia < ib:
-                    s = tuple(x + y for x, y in zip(a, b))
-                    if s in rs.root_index:
-                        nval = self.nconst.n(a, b)
-                        self._put(
-                            self.index[("e", a)],
-                            self.index[("e", b)],
-                            {self.index[("e", s)]: nval},
-                        )
-                        self._put(
-                            self.index[("f", a)],
-                            self.index[("f", b)],
-                            {self.index[("f", s)]: -nval},
-                        )
-                # [e_a, f_b], a != b
-                if a != b:
-                    sdiff = tuple(x - y for x, y in zip(a, b))
-                    if sdiff in rs.root_set:
-                        nval = self.nconst.n(a, _neg(b))
-                        if sdiff in rs.root_index:
-                            tgt = self.index[("e", sdiff)]
-                        else:
-                            tgt = self.index[("f", _neg(sdiff))]
-                        self._put(
-                            self.index[("e", a)],
-                            self.index[("f", b)],
-                            {tgt: nval},
-                        )
+            put(ie, iff, {i: k for i, k in enumerate(co) if k})
+        base = 4 * max(max(c) for c in pos) + 1
+        key = [sum(x * base**i for i, x in enumerate(c)) for c in pos]
+        norm2 = [rs.root_norm2[c] for c in pos]
+        where = {k: a for a, k in enumerate(key)}
+        roots = set(key).union(-k for k in key)
+        pairs = [[] for _ in pos]
+        for a, ka in enumerate(key):
+            for b in range(a + 1, len(key)):
+                g = where.get(ka + key[b])
+                if g is not None:
+                    pairs[g].append((a, b))
+        nc = {}  # N(a, b), N(b, a), N(g, -a), N(g, -b) of the triples done, by keys
+        for g, kg in enumerate(key):
+            for m, (a, b) in enumerate(pairs[g]):
+                ka, kb = key[a], key[b]
+                if m == 0:
+                    xi, p, k = ka, 0, kb - ka
+                    while k in roots:
+                        p, k = p + 1, k - ka
+                    nab = p + 1
+                else:
+                    # xi precedes a and b, so a - xi and b - xi are positive
+                    # roots or not roots; N(-xi, a) = -N(a, -xi)
+                    t = 0
+                    if kb - xi in roots:
+                        t += nc[kb, -xi] * nc[kb - xi, ka]
+                    if ka - xi in roots:
+                        t -= nc[ka, -xi] * nc[ka - xi, kb]
+                    nab = _divide(-t, nc[kg, -xi], pos[a], pos[b])
+                u = _divide(-nab * norm2[b], norm2[g], pos[g], pos[a], "-")
+                v = _divide(nab * norm2[a], norm2[g], pos[g], pos[b], "-")
+                nc[ka, kb], nc[kb, ka], nc[kg, -ka], nc[kg, -kb] = nab, -nab, u, v
+                for i, j, k, c in (
+                    (e0 + a, e0 + b, e0 + g, nab), (f0 + a, f0 + b, f0 + g, -nab),
+                    (e0 + g, f0 + a, e0 + b, u), (e0 + g, f0 + b, e0 + a, v),
+                    (e0 + a, f0 + g, f0 + b, u), (e0 + b, f0 + g, f0 + a, v),
+                ):
+                    table[i, j] = {k: c}
+                    table[j, i] = {k: -c}
 
     # -- basic operations ----------------------------------------------
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from ghcert.certify import (
+    _SEARCH_MINIMUMS,
     adapted_borel,
     canonical_json,
     certify,
@@ -77,6 +78,9 @@ def _parse_degrees(text):
 
 
 def cmd_certify(args):
+    low = _SEARCH_MINIMUMS["seed"]  # the minimum of the input's search.seed
+    if args.seed is not None and args.seed < low:
+        raise InputInvalid(f"certify: --seed {args.seed} is less than {low}")
     raw = _load_json(args.input)
     pin = parse_input(raw)
     if args.seed is not None:

@@ -131,7 +131,12 @@ class _Echelon:
 
     def insert(self, vec, ident=None):
         """Add vec as a row unless the rows span it; True iff it was added."""
-        p, q, rem, comb = self.reduce(vec)
+        return self._add(self.reduce(vec), ident)
+
+    def _add(self, reduced, ident):
+        """Add the remainder of a reduction (`reduce`) as a row, unless it is
+        empty; True iff it was added."""
+        p, q, rem, comb = reduced
         if not rem:
             return False
         lead = min(rem)
@@ -156,12 +161,16 @@ class _Echelon:
         self.rows[lead] = (rem, comb, den)
         return True
 
-    def coords(self, vec):
+    def coords(self, vec, ident=None):
         """The combination of tracked vectors that vec equals modulo the
         untracked span, {ident: int, or Fraction where not integral}; None
-        when vec is not in the span of the rows."""
-        p, _, rem, comb = self.reduce(vec)
+        when vec is not in the span of the rows, and then, given an ident,
+        vec is added as a row tracked by it, from the same reduction."""
+        reduced = self.reduce(vec)
+        p, _, rem, comb = reduced
         if rem:
+            if ident is not None:
+                self._add(reduced, ident)
             return None
         if p == 1:
             return comb
@@ -265,18 +274,17 @@ def construct_module(
                 key[t] = key.get(t, 0) + sum(c * wt[j] for j, c in coroots[i].items())
                 s = math.lcm(*(x.denominator for x in key.values()))
                 key = {t: int(x * s) for t, x in key.items() if x}
-                comb = ech.coords(key)
+                new = len(weights)
+                comb = ech.coords(key, new)
                 if comb is not None:
                     f_i[b] = {j: _div(x, s) for j, x in comb.items()}
                     continue
                 # a new basis vector, s f_i b, with integer e-images key
-                new = len(weights)
                 if new >= target:
                     raise InvariantViolation(
                         "action leaves the constructed module: more independent"
                         f" vectors than the Weyl dimension {target}"
                     )
-                ech.insert(key, new)
                 f_i[b] = {new: _div(1, s)}
                 weights.append(tuple(x - y for x, y in zip(wt, simple_wts[i])))
                 for k in range(r):

@@ -226,9 +226,6 @@ class RootSystem:
             frontier = new
         return sorted(roots, key=lambda c: (sum(c), c))
 
-    def height(self, c) -> int:
-        return sum(c)
-
     # -- invariant bilinear form ---------------------------------------
 
     def root_ip(self, b, c) -> int:

@@ -421,6 +421,18 @@ def test_cli_seed_override(write_input, tmp_path):
     assert cert["verdict"]["kind"] == "ExistsWitness"
 
 
+def test_cli_negative_seed_override_exits_2(write_input, tmp_path, capsys):
+    # the same minimum as "search": {"seed": -1} in the input, which exits 2
+    inp = write_input("in.json", CASES["a2_torus"])
+    out = tmp_path / "r.json"
+    assert main(["certify", inp, "--out", str(out), "--seed", "-1"]) == 2
+    assert "--seed -1 is less than 0" in capsys.readouterr().err
+    assert not out.exists()
+    seeded = write_input("seeded.json", {**CASES["a2_torus"], "search": {"seed": -1}})
+    assert main(["certify", seeded, "--out", str(out)]) == 2
+    assert main(["certify", inp, "--out", str(out), "--seed=0"]) == 0
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -335,8 +335,8 @@ def test_n_column_leaving_the_module_is_rejected(monkeypatch):
     coords = oracle._Echelon.coords
     outs = []
 
-    def record(self, vec):
-        outs.append(coords(self, vec))
+    def record(self, vec, ident=None):
+        outs.append(coords(self, vec, ident))
         return outs[-1]
 
     monkeypatch.setattr(oracle._Echelon, "coords", record)
@@ -345,8 +345,8 @@ def test_n_column_leaving_the_module_is_rejected(monkeypatch):
     for target in (nonempty[0], nonempty[-1]):
         calls = []
 
-        def corrupt_one(self, vec):
-            out = coords(self, vec)
+        def corrupt_one(self, vec, ident=None):
+            out = coords(self, vec, ident)
             if len(calls) == target:
                 out = {**out, 0: 1}
             calls.append(out)
@@ -498,6 +498,18 @@ def test_integer_echelon_matches_fraction_reference(inserted, mixes, probes):
         else:
             assert got == comb
             assert all(isinstance(x, int) for x in got.values() if x.denominator == 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(sparse_vectors, max_size=8))
+def test_coords_with_an_ident_inserts_what_it_misses(vecs):
+    ech, ref = oracle._Echelon(), oracle._Echelon()
+    for ident, vec in enumerate(vecs):
+        expected = ref.coords(vec)
+        assert ech.coords(vec, ident) == expected
+        if expected is None:
+            assert ref.insert(vec, ident)
+        assert ech.rows == ref.rows
 
 
 # -- the module in its own coordinates, against references --------------

@@ -3,10 +3,12 @@ type, through `ghcert.cli.main` in process.
 
     for t in F4 E6 E7 E8; do PYTHONPATH=src python3 tools/sl2_rungs.py $t; done
 
-`certify` is timed around the call, from an empty algebra cache; the cache
-is emptied again before `verify` is timed. Prints one JSON line: the exit
-codes, the seconds of each command, `valid` from `verify`, the sha256 of
-the certificate bytes and the process's peak RSS.
+`build_s` is one `build_algebra` from an empty algebra cache, the first
+layer of every request.  `certify` is timed around the call, from an empty
+algebra cache; the cache is emptied again before `verify` is timed. Prints
+one JSON line: the seconds of the build, the exit codes, the seconds of
+each command, `valid` from `verify`, the sha256 of the certificate bytes
+and the process's peak RSS.
 """
 
 import contextlib
@@ -24,7 +26,10 @@ from ghcert.cli import main
 
 
 def rung(algebra, workdir):
+    ghcert.algebra._build_cached.cache_clear()
+    start = time.perf_counter()
     L = ghcert.algebra.build_algebra(algebra)
+    build_s = round(time.perf_counter() - start, 4)
     alpha1 = tuple(int(i == 0) for i in range(L.rank))
     rows = [0] + [L.index[(kind, alpha1)] for kind in ("e", "f")]
     unit = [[int(j == i) for j in range(L.dim)] for i in rows]
@@ -32,7 +37,7 @@ def rung(algebra, workdir):
     inp, cert = os.path.join(workdir, "in.json"), os.path.join(workdir, "cert.json")
     with open(inp, "w") as fh:
         json.dump(spec, fh)
-    row = {"algebra": algebra}
+    row = {"algebra": algebra, "build_s": build_s}
     printed = io.StringIO()
     for cmd, argv in (("certify", ["certify", inp, "--out", cert]),
                       ("verify", ["verify", cert, inp])):
