@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ghcert.errors import DimensionMismatch, InvariantViolation
-from ghcert.linalg import exact, rref
+from ghcert.linalg import axpy, exact, rref
 from ghcert.rootsystem import CartanType, RootSystem
 
 
@@ -144,20 +144,33 @@ class LieAlgebra:
     def structure(self, i, j):
         return self._structure.get((i, j), {})
 
+    def structure_items(self):
+        """Every nonzero entry of the bracket table, as ((i, j), {k: c})."""
+        return self._structure.items()
+
+    def bracket_sparse(self, x, y):
+        """[x, y] for sparse vectors {basis index: coefficient}, nonzero
+        entries only."""
+        table = self._structure
+        out = {}
+        for i, a in x.items():
+            for j, b in y.items():
+                s = table.get((i, j))
+                if s:
+                    ab = a * b
+                    for k, c in s.items():
+                        out[k] = out.get(k, 0) + ab * c
+        return {k: v for k, v in out.items() if v}
+
     def bracket(self, x, y):
+        """[x, y] for dense coordinate vectors, by `bracket_sparse`."""
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch(
                 f"expected vectors of length {self.dim}, got {len(x)}, {len(y)}"
             )
         out = self.zero()
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                for k, c in self.structure(i, j).items():
-                    out[k] += xi * yj * c
+        for k, v in self.bracket_sparse(_sparse(x), _sparse(y)).items():
+            out[k] = v
         return out
 
     def _killing_form(self):
@@ -196,22 +209,44 @@ class LieAlgebra:
             self._killing_matrix = km
         return self._killing_matrix
 
-    def killing(self, x, y):
-        """K(x, y), read off the support of the Killing form; exact, in
-        normal form."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimensionMismatch("element length does not match algebra dimension")
+    def killing_dual(self, x):
+        """The functional K(x, .) of a sparse vector x, as a sparse vector:
+        K pairs h with h and e_a only with f_a (`_killing_form`)."""
         hh, ef = self._killing_form()
         n, npos = self.rank, len(ef)
-        total = 0
-        for i in range(n):
-            if x[i]:
-                total += x[i] * sum(hh[i][j] * y[j] for j in range(n) if y[j])
-        for a, k in enumerate(ef):
-            e, f = n + a, n + npos + a
-            if (x[e] and y[f]) or (x[f] and y[e]):
-                total += k * (x[e] * y[f] + x[f] * y[e])
-        return exact(total)
+        out = {}
+        for i, v in x.items():
+            if i < n:
+                for j, k in enumerate(hh[i]):
+                    if k:
+                        out[j] = out.get(j, 0) + k * v
+            elif i < n + npos:
+                out[i + npos] = ef[i - n] * v
+            else:
+                out[i - npos] = ef[i - n - npos] * v
+        return {j: v for j, v in out.items() if v}
+
+    def killing_gram(self, rows):
+        """The Gram matrix [K(x, y)] of sparse vectors, exact, in normal form."""
+        duals = [self.killing_dual(y) for y in rows]
+        gram = []
+        for x in rows:
+            out = []
+            for d in duals:
+                v = 0
+                for i, a in x.items():
+                    b = d.get(i)
+                    if b:
+                        v += a * b
+                out.append(exact(v))
+            gram.append(out)
+        return gram
+
+    def killing(self, x, y):
+        """K(x, y) of dense vectors, by `killing_dual`; exact, in normal form."""
+        if len(x) != self.dim or len(y) != self.dim:
+            raise DimensionMismatch("element length does not match algebra dimension")
+        return exact(sum(x[i] * v for i, v in self.killing_dual(_sparse(y)).items()))
 
     def simple_ideal_subspaces(self):
         """One coordinate Subspace per simple factor, in factor order; built
@@ -229,14 +264,20 @@ class LieAlgebra:
         return self._simple_ideals
 
 
+def _sparse(v):
+    """A dense vector's nonzero entries, {index: value}."""
+    return {i: x for i, x in enumerate(v) if x}
+
+
 class Subspace:
     """A subspace of coordinate space, canonicalized to RREF rows."""
 
-    __slots__ = ("rows", "ambient")
+    __slots__ = ("rows", "ambient", "_pivot_rows")
 
     def __init__(self, rows, ambient):
         self.rows = tuple(tuple(r) for r in rows)
         self.ambient = ambient
+        self._pivot_rows = None
 
     @classmethod
     def from_vectors(cls, vecs, ambient):
@@ -250,20 +291,32 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
+    @property
+    def pivot_rows(self):
+        """{pivot column: the row there, sparse}, in row order; built once."""
+        if self._pivot_rows is None:
+            self._pivot_rows = {}
+            for row in self.rows:
+                sparse = _sparse(row)
+                self._pivot_rows[min(sparse)] = sparse
+        return self._pivot_rows
+
     def contains(self, v) -> bool:
-        """Reduce v at the pivots: in RREF each pivot column is a unit
-        column, so v is in the span exactly when nothing is left over."""
-        rest = list(v)
-        for row in self.rows:
-            c = rest[next(i for i, x in enumerate(row) if x)]
-            if c:
-                for i, x in enumerate(row):
-                    if x:
-                        rest[i] -= c * x
-        return not any(rest)
+        """Whether v, dense or sparse, lies in the span.  In RREF each pivot
+        column is a unit column, so v minus v's pivot entries times their
+        rows is zero exactly when v is in the span."""
+        if type(v) is not dict:
+            v = _sparse(v)
+        rest = dict(v)
+        rows = self.pivot_rows
+        for p, c in v.items():
+            row = rows.get(p)
+            if row is not None:
+                axpy(rest, -c, row)
+        return not rest
 
     def contains_subspace(self, other) -> bool:
-        return all(self.contains(r) for r in other.rows)
+        return all(self.contains(r) for r in other.pivot_rows.values())
 
     def sum(self, other) -> "Subspace":
         return Subspace.from_vectors(

@@ -20,7 +20,7 @@ from ghcert.errors import (
     ReducedToZero,
     TNotInK,
 )
-from ghcert.linalg import exact, matvec, nullspace, rank
+from ghcert.linalg import Echelon, exact, integral, nullspace, rank
 from ghcert.rootsystem import CartanType
 from ghcert.weights import WeightMultiset
 from ghcert import algebra as _algebra
@@ -75,22 +75,29 @@ class RegularElement:
 
 
 def close_generators(L: LieAlgebra, gens) -> Subspace:
-    """Smallest bracket-closed subspace containing the generators."""
+    """Smallest bracket-closed subspace containing the generators.
+
+    A worklist of sparse integer vectors: each basis vector, once added, is
+    bracketed once with every earlier one, and a bracket outside the span
+    (an `Echelon` of the basis) joins the basis.  Every pair of basis
+    vectors then brackets into the span, so the span is closed."""
     if not gens:
         raise InputInvalid("generator list is empty")
-    space = Subspace.from_vectors([list(g) for g in gens], L.dim)
-    while True:
-        extra = []
-        rows = [list(r) for r in space.rows]
-        for i, x in enumerate(rows):
-            for y in rows[i:]:
-                b = L.bracket(x, y)
-                if any(c != 0 for c in b):
-                    extra.append(b)
-        bigger = Subspace.from_vectors(rows + extra, L.dim)
-        if bigger.dim == space.dim:
-            return space
-        space = bigger
+    ech = Echelon()
+    basis = [v for v in map(integral, gens) if v and ech.insert(v)]
+    for i, x in enumerate(basis):  # basis grows while it is walked
+        for y in basis[:i]:
+            b = L.bracket_sparse(y, x)
+            if b and ech.insert(b):
+                basis.append(b)
+    return Subspace.from_vectors([_dense(v, L.dim) for v in basis], L.dim)
+
+
+def _dense(v, dim):
+    out = [0] * dim
+    for i, x in v.items():
+        out[i] = x
+    return out
 
 
 def verify_reductive(L: LieAlgebra, k: Subspace, t: Subspace) -> ReductivityReport:
@@ -100,23 +107,16 @@ def verify_reductive(L: LieAlgebra, k: Subspace, t: Subspace) -> ReductivityRepo
     ad h_i in its support is diagonal in the Chevalley basis; that is read
     off the sparse structure constants rather than taken on trust.
     """
-    for r in t.rows:
-        if any(r[i] != 0 for i in range(L.rank, L.dim)):
-            raise InputInvalid("t basis vectors must lie in the standard Cartan")
+    if any(i >= L.rank for r in t.pivot_rows.values() for i in r):
+        raise InputInvalid("t basis vectors must lie in the standard Cartan")
     if not k.contains_subspace(t):
         raise TNotInK("t is not contained in k")
-    rows = [list(r) for r in k.rows]
-    closed = True
-    for i, x in enumerate(rows):
-        for y in rows[i:]:
-            if not k.contains(L.bracket(x, y)):
-                closed = False
-                break
-        if not closed:
-            break
-    gram = [[L.killing(x, y) for y in rows] for x in rows]
-    nondeg = k.dim == 0 or rank(gram) == k.dim
-    support = {i for r in t.rows for i in range(L.rank) if r[i] != 0}
+    rows = list(k.pivot_rows.values())
+    closed = all(
+        k.contains(L.bracket_sparse(x, y)) for i, x in enumerate(rows) for y in rows[i + 1:]
+    )
+    nondeg = k.dim == 0 or rank(L.killing_gram(rows)) == k.dim
+    support = {i for r in t.pivot_rows.values() for i in r}
     semisimple = all(
         L.structure(i, j).keys() <= {j} for i in support for j in range(L.dim)
     )
@@ -128,10 +128,9 @@ def make_embedding(L: LieAlgebra, gens, t_rows) -> EmbeddedSubalgebra:
     k = close_generators(L, gens)
     t = Subspace.from_vectors([list(r) for r in t_rows], L.dim)
     checks = verify_reductive(L, k, t)
-    for i, x in enumerate(t.rows):
-        for y in t.rows[i:]:
-            if any(c != 0 for c in L.bracket(list(x), list(y))):
-                raise InputInvalid("t is not abelian")
+    trows = list(t.pivot_rows.values())
+    if any(L.bracket_sparse(x, y) for i, x in enumerate(trows) for y in trows[i + 1:]):
+        raise InputInvalid("t is not abelian")
     # t must be self-centralizing in k (a Cartan subalgebra of k): k is
     # t-invariant, so C_k(t) = k_0, the zero t-weight part of the grading
     grading = t_grading(L, k, t)
@@ -155,7 +154,7 @@ def killing_perp(L: LieAlgebra, k: Subspace) -> Subspace:
     """Killing-orthogonal complement of k in g."""
     if k.dim == 0:
         return Subspace.from_vectors([L.basis_vector(l) for l in L.basis], L.dim)
-    pairing = [matvec(L.killing_matrix, list(r)) for r in k.rows]
+    pairing = [_dense(L.killing_dual(r), L.dim) for r in k.pivot_rows.values()]
     perp_rows = nullspace(pairing, n_cols=L.dim)
     perp = Subspace.from_vectors(perp_rows, L.dim)
     if k.sum(perp).dim != k.dim + perp.dim:
@@ -229,8 +228,9 @@ def t_grading(L: LieAlgebra, k: Subspace, t: Subspace) -> TGrading:
     exactly when k = sum of (k ∩ g_w), that is, when k is t-invariant.
     """
     # the t-weight of each positive root, by root index; f_c has minus it
+    trows = t.pivot_rows.values()
     root_wts = [
-        tuple(exact(sum(x * y for x, y in zip(row, f))) for row in t.rows)
+        tuple(exact(sum(x * f[i] for i, x in row.items())) for row in trows)
         for f in L.rs.positive_root_weights
     ]
     weights = []
@@ -243,12 +243,8 @@ def t_grading(L: LieAlgebra, k: Subspace, t: Subspace) -> TGrading:
     blocks = {}
     for idx, w in enumerate(weights):
         blocks.setdefault(w, []).append(idx)
-    k_dims = {}
-    for w, idxs in blocks.items():
-        cut = [[row[i] for i in idxs] for row in k.rows]
-        dim = rank([r for r in cut if any(r)])
-        if dim:
-            k_dims[w] = dim
+    cuts = split_by_weight(k.pivot_rows.values(), blocks, weights)
+    k_dims = {w: rank(rows) for w, rows in cuts.items() if rows}
     if sum(k_dims.values()) != k.dim:
         raise NotTInvariant(
             f"subspace is not a sum of joint t-weight spaces "
@@ -258,6 +254,19 @@ def t_grading(L: LieAlgebra, k: Subspace, t: Subspace) -> TGrading:
     return TGrading(
         tuple(weights), {w: tuple(idxs) for w, idxs in blocks.items()}, k_dims, k_roots
     )
+
+
+def split_by_weight(rows, blocks, weights):
+    """{w: the sparse rows cut to the columns of g_w}, in block order; a
+    row with nothing in g_w is left out there."""
+    cuts = {w: [] for w in blocks}
+    for row in rows:
+        parts = {}
+        for i, x in row.items():
+            parts.setdefault(weights[i], {})[i] = x
+        for w, part in parts.items():
+            cuts[w].append(part)
+    return cuts
 
 
 # -- regular element ---------------------------------------------------

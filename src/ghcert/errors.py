@@ -31,10 +31,6 @@ class NonDominant(GhcError):
     pass
 
 
-class TNotInK(GhcError):
-    pass
-
-
 class ReducedToZero(GhcError):
     pass
 
@@ -81,6 +77,10 @@ class GenericNuNotFound(GhcError):
 
 class InputInvalid(GhcError):
     pass
+
+
+class TNotInK(InputInvalid):
+    """t is not inside k: an input fault."""
 
 
 class PipelineError(GhcError):

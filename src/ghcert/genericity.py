@@ -6,7 +6,7 @@ of the t-weights of n.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from ghcert.algebra import LieAlgebra
 from ghcert.borel import BorelData
@@ -18,7 +18,7 @@ from ghcert.errors import (
     InvariantViolation,
     SearchTooLarge,
 )
-from ghcert.linalg import det, exact, inverse
+from ghcert.linalg import exact, rank
 from ghcert.parabolic import ParabolicData, RhoVectors
 from ghcert.weights import Weight, WeightMultiset
 
@@ -28,23 +28,37 @@ DEFAULT_COND2_CAP = 24
 
 
 class TStarForm:
-    """Killing-induced bilinear form on t*: the inverse Gram matrix of t,
-    also kept as the integer matrix inv_scaled = den * gram_inv, den > 0
-    the common denominator of its entries."""
+    """Killing-induced bilinear form on t*, from the Gram matrix of t: the
+    inverse Gram matrix kept as the integer matrix inv_scaled = den *
+    gram^-1, den > 0 the common denominator of its entries."""
 
     def __init__(self, gram):
-        if det(gram) == 0:
-            raise DegenerateOnT("Killing form degenerates on t")
-        self.gram = gram
-        self.gram_inv = inverse(gram)
-        self.den = lcm(*(x.denominator for row in self.gram_inv for x in row))
-        self.inv_scaled = [[int(x * self.den) for x in row] for row in self.gram_inv]
-        # positive definiteness via leading principal minors
+        # Fraction-free Gauss-Jordan on [D gram | 1], D the common
+        # denominator of gram, without row swaps (Bareiss; Montante): the
+        # k-th pivot is the k-th leading principal minor of D gram, and the
+        # end is [d 1 | adj(D gram)], d = det(D gram)
         n = len(gram)
-        for k in range(1, n + 1):
-            minor = det([row[:k] for row in gram[:k]])
-            if minor <= 0:
+        D = lcm(*(x.denominator for row in gram for x in row))
+        a = [
+            [x.numerator * (D // x.denominator) for x in row] + [int(i == j) for j in range(n)]
+            for i, row in enumerate(gram)
+        ]
+        d = 1
+        for k in range(n):
+            piv, pivot_row = a[k][k], a[k]
+            if piv <= 0:
+                if rank(gram) < n:
+                    raise DegenerateOnT("Killing form degenerates on t")
                 raise DegenerateOnT("Killing form is not positive definite on t")
+            for i, row in enumerate(a):
+                f = row[k]
+                if i != k and (f or d != piv):
+                    a[i] = [(piv * x - f * y) // d for x, y in zip(row, pivot_row)]
+            d = piv
+        # gram^-1 = D adj / d
+        adj = [row[n:] for row in a]
+        self.den = d // gcd(d, D * gcd(*(x for row in adj for x in row)))
+        self.inv_scaled = [[self.den * D * x // d for x in row] for row in adj]
 
     def ip(self, a, b):
         """<a, b>, exact, in normal form."""
@@ -53,9 +67,7 @@ class TStarForm:
 
 
 def induced_form_on_tstar(L: LieAlgebra, emb: EmbeddedSubalgebra) -> TStarForm:
-    rows = [list(r) for r in emb.t.rows]
-    gram = [[L.killing(x, y) for y in rows] for x in rows]
-    return TStarForm(gram)
+    return TStarForm(L.killing_gram(list(emb.t.pivot_rows.values())))
 
 
 def restrict_to_t(emb: EmbeddedSubalgebra, nu: Weight) -> Weight:

@@ -1,29 +1,26 @@
 """Exact rational linear algebra."""
 
+from ghcert.linalg.echelon import Echelon, axpy, integral, rank
 from ghcert.linalg.matrix import (
     exact,
     rref_in_place,
     rref,
-    rank,
     nullspace,
-    matmul,
     matvec,
     identity,
-    transpose,
     inverse,
-    det,
 )
 
 __all__ = [
+    "Echelon",
+    "axpy",
+    "integral",
+    "rank",
     "exact",
     "rref_in_place",
     "rref",
-    "rank",
     "nullspace",
-    "matmul",
     "matvec",
     "identity",
-    "transpose",
     "inverse",
-    "det",
 ]

@@ -1,0 +1,161 @@
+"""Fraction-free row reduction of sparse integer vectors, and the rank of
+exact rational rows on it (after Bareiss, Math. Comp. 22, 1968).
+
+A sparse vector is a dict {key: value} holding the nonzero entries only.
+"""
+
+import math
+from fractions import Fraction
+
+from ghcert.linalg.matrix import exact
+
+
+class Echelon:
+    """Echelon form of sparse integer vectors ({key: int}, nonzero entries
+    only), grown one vector at a time without fractions.  Each row is a
+    primitive integer vector, positive at its least key, which leads no
+    other row.  A row records (combination, den): den * row equals the
+    integer combination {ident: coefficient} of inserted vectors, modulo
+    the span of those inserted without an ident."""
+
+    def __init__(self):
+        self.rows = {}  # leading key -> (row, combination, den)
+
+    def reduce(self, vec):
+        """(p, q, remainder, combination) with p * vec = q * remainder +
+        combination, modulo the untracked span, and p > 0; the remainder is
+        empty iff vec lies in the span of the rows.
+
+        A step cancels the remainder's entry a at its least key against the
+        row's leading entry b: it subtracts (a/b) * row when b divides a,
+        and otherwise cross-multiplies, (b/g) * remainder - (a/g) * row with
+        g = gcd(a, b), and divides out the content."""
+        cur = dict(vec)
+        comb = {}
+        p = q = 1
+        rows = self.rows
+        while cur:
+            lead = min(cur)
+            hit = rows.get(lead)
+            if hit is None:
+                break
+            row, row_comb, den = hit
+            a, b = cur[lead], row[lead]
+            u = c = 1
+            if a % b == 0:
+                axpy(cur, -(a // b), row)
+                a //= b
+            else:
+                g = math.gcd(a, b)
+                u, a = b // g, a // g
+                for k in cur:
+                    cur[k] *= u
+                axpy(cur, -a, row)
+                c = math.gcd(*cur.values()) or 1
+                if c > 1:
+                    for k in cur:
+                        cur[k] //= c
+            # u * old = c * cur + a * row and den * row = row_comb, so
+            # (u den p) vec = (den q c) cur + (q a) row_comb + (u den) comb;
+            # an untracked row lies in the untracked span, so den drops out
+            if not row_comb:
+                den = 1
+            scale = u * den
+            if scale != 1:
+                for k in comb:
+                    comb[k] *= scale
+                p *= scale
+            if row_comb:
+                axpy(comb, q * a, row_comb)
+            q *= den * c
+            if scale != 1 or c != 1:
+                g = math.gcd(p, q, *comb.values())
+                if g != 1:
+                    p, q = p // g, q // g
+                    comb = {k: x // g for k, x in comb.items()}
+        return p, q, cur, comb
+
+    def insert(self, vec, ident=None):
+        """Add vec as a row unless the rows span it; True iff it was added."""
+        return self._add(self.reduce(vec), ident)
+
+    def _add(self, reduced, ident):
+        """Add the remainder of a reduction (`reduce`) as a row, unless it is
+        empty; True iff it was added."""
+        p, q, rem, comb = reduced
+        if not rem:
+            return False
+        lead = min(rem)
+        c = math.gcd(*rem.values())
+        if rem[lead] < 0:
+            c = -c
+        if c != 1:
+            rem = {k: x // c for k, x in rem.items()}
+        # (q c) row = p vec - comb
+        comb = {k: -x for k, x in comb.items()}
+        if ident is not None:
+            comb[ident] = p
+        den = q * c
+        if comb:
+            g = math.gcd(den, *comb.values())
+            if den < 0:
+                g = -g
+            den //= g
+            comb = {k: x // g for k, x in comb.items()}
+        else:
+            den = 1
+        self.rows[lead] = (rem, comb, den)
+        return True
+
+    def coords(self, vec, ident=None):
+        """The combination of tracked vectors that vec equals modulo the
+        untracked span, {ident: int, or Fraction where not integral}; None
+        when vec is not in the span of the rows, and then, given an ident,
+        vec is added as a row tracked by it, from the same reduction."""
+        reduced = self.reduce(vec)
+        p, _, rem, comb = reduced
+        if rem:
+            if ident is not None:
+                self._add(reduced, ident)
+            return None
+        if p == 1:
+            return comb
+        return {k: x // p if x % p == 0 else Fraction(x, p) for k, x in comb.items()}
+
+
+def axpy(y, a, x):
+    """y += a * x on sparse vectors, keeping only nonzero entries; a != 0."""
+    for k, v in x.items():
+        t = y.get(k, 0) + a * v
+        if t:
+            y[k] = t
+        else:
+            del y[k]
+
+
+def integral(row):
+    """A row of exact rationals, a list or a sparse dict, as a sparse
+    integer vector: its nonzero entries times the least common denominator."""
+    vec = {}
+    den = 1
+    for k, x in row.items() if type(row) is dict else enumerate(row):
+        if x:
+            if type(x) is not int:
+                x = exact(x)  # refuses a float
+                den = math.lcm(den, x.denominator)
+            vec[k] = x
+    if den != 1:
+        vec = {k: x.numerator * (den // x.denominator) for k, x in vec.items()}
+    return vec
+
+
+def rank(m) -> int:
+    """The rank of the rows of m, each a list or a sparse dict of exact
+    rationals: the rows, scaled to integers, are inserted into one
+    `Echelon`."""
+    ech = Echelon()
+    for row in m:
+        vec = integral(row)
+        if vec:
+            ech.insert(vec)
+    return len(ech.rows)

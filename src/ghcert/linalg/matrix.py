@@ -1,4 +1,6 @@
-"""Dense exact matrix operations, built on one row-reduction kernel.
+"""Dense exact matrix operations: the canonical RREF and the nullspace, on
+the Gauss-Jordan kernel ``rref_in_place``.  Ranks run on the fraction-free
+`ghcert.linalg.echelon.Echelon` instead.
 
 Matrices are plain lists of lists of exact rationals; vectors are lists of
 them.  An exact rational is kept in one normal form (`exact`): an int when
@@ -82,27 +84,8 @@ def rref(m):
     return work[: len(pivots)], pivots
 
 
-def rank(m) -> int:
-    if not m:
-        return 0
-    return len(rref(m)[1])
-
-
-def transpose(m):
-    if not m:
-        return []
-    return [list(col) for col in zip(*m)]
-
-
 def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def matmul(a, b):
-    if not a or not b:
-        return []
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def matvec(m, v):
@@ -127,38 +110,6 @@ def nullspace(m, n_cols=None):
         basis.append(v)
     red_basis, _ = rref(basis)
     return red_basis
-
-
-def det(m):
-    """Determinant via fraction Gaussian elimination (no pivot scaling), in
-    normal form."""
-    n = len(m)
-    if n == 0:
-        return 1
-    work = [list(row) for row in m]
-    sign = 1
-    d = Fraction(1)
-    for col in range(n):
-        piv = -1
-        for r in range(col, n):
-            if work[r][col] != 0:
-                piv = r
-                break
-        if piv < 0:
-            return 0
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            sign = -sign
-        d *= work[col][col]
-        inv = 1 / Fraction(work[col][col])
-        for r in range(col + 1, n):
-            fr = work[r][col]
-            if fr == 0:
-                continue
-            fr *= inv
-            for c in range(col, n):
-                work[r][c] -= work[col][c] * fr
-    return exact(d * sign)
 
 
 def inverse(m):

@@ -25,7 +25,7 @@ from ghcert.errors import (
     NonDominant,
     NotAnMCharacter,
 )
-from ghcert.linalg import exact
+from ghcert.linalg import Echelon, axpy, exact
 from ghcert.weights import Weight
 
 DEFAULT_DIM_CAP = 5000
@@ -64,129 +64,6 @@ class ExplicitModule:
         return cols
 
 
-class _Echelon:
-    """Echelon form of sparse integer vectors ({key: int}, nonzero entries
-    only), grown one vector at a time without fractions.  Each row is a
-    primitive integer vector, positive at its least key, which leads no
-    other row.  A row records (combination, den): den * row equals the
-    integer combination {ident: coefficient} of inserted vectors, modulo
-    the span of those inserted without an ident."""
-
-    def __init__(self):
-        self.rows = {}  # leading key -> (row, combination, den)
-
-    def reduce(self, vec):
-        """(p, q, remainder, combination) with p * vec = q * remainder +
-        combination, modulo the untracked span, and p > 0; the remainder is
-        empty iff vec lies in the span of the rows.
-
-        A step cancels the remainder's entry a at its least key against the
-        row's leading entry b: it subtracts (a/b) * row when b divides a,
-        and otherwise cross-multiplies, (b/g) * remainder - (a/g) * row with
-        g = gcd(a, b), and divides out the content."""
-        cur = dict(vec)
-        comb = {}
-        p = q = 1
-        rows = self.rows
-        while cur:
-            lead = min(cur)
-            hit = rows.get(lead)
-            if hit is None:
-                break
-            row, row_comb, den = hit
-            a, b = cur[lead], row[lead]
-            u = c = 1
-            if a % b == 0:
-                _axpy(cur, -(a // b), row)
-                a //= b
-            else:
-                g = math.gcd(a, b)
-                u, a = b // g, a // g
-                for k in cur:
-                    cur[k] *= u
-                _axpy(cur, -a, row)
-                c = math.gcd(*cur.values()) or 1
-                if c > 1:
-                    for k in cur:
-                        cur[k] //= c
-            # u * old = c * cur + a * row and den * row = row_comb, so
-            # (u den p) vec = (den q c) cur + (q a) row_comb + (u den) comb;
-            # an untracked row lies in the untracked span, so den drops out
-            if not row_comb:
-                den = 1
-            scale = u * den
-            if scale != 1:
-                for k in comb:
-                    comb[k] *= scale
-                p *= scale
-            if row_comb:
-                _axpy(comb, q * a, row_comb)
-            q *= den * c
-            if scale != 1 or c != 1:
-                g = math.gcd(p, q, *comb.values())
-                if g != 1:
-                    p, q = p // g, q // g
-                    comb = {k: x // g for k, x in comb.items()}
-        return p, q, cur, comb
-
-    def insert(self, vec, ident=None):
-        """Add vec as a row unless the rows span it; True iff it was added."""
-        return self._add(self.reduce(vec), ident)
-
-    def _add(self, reduced, ident):
-        """Add the remainder of a reduction (`reduce`) as a row, unless it is
-        empty; True iff it was added."""
-        p, q, rem, comb = reduced
-        if not rem:
-            return False
-        lead = min(rem)
-        c = math.gcd(*rem.values())
-        if rem[lead] < 0:
-            c = -c
-        if c != 1:
-            rem = {k: x // c for k, x in rem.items()}
-        # (q c) row = p vec - comb
-        comb = {k: -x for k, x in comb.items()}
-        if ident is not None:
-            comb[ident] = p
-        den = q * c
-        if comb:
-            g = math.gcd(den, *comb.values())
-            if den < 0:
-                g = -g
-            den //= g
-            comb = {k: x // g for k, x in comb.items()}
-        else:
-            den = 1
-        self.rows[lead] = (rem, comb, den)
-        return True
-
-    def coords(self, vec, ident=None):
-        """The combination of tracked vectors that vec equals modulo the
-        untracked span, {ident: int, or Fraction where not integral}; None
-        when vec is not in the span of the rows, and then, given an ident,
-        vec is added as a row tracked by it, from the same reduction."""
-        reduced = self.reduce(vec)
-        p, _, rem, comb = reduced
-        if rem:
-            if ident is not None:
-                self._add(reduced, ident)
-            return None
-        if p == 1:
-            return comb
-        return {k: x // p if x % p == 0 else Fraction(x, p) for k, x in comb.items()}
-
-
-def _axpy(y, a, x):
-    """y += a * x on sparse vectors, keeping only nonzero entries; a != 0."""
-    for k, v in x.items():
-        t = y.get(k, 0) + a * v
-        if t:
-            y[k] = t
-        else:
-            del y[k]
-
-
 def _div(x, n):
     """x / n in the normal form of `exact`, for x an int or a Fraction and
     n a nonzero int."""
@@ -219,7 +96,7 @@ def construct_module(
     no weight vector below the top is killed by every e_k: a combination
     of candidates vanishes exactly when the same combination of their
     e-images does.  The e-images, scaled to integers, are reduced by one
-    `_Echelon` per depth; the independent candidates, so scaled, become
+    `Echelon` per depth; the independent candidates, so scaled, become
     basis vectors, every candidate's coordinates give its f_i column, and
     the e-images are the e_k columns.
 
@@ -259,7 +136,7 @@ def construct_module(
                 candidates.setdefault(down, []).extend((i, b) for b in ids)
         level = {}
         for depth, cands in candidates.items():
-            ech = _Echelon()
+            ech = Echelon()
             for i, b in cands:
                 # the e-images of f_i b, keyed row * r + k for e_k
                 key = {}
@@ -326,9 +203,9 @@ def construct_module(
         for m in range(dim):
             out = {}
             for row, c in act_i[m].items():
-                _axpy(out, c, act_beta[row])
+                axpy(out, c, act_beta[row])
             for row, c in act_beta[m].items():
-                _axpy(out, -c, act_i[row])
+                axpy(out, -c, act_i[row])
             cols.append({row: _div(c, n) for row, c in out.items()})
         return cols
 
@@ -355,11 +232,11 @@ def check_module_relations(L: LieAlgebra, W: ExplicitModule) -> bool:
                 # ([x_i, x_j] - x_i x_j + x_j x_i) applied to basis vector m
                 out = {}
                 for k, z in bracket.items():
-                    _axpy(out, z, acts[k][m])
+                    axpy(out, z, acts[k][m])
                 for r, c in acts[j][m].items():
-                    _axpy(out, -c, acts[i][r])
+                    axpy(out, -c, acts[i][r])
                 for r, c in acts[i][m].items():
-                    _axpy(out, c, acts[j][r])
+                    axpy(out, c, acts[j][r])
                 if out:
                     return False
     return True
@@ -390,7 +267,7 @@ class CochainComplex:
         for blocks in self.differentials:
             ranks.append({})
             for wt, cols in blocks.items():
-                ech = _Echelon()
+                ech = Echelon()
                 for entries in cols.values():
                     ech.insert(entries)
                 ranks[-1][wt] = len(ech.rows)

@@ -10,7 +10,7 @@ each intersection is a sum of one block dimension per t-weight.
 from dataclasses import dataclass
 
 from ghcert.algebra import LieAlgebra
-from ghcert.embedding import EmbeddedSubalgebra, RegularElement
+from ghcert.embedding import EmbeddedSubalgebra, RegularElement, split_by_weight
 from ghcert.errors import InvariantViolation
 from ghcert.linalg import rank
 from ghcert.weights import Weight, WeightMultiset
@@ -59,20 +59,12 @@ class RhoVectors:
 
 def _kperp_dims(L: LieAlgebra, emb: EmbeddedSubalgebra):
     """dim (k_perp)_w per t-weight w. The Killing form pairs g_w only with
-    g_{-w}, so (k_perp)_w is the kernel of the pairing block K(k_{-w}, g_w);
-    k's rows cut to the columns of g_{-w} span k_{-w}."""
-    km = L.killing_matrix
-    blocks = emb.grading.blocks
-    out = {}
-    for w, cols in blocks.items():
-        dual = blocks[tuple(-x for x in w)]
-        pairing = [
-            [sum(row[i] * km[i][j] for i in dual if row[i]) for j in cols]
-            for row in emb.k.rows
-            if any(row[i] for i in dual)
-        ]
-        out[w] = len(cols) - rank(pairing)
-    return out
+    g_{-w}, so (k_perp)_w is the kernel of the pairing block K(k_{-w}, g_w):
+    the functionals K(x, .) of k's rows x, cut to the columns of g_w."""
+    grading = emb.grading
+    duals = (L.killing_dual(row) for row in emb.k.pivot_rows.values())
+    cuts = split_by_weight(duals, grading.blocks, grading.weights)
+    return {w: len(cols) - rank(cuts[w]) for w, cols in grading.blocks.items()}
 
 
 def build_parabolic(L: LieAlgebra, emb: EmbeddedSubalgebra, reg: RegularElement) -> ParabolicData:
@@ -108,19 +100,36 @@ def _validate(L, emb, pd, sign):
         if not cond:
             raise InvariantViolation(name)
 
-    m, n = set(pd.m), set(pd.n)
-    p = m | n
     require(
         all(not any(w) for w, s in sign.items() if s == 0),
         "no nonzero t-weight vanishes on h, so m is the zero weight space",
     )
+    part = [sign[w] for w in emb.grading.weights]  # -1 on nbar, 0 on m, 1 on n
     require(
-        all(i in m for row in emb.t.rows for i, x in enumerate(row) if x), "t inside m"
+        all(part[i] == 0 for row in emb.t.pivot_rows.values() for i in row), "t inside m"
     )
-    require(_brackets_into(L, p, p, p), "p = m + n closed under bracket")
-    require(_brackets_into(L, n, n, n), "n closed under bracket")
-    require(_brackets_into(L, m, n, n), "[m, n] inside n")
-    require(_nilpotent(L, n), "n is ad-nilpotent")
+    # one pass over the nonzero brackets [b_i, b_j] with b_i, b_j in p
+    p_closed = n_closed = mn_in_n = True
+    lower = {j: set() for j in pd.n}  # j in n -> support of [n, b_j]
+    for (i, j), out in L.structure_items():
+        si, sj = part[i], part[j]
+        if si < 0 or sj < 0:
+            continue
+        for k in out:
+            sk = part[k]
+            if sk < 0:
+                p_closed = False
+            if sj > 0 and sk <= 0:
+                if si > 0:
+                    n_closed = False
+                else:
+                    mn_in_n = False
+        if si > 0 and sj > 0:
+            lower[j].update(out)
+    require(p_closed, "p = m + n closed under bracket")
+    require(n_closed, "n closed under bracket")
+    require(mn_in_n, "[m, n] inside n")
+    require(_nilpotent(lower), "n is ad-nilpotent")
     require(
         sum(pd.kperp_dims.values()) == L.dim - emb.k.dim,
         "the blocks of k_perp have dimensions summing to dim g - dim k",
@@ -128,19 +137,14 @@ def _validate(L, emb, pd, sign):
     require(pd.n.dim == pd.nbar.dim, "dim n equals dim nbar")
 
 
-def _brackets_into(L, a, b, target):
-    """Whether every structure constant [b_i, b_j], i in a, j in b, is
-    supported on target."""
-    return all(L.structure(i, j).keys() <= target for i in a for j in b)
-
-
-def _nilpotent(L, n):
-    """The lower central series of n, on supports, reaches zero."""
-    current = n
-    for _ in range(len(n) + 1):
+def _nilpotent(lower):
+    """The lower central series of n, on supports, reaches zero; lower maps
+    each index j of n to the support of [n, b_j], and n is closed."""
+    current = set(lower)
+    for _ in range(len(lower) + 1):
         if not current:
             return True
-        current = {k for i in n for j in current for k in L.structure(i, j)}
+        current = set().union(*(lower[j] for j in current))
     return False
 
 

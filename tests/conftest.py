@@ -11,6 +11,25 @@ def is_normal(x):
     return type(x) is int or (type(x) is Fraction and x.denominator > 1)
 
 
+def fraction_det(m):
+    """Reference determinant: Gaussian elimination in Fractions."""
+    work = [[Fraction(x) for x in row] for row in m]
+    d = Fraction(1)
+    for c in range(len(work)):
+        r = next((r for r in range(c, len(work)) if work[r][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            work[c], work[r] = work[r], work[c]
+            d = -d
+        d *= work[c][c]
+        for i in range(c + 1, len(work)):
+            f = work[i][c] / work[c][c]
+            if f:
+                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+    return d
+
+
 def unit(dim, *idx):
     v = [0] * dim
     for i in idx:

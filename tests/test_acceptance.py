@@ -14,7 +14,6 @@ from ghcert.certify import canonical_json, certify, parse_input
 from ghcert.cli import main
 from ghcert.genericity import TStarForm, check_condition_2
 from ghcert.kostant import kostant_cohomology, verify_vanishing
-from ghcert.linalg import det
 from ghcert.oracle import (
     build_complex,
     ce_cohomology,
@@ -23,7 +22,7 @@ from ghcert.oracle import (
 )
 from ghcert.weights import Weight, WeightMultiset
 
-from conftest import CASES, borel_from_case, brute_force_condition_2, compare_at
+from conftest import CASES, borel_from_case, brute_force_condition_2, compare_at, fraction_det
 
 F = Fraction
 
@@ -57,7 +56,7 @@ def test_criterion_1_structure_constants(ctype):
     for i, j, k in itertools.product(range(L.dim), repeat=3):
         x, y, z = vecs[i], vecs[j], vecs[k]
         assert L.killing(L.bracket(x, y), z) == L.killing(x, L.bracket(y, z))
-    assert det(L.killing_matrix) != 0
+    assert fraction_det(L.killing_matrix) != 0
 
 
 # -- criteria 2 + 3: Kostant vs oracle, Euler identity -------------------
@@ -168,8 +167,8 @@ def test_criterion_6_condition_2_vs_brute_force_200():
             [sum(a[i][k] * a[j][k] for k in range(dim)) for j in range(dim)]
             for i in range(dim)
         ]
-        if det(g) == 0 or any(
-            det([row[: k + 1] for row in g[: k + 1]]) <= 0 for k in range(dim)
+        if fraction_det(g) == 0 or any(
+            fraction_det([row[: k + 1] for row in g[: k + 1]]) <= 0 for k in range(dim)
         ):
             continue
         form = TStarForm(g)

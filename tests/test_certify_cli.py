@@ -191,6 +191,41 @@ def test_reductivity_battery_runs_once(monkeypatch):
         assert counts() == once
 
 
+def test_front_runs_on_sparse_rows_and_integer_ranks(monkeypatch):
+    """Certify and verify make no dense bracket call, and no rank reaches
+    the Fraction kernel `rref_in_place`; the sparse bracket and the kernel
+    (for the canonical RREF) still run."""
+    import ghcert.linalg.echelon
+    import ghcert.linalg.matrix
+    from ghcert.algebra import LieAlgebra
+
+    dense, sparse, rref_calls, from_rank = [], [], [], []
+    bracket, bracket_sparse = LieAlgebra.bracket, LieAlgebra.bracket_sparse
+    rref_in_place = ghcert.linalg.matrix.rref_in_place
+    rank_code = ghcert.linalg.echelon.rank.__code__
+
+    def watched_rref(m):
+        rref_calls.append(m)
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code is rank_code:
+                from_rank.append(m)
+            frame = frame.f_back
+        return rref_in_place(m)
+
+    monkeypatch.setattr(LieAlgebra, "bracket", lambda *a: dense.append(a) or bracket(*a))
+    monkeypatch.setattr(
+        LieAlgebra, "bracket_sparse", lambda *a: sparse.append(a) or bracket_sparse(*a)
+    )
+    monkeypatch.setattr(ghcert.linalg.matrix, "rref_in_place", watched_rref)
+    for raw in (CASES["a2_principal"], REDUCTION):
+        cert = certify(parse_input(raw), raw)
+        ok, reasons = verify_certificate(cert, raw)
+        assert ok, reasons
+    assert dense == [] and from_rank == []
+    assert sparse and rref_calls
+
+
 def test_verify_rejects_wrong_input():
     raw = CASES["a1_t"]
     cert = certify(parse_input(raw), raw)
@@ -372,6 +407,12 @@ def test_cli_integral_float_is_invalid_input(write_input, capsys):
     inp = write_input("in.json", data)
     assert main(["certify", inp]) == 2
     assert "$.search.max_coeff" in capsys.readouterr().err
+
+
+def test_cli_t_not_in_k_exits_2(write_input, capsys):
+    inp = write_input("in.json", problem("A2", [unit(8, 2)], [unit(8, 0)]))
+    assert main(["certify", inp]) == 2
+    assert "stage 'make_embedding': t is not contained in k" in capsys.readouterr().err
 
 
 def test_cli_exit_code_internal_error(write_input, monkeypatch, capsys):

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghcert.algebra import build_algebra
 from ghcert.borel import build_borel
@@ -16,6 +19,7 @@ from ghcert.genericity import (
     mu_from_nu,
     restrict_to_t,
 )
+from ghcert.linalg import exact, inverse
 from ghcert.parabolic import build_parabolic, rho_vectors
 from ghcert.weights import Weight, WeightMultiset
 
@@ -53,6 +57,44 @@ def test_tstar_form_positive_definite():
 def test_tstar_form_rejects_degenerate():
     with pytest.raises(DegenerateOnT):
         TStarForm([[F(1), F(1)], [F(1), F(1)]])
+
+
+def test_tstar_form_degenerate_messages():
+    """Singular Grams, whether a leading minor vanishes early or only the
+    determinant does, degenerate; a nonsingular Gram with a leading minor
+    <= 0 is not positive definite."""
+    for gram in ([[1, 1], [1, 1]], [[0, 0], [0, 1]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
+        with pytest.raises(DegenerateOnT, match="^Killing form degenerates on t$"):
+            TStarForm([[F(x) for x in row] for row in gram])
+    for gram in ([[1, 0], [0, -1]], [[0, 1], [1, 0]], [[-1]], [[1, 2], [2, 1]]):
+        with pytest.raises(DegenerateOnT, match="^Killing form is not positive definite on t$"):
+            TStarForm([[F(x) for x in row] for row in gram])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.fractions(-3, 3, max_denominator=4), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_tstar_form_inverse_matches_fraction_reference(a):
+    """den and inv_scaled equal the common denominator and the scaled
+    entries of the Fraction inverse of gram = a a^T + 1/7."""
+    n = len(a)
+    gram = [
+        [exact(sum(x * y for x, y in zip(a[i], a[j])) + F(int(i == j), 7)) for j in range(n)]
+        for i in range(n)
+    ]
+    form = TStarForm(gram)
+    inv = inverse(gram)
+    den = lcm(*(x.denominator for row in inv for x in row))
+    assert form.den == den
+    assert form.inv_scaled == [[int(x * den) for x in row] for row in inv]
+    assert all(type(x) is int for row in form.inv_scaled for x in row)
 
 
 def test_restriction_and_mu():
@@ -249,7 +291,7 @@ def test_condition_2_matches_brute_force_thirds_and_fifths(dim):
     for _ in range(60):
         form, mu, rho, S = _random_instance(rng, dim, lambda: rng.choice((1, 3, 5)))
         dens.update(form.ip(w, w).denominator for w, _ in S.items())
-        dens.update(x.denominator for row in form.gram_inv for x in row)
+        dens.update(F(x, form.den).denominator for row in form.inv_scaled for x in row)
         res = check_condition_2(form, mu, rho, S)
         assert (res.ok, res.witness, res.enumerated_count) == (
             brute_force_condition_2(form, mu, rho, S)

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghcert.linalg import (
-    det,
     exact,
+    integral,
     inverse,
-    matmul,
     matvec,
     nullspace,
     rank,
@@ -15,7 +14,7 @@ from ghcert.linalg import (
     rref_in_place,
 )
 
-from conftest import is_normal
+from conftest import fraction_det, is_normal
 
 F = Fraction
 
@@ -47,14 +46,16 @@ def test_rref_zero_rows_sink():
 
 def test_rank_and_det():
     assert rank(fm([[1, 2], [2, 4]])) == 1
-    assert det(fm([[1, 2], [3, 4]])) == F(-2)
-    assert det(fm([[2, 0], [0, 3]])) == F(6)
+    assert rank([{0: 1, 1: F(1, 2)}, {0: 2, 1: 1}, {}]) == 1
+    assert fraction_det(fm([[1, 2], [3, 4]])) == F(-2)
+    assert fraction_det(fm([[2, 0], [0, 3]])) == F(6)
 
 
 def test_inverse_round_trip():
     m = fm([[2, 1], [1, 1]])
     inv = inverse(m)
-    assert matmul(m, inv) == fm([[1, 0], [0, 1]])
+    product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*inv)] for row in m]
+    assert product == fm([[1, 0], [0, 1]])
 
 
 def test_nullspace_orthogonal_to_rows():
@@ -137,3 +138,28 @@ def test_exact_normal_form():
     assert type(exact(F(4, 2))) is int and exact(F(4, 2)) == 2
     assert exact(F(1, 2)) == F(1, 2) and type(exact(F(1, 2))) is Fraction
     assert exact(-3) == -3
+
+
+# -- the fraction-free rank against the Fraction RREF ---------------------
+
+
+rows_with_zeros = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.one_of(
+            st.lists(entries, min_size=n, max_size=n),
+            st.lists(st.sampled_from([0, F(0)]), min_size=n, max_size=n),
+        ),
+        min_size=0,
+        max_size=6,
+    )
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(rows_with_zeros)
+def test_rank_matches_fraction_rref(m):
+    expected = len(fraction_rref(m)[1]) if m else 0
+    assert rank(m) == expected
+    # the same rows as sparse dicts, nonzero entries only
+    assert rank([{c: x for c, x in enumerate(row) if x} for row in m]) == expected
+    assert all(type(x) is int for row in m for x in integral(row).values())

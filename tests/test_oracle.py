@@ -18,6 +18,7 @@ from ghcert.errors import (
     NonDominant,
     NotAnMCharacter,
 )
+from ghcert.linalg import Echelon
 from ghcert.oracle import (
     build_complex,
     ce_cohomology,
@@ -332,14 +333,14 @@ def test_n_column_leaving_the_module_is_rejected(monkeypatch):
     a term on the highest-weight vector, off its weight.  The e-images
     below read it, and the module grows past the Weyl dimension."""
     L, _, _, _, borel = borel_from_case(CASES["b2_sl2"])
-    coords = oracle._Echelon.coords
+    coords = Echelon.coords
     outs = []
 
     def record(self, vec, ident=None):
         outs.append(coords(self, vec, ident))
         return outs[-1]
 
-    monkeypatch.setattr(oracle._Echelon, "coords", record)
+    monkeypatch.setattr(Echelon, "coords", record)
     construct_module(L, borel, w(2, -1))
     nonempty = [i for i, out in enumerate(outs) if out]
     for target in (nonempty[0], nonempty[-1]):
@@ -352,7 +353,7 @@ def test_n_column_leaving_the_module_is_rejected(monkeypatch):
             calls.append(out)
             return out
 
-        monkeypatch.setattr(oracle._Echelon, "coords", corrupt_one)
+        monkeypatch.setattr(Echelon, "coords", corrupt_one)
         with pytest.raises(InvariantViolation, match="leaves the constructed module"):
             compare_at(L, borel, w(2, -1), range(5))
         assert len(calls) > target
@@ -474,7 +475,7 @@ sparse_vectors = st.dictionaries(
     st.lists(sparse_vectors, max_size=3),
 )
 def test_integer_echelon_matches_fraction_reference(inserted, mixes, probes):
-    ech, ref = oracle._Echelon(), FractionEchelon()
+    ech, ref = Echelon(), FractionEchelon()
     for ident, (vec, tracked) in enumerate(inserted):
         ident = ident if tracked else None
         assert ech.insert(vec, ident) == ref.insert(vec, ident)
@@ -503,7 +504,7 @@ def test_integer_echelon_matches_fraction_reference(inserted, mixes, probes):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.lists(sparse_vectors, max_size=8))
 def test_coords_with_an_ident_inserts_what_it_misses(vecs):
-    ech, ref = oracle._Echelon(), oracle._Echelon()
+    ech, ref = Echelon(), Echelon()
     for ident, vec in enumerate(vecs):
         expected = ref.coords(vec)
         assert ech.coords(vec, ident) == expected

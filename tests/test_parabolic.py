@@ -1,13 +1,21 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghcert.algebra import LieAlgebra, build_algebra
 from ghcert.borel import build_borel
 from ghcert.embedding import choose_regular, make_embedding
 from ghcert.errors import InvariantViolation
-from ghcert.parabolic import build_parabolic, rho_vectors
+from ghcert.parabolic import _validate, build_parabolic, rho_vectors
 from ghcert.rootsystem import CartanType
+
+from conftest import CASES
 
 F = Fraction
 
@@ -119,3 +127,91 @@ def test_nonstandard_borel_sifting():
         for c in L.rs.positive_roots
     }
     assert image == set(borel.pos_roots)
+
+
+# -- the one-pass check against the pairwise one it replaced --------------
+
+
+def pairwise_validate(L, pd):
+    """The first bracket check of `_validate` that fails, or None, with
+    the structure constants looked up pair by pair."""
+
+    def into(a, b, target):
+        return all(L.structure(i, j).keys() <= target for i in a for j in b)
+
+    def nilpotent(n):
+        current = n
+        for _ in range(len(n) + 1):
+            if not current:
+                return True
+            current = {k for i in n for j in current for k in L.structure(i, j)}
+        return False
+
+    m, n = set(pd.m), set(pd.n)
+    p = m | n
+    checks = (
+        (into(p, p, p), "p = m + n closed under bracket"),
+        (into(n, n, n), "n closed under bracket"),
+        (into(m, n, n), "[m, n] inside n"),
+        (nilpotent(n), "n is ad-nilpotent"),
+    )
+    return next((name for ok, name in checks if not ok), None)
+
+
+def one_pass_validate(L, emb, reg, pd):
+    sign = {w: (v > 0) - (v < 0) for w, v in ((w, reg.value(w)) for w in emb.grading.blocks)}
+    try:
+        _validate(L, emb, pd, sign)
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", ["a2_principal", "a2_torus", "b2_sl2", "g2_sl2"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_one_pass_validate_matches_pairwise(name, data):
+    """A corrupted table entry, one-sided or antisymmetric, fails the same
+    check first in both; the intact table passes both."""
+    raw = CASES[name]
+    L = LieAlgebra(CartanType.parse(raw["algebra"]))  # not the cached algebra
+    emb = make_embedding(L, raw["subalgebra_generators"], raw["cartan_t"])
+    reg = choose_regular(L, emb)
+    pd = build_parabolic(L, emb, reg)
+    assert one_pass_validate(L, emb, reg, pd) is None is pairwise_validate(L, pd)
+    index = st.integers(0, L.dim - 1)
+    i, j, k = data.draw(index), data.draw(index), data.draw(index)
+    both = data.draw(st.booleans())
+    L._structure[(i, j)] = {**L.structure(i, j), k: 1}
+    if both:
+        L._structure[(j, i)] = {**L.structure(j, i), k: -1}
+    assert one_pass_validate(L, emb, reg, pd) == pairwise_validate(L, pd)
+
+
+def test_n_leaving_n_is_caught_without_asserts():
+    """[n, n] sent into m fails "n closed under bracket", under -O too."""
+    code = (
+        "from ghcert.algebra import LieAlgebra\n"
+        "from ghcert.embedding import choose_regular, make_embedding\n"
+        "from ghcert.errors import InvariantViolation\n"
+        "from ghcert.parabolic import build_parabolic\n"
+        "from ghcert.rootsystem import CartanType\n"
+        "L = LieAlgebra(CartanType.parse('A2'))\n"
+        "u = lambda *i: [int(j in i) for j in range(8)]\n"
+        "emb = make_embedding(L, [u(0, 1), u(2, 3), u(5, 6)], [u(0, 1)])\n"
+        "reg = choose_regular(L, emb)\n"
+        "pd = build_parabolic(L, emb, reg)\n"
+        "i, j = L.index[('e', (1, 0))], L.index[('e', (0, 1))]\n"
+        "L._structure[(i, j)] = {**L._structure[(i, j)], pd.m[0]: 1}\n"
+        "try:\n"
+        "    build_parabolic(L, emb, reg)\n"
+        "except InvariantViolation as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "n closed under bracket"
