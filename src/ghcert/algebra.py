@@ -281,11 +281,16 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vecs, ambient):
-        vecs = [v for v in vecs if any(x != 0 for x in v)]
-        if not vecs:
-            return cls((), ambient)
-        red, _ = rref(vecs)
-        return cls(red, ambient)
+        return cls(rref(vecs)[0], ambient)
+
+    @classmethod
+    def from_echelon(cls, ech, ambient):
+        """The span of an `Echelon`'s rows, read off its canonical rows
+        without eliminating them again."""
+        canon = ech.canonical_rows()
+        sub = cls(([row.get(c, 0) for c in range(ambient)] for row in canon.values()), ambient)
+        sub._pivot_rows = canon
+        return sub
 
     @property
     def dim(self) -> int:
@@ -317,11 +322,6 @@ class Subspace:
 
     def contains_subspace(self, other) -> bool:
         return all(self.contains(r) for r in other.pivot_rows.values())
-
-    def sum(self, other) -> "Subspace":
-        return Subspace.from_vectors(
-            [list(r) for r in self.rows] + [list(r) for r in other.rows], self.ambient
-        )
 
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.rows == other.rows

@@ -24,6 +24,7 @@ from ghcert.errors import (
     DimCapExceeded,
     GhcError,
     InputInvalid,
+    InvalidCartanType,
     LengthOutOfRange,
     NonDominant,
     PipelineError,
@@ -31,22 +32,27 @@ from ghcert.errors import (
 )
 from ghcert.kostant import kostant_cohomology
 from ghcert.oracle import compare_kostant_vs_oracle
+from ghcert.rootsystem import CartanType
 from ghcert.weights import Weight
 
 
 def _load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # not UTF-8 or not JSON is a ValueError; nesting too deep, a RecursionError
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputInvalid(f"cannot read {path}: {exc}")
 
 
 def _emit(data, out_path=None):
     text = canonical_json(data) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputInvalid(f"cannot write {out_path}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -99,7 +105,11 @@ def cmd_check_ideal(args):
 def cmd_kostant(args):
     raw = _load_json(args.k_spec)
     pin = parse_input(raw)
-    if raw["algebra"] != args.type:
+    try:
+        ctype = CartanType.parse(args.type)
+    except InvalidCartanType as exc:
+        raise InputInvalid(f"--type: {exc}")
+    if str(ctype) != pin.algebra:
         raise InputInvalid(
             f"--type {args.type} does not match k-spec algebra {raw['algebra']}"
         )

@@ -90,7 +90,7 @@ def close_generators(L: LieAlgebra, gens) -> Subspace:
             b = L.bracket_sparse(y, x)
             if b and ech.insert(b):
                 basis.append(b)
-    return Subspace.from_vectors([_dense(v, L.dim) for v in basis], L.dim)
+    return Subspace.from_echelon(ech, L.dim)
 
 
 def _dense(v, dim):
@@ -152,12 +152,10 @@ def is_ideal(L: LieAlgebra, k: Subspace) -> bool:
 
 def killing_perp(L: LieAlgebra, k: Subspace) -> Subspace:
     """Killing-orthogonal complement of k in g."""
-    if k.dim == 0:
-        return Subspace.from_vectors([L.basis_vector(l) for l in L.basis], L.dim)
     pairing = [_dense(L.killing_dual(r), L.dim) for r in k.pivot_rows.values()]
-    perp_rows = nullspace(pairing, n_cols=L.dim)
-    perp = Subspace.from_vectors(perp_rows, L.dim)
-    if k.sum(perp).dim != k.dim + perp.dim:
+    perp = Subspace(nullspace(pairing, n_cols=L.dim), L.dim)  # canonical already
+    both = list(k.pivot_rows.values()) + list(perp.pivot_rows.values())
+    if rank(both) != k.dim + perp.dim:
         raise DegenerateRestriction("k meets its Killing complement nontrivially")
     if k.dim + perp.dim != L.dim:
         raise InvariantViolation(

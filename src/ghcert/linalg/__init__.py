@@ -1,8 +1,7 @@
 """Exact rational linear algebra."""
 
-from ghcert.linalg.echelon import Echelon, axpy, integral, rank
+from ghcert.linalg.echelon import Echelon, axpy, exact, integral, rank
 from ghcert.linalg.matrix import (
-    exact,
     rref_in_place,
     rref,
     nullspace,

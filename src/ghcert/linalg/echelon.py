@@ -1,13 +1,27 @@
-"""Fraction-free row reduction of sparse integer vectors, and the rank of
-exact rational rows on it (after Bareiss, Math. Comp. 22, 1968).
+"""Fraction-free row reduction of sparse integer vectors (after Bareiss,
+Math. Comp. 22, 1968): the one elimination behind the rank, the canonical
+RREF and the nullspace of exact rational rows.
 
 A sparse vector is a dict {key: value} holding the nonzero entries only.
+An exact rational is kept in one normal form (`exact`): an int when it is
+integral, a Fraction only when its denominator exceeds 1, never a float.
 """
 
 import math
 from fractions import Fraction
 
-from ghcert.linalg.matrix import exact
+from ghcert.errors import InvariantViolation
+
+
+def exact(x):
+    """x in normal form: an int when integral, else a Fraction with
+    denominator > 1.  Anything inexact (a float) raises InvariantViolation,
+    so that it cannot pass for an exact value."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    raise InvariantViolation(f"{x!r} is not an exact rational")
 
 
 class Echelon:
@@ -21,15 +35,21 @@ class Echelon:
     def __init__(self):
         self.rows = {}  # leading key -> (row, combination, den)
 
+    @classmethod
+    def from_rows(cls, m):
+        """The echelon of rows of exact rationals, lists or sparse dicts,
+        each scaled to integers (`integral`)."""
+        ech = cls()
+        for vec in map(integral, m):
+            if vec:
+                ech.insert(vec)
+        return ech
+
     def reduce(self, vec):
         """(p, q, remainder, combination) with p * vec = q * remainder +
         combination, modulo the untracked span, and p > 0; the remainder is
-        empty iff vec lies in the span of the rows.
-
-        A step cancels the remainder's entry a at its least key against the
-        row's leading entry b: it subtracts (a/b) * row when b divides a,
-        and otherwise cross-multiplies, (b/g) * remainder - (a/g) * row with
-        g = gcd(a, b), and divides out the content."""
+        empty iff vec lies in the span of the rows.  Each step cancels the
+        remainder's least key against the row led there (`cancel`)."""
         cur = dict(vec)
         comb = {}
         p = q = 1
@@ -40,21 +60,7 @@ class Echelon:
             if hit is None:
                 break
             row, row_comb, den = hit
-            a, b = cur[lead], row[lead]
-            u = c = 1
-            if a % b == 0:
-                axpy(cur, -(a // b), row)
-                a //= b
-            else:
-                g = math.gcd(a, b)
-                u, a = b // g, a // g
-                for k in cur:
-                    cur[k] *= u
-                axpy(cur, -a, row)
-                c = math.gcd(*cur.values()) or 1
-                if c > 1:
-                    for k in cur:
-                        cur[k] //= c
+            u, a, c = cancel(cur, lead, row)
             # u * old = c * cur + a * row and den * row = row_comb, so
             # (u den p) vec = (den q c) cur + (q a) row_comb + (u den) comb;
             # an untracked row lies in the untracked span, so den drops out
@@ -118,9 +124,50 @@ class Echelon:
             if ident is not None:
                 self._add(reduced, ident)
             return None
-        if p == 1:
-            return comb
-        return {k: x // p if x % p == 0 else Fraction(x, p) for k, x in comb.items()}
+        return comb if p == 1 else divided(comb, p)
+
+    def canonical_rows(self):
+        """{pivot: sparse row} of the reduced row echelon form of the span,
+        in pivot order, each row in key order and in normal form.  The
+        reduced form is unique, so it does not depend on insertion order.
+
+        From the rightmost pivot leftwards, each row clears the pivot
+        columns right of its own with the rows already cleared there
+        (`cancel`); a cleared row meets no other pivot column, so one pass
+        suffices.  Each row is then divided once by its leading entry."""
+        cleared = {}
+        for lead in sorted(self.rows, reverse=True):
+            cur = dict(self.rows[lead][0])
+            for q in [q for q in cur if q in cleared]:
+                cancel(cur, q, cleared[q])
+            cleared[lead] = dict(sorted(cur.items()))
+        return {p: divided(row, row[p]) for p, row in sorted(cleared.items())}
+
+
+def cancel(cur, key, row):
+    """Clear cur's entry a at key with row's entry b there, fraction-free:
+    subtract (a/b) * row when b divides a, and otherwise cross-multiply,
+    (b/g) * cur - (a/g) * row with g = gcd(a, b), and divide out the
+    content c.  Returns (u, m, c) with u * old cur = c * cur + m * row."""
+    a, b = cur[key], row[key]
+    if a % b == 0:
+        axpy(cur, -(a // b), row)
+        return 1, a // b, 1
+    g = math.gcd(a, b)
+    u, a = b // g, a // g
+    for k in cur:
+        cur[k] *= u
+    axpy(cur, -a, row)
+    c = math.gcd(*cur.values()) or 1
+    if c > 1:
+        for k in cur:
+            cur[k] //= c
+    return u, a, c
+
+
+def divided(vec, d):
+    """The sparse integer vector vec divided by the int d, in normal form."""
+    return {k: x // d if x % d == 0 else Fraction(x, d) for k, x in vec.items()}
 
 
 def axpy(y, a, x):
@@ -151,11 +198,5 @@ def integral(row):
 
 def rank(m) -> int:
     """The rank of the rows of m, each a list or a sparse dict of exact
-    rationals: the rows, scaled to integers, are inserted into one
-    `Echelon`."""
-    ech = Echelon()
-    for row in m:
-        vec = integral(row)
-        if vec:
-            ech.insert(vec)
-    return len(ech.rows)
+    rationals."""
+    return len(Echelon.from_rows(m).rows)

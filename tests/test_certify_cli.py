@@ -192,38 +192,46 @@ def test_reductivity_battery_runs_once(monkeypatch):
 
 
 def test_front_runs_on_sparse_rows_and_integer_ranks(monkeypatch):
-    """Certify and verify make no dense bracket call, and no rank reaches
-    the Fraction kernel `rref_in_place`; the sparse bracket and the kernel
-    (for the canonical RREF) still run."""
-    import ghcert.linalg.echelon
-    import ghcert.linalg.matrix
+    """Certify and verify make no dense bracket call, and no row reduction
+    does Fraction arithmetic: every elimination runs on the integer
+    `Echelon`, which only divides by its pivots when it reads off the
+    canonical rows.  The sparse bracket and those canonical rows still run."""
+    import ghcert.linalg
     from ghcert.algebra import LieAlgebra
+    from ghcert.linalg import Echelon
 
-    dense, sparse, rref_calls, from_rank = [], [], [], []
+    linalg_dir = os.path.dirname(ghcert.linalg.__file__)
+    dense, sparse, canonical, in_linalg = [], [], [], []
     bracket, bracket_sparse = LieAlgebra.bracket, LieAlgebra.bracket_sparse
-    rref_in_place = ghcert.linalg.matrix.rref_in_place
-    rank_code = ghcert.linalg.echelon.rank.__code__
+    canonical_rows = Echelon.canonical_rows
 
-    def watched_rref(m):
-        rref_calls.append(m)
-        frame = sys._getframe(1)
-        while frame is not None:
-            if frame.f_code is rank_code:
-                from_rank.append(m)
-            frame = frame.f_back
-        return rref_in_place(m)
+    def watched(op):
+        orig = getattr(Fraction, op)
 
+        def arithmetic(*a):
+            caller = sys._getframe(1).f_code
+            if os.path.dirname(caller.co_filename) == linalg_dir:
+                in_linalg.append((caller.co_name, op))
+            return orig(*a)
+
+        return arithmetic
+
+    for name in ("add", "sub", "mul", "truediv", "floordiv", "mod"):
+        for op in (f"__{name}__", f"__r{name}__"):
+            monkeypatch.setattr(Fraction, op, watched(op))
     monkeypatch.setattr(LieAlgebra, "bracket", lambda *a: dense.append(a) or bracket(*a))
     monkeypatch.setattr(
         LieAlgebra, "bracket_sparse", lambda *a: sparse.append(a) or bracket_sparse(*a)
     )
-    monkeypatch.setattr(ghcert.linalg.matrix, "rref_in_place", watched_rref)
-    for raw in (CASES["a2_principal"], REDUCTION):
+    monkeypatch.setattr(
+        Echelon, "canonical_rows", lambda self: canonical.append(self) or canonical_rows(self)
+    )
+    for raw in (*CASES.values(), REDUCTION):
         cert = certify(parse_input(raw), raw)
         ok, reasons = verify_certificate(cert, raw)
         assert ok, reasons
-    assert dense == [] and from_rank == []
-    assert sparse and rref_calls
+    assert dense == [] and in_linalg == []
+    assert sparse and canonical
 
 
 def test_verify_rejects_wrong_input():
@@ -399,6 +407,50 @@ def test_cli_exit_code_invalid_input(write_input, tmp_path, capsys):
     assert main(["certify", str(bad)]) == 2
     inp = write_input("in.json", {"algebra": "A1"})
     assert main(["certify", inp]) == 2
+
+
+def test_cli_non_utf8_file_is_invalid_input(write_input, tmp_path, capsys):
+    """An input or a report that is not UTF-8 is unreadable input."""
+    inp = write_input("in.json", CASES["a1_t"])
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes('{"algebra": "A1", "note": "\u00e9"}'.encode("latin-1"))
+    assert main(["certify", str(latin)]) == 2
+    assert main(["verify", str(latin), inp]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: cannot read") == 2 and "internal" not in err
+
+
+def test_cli_deeply_nested_json_is_invalid_input(tmp_path, capsys):
+    """Nesting past the parser's recursion limit is unreadable input."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert main(["certify", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and "internal" not in err
+
+
+def test_cli_unwritable_out_is_invalid_input(write_input, tmp_path, capsys):
+    inp = write_input("in.json", CASES["a1_t"])
+    out = tmp_path / "missing" / "report.json"
+    assert main(["certify", inp, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}") and "internal" not in err
+    assert not out.parent.exists()
+
+
+def test_cli_kostant_type_is_compared_as_an_algebra(write_input, capsys):
+    """--type and the k-spec's algebra are compared as parsed algebras, so
+    the two spellings of a product match; an unparsable --type is invalid
+    input."""
+    cartan = [unit(6, 0), unit(6, 1)]
+    inp = write_input("in.json", problem("A1×A1", cartan, cartan))
+    argv = ["kostant", "--nu", "1,1", "--k-spec", inp, "--degree", "1", "--type"]
+    assert main(argv + ["A1xA1"]) == 0
+    assert json.loads(capsys.readouterr().out)["degree"] == 1
+    assert main(argv + ["A2"]) == 2
+    assert "does not match k-spec algebra A1×A1" in capsys.readouterr().err
+    assert main(argv + ["Q1"]) == 2
+    assert capsys.readouterr().err == "error: --type: cannot parse factor 'Q1'\n"
 
 
 def test_cli_integral_float_is_invalid_input(write_input, capsys):

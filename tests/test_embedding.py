@@ -19,7 +19,7 @@ from ghcert.embedding import (
     verify_reductive,
 )
 from ghcert.errors import InputInvalid, NoRegularFound, NotTInvariant, ReducedToZero
-from ghcert.linalg import nullspace, rank
+from ghcert.linalg import Echelon, nullspace, rank
 from ghcert.rootsystem import CartanType
 
 from conftest import CASES, REDUCTION
@@ -98,7 +98,7 @@ def test_killing_perp_dims(a2):
     k = close_generators(a2, principal_sl2(a2))
     perp = killing_perp(a2, k)
     assert perp.dim == 5
-    assert perp.sum(k).dim == perp.dim + k.dim
+    assert rank(list(perp.rows) + list(k.rows)) == perp.dim + k.dim
 
 
 def test_killing_perp_torus():
@@ -379,6 +379,24 @@ def test_closure_matches_dense_reference(raw):
     pin = parse_input(raw)
     L = build_algebra(pin.algebra)
     assert close_generators(L, pin.generators) == dense_closure(L, pin.generators)
+
+
+@pytest.mark.parametrize("raw", [*CASES.values(), REDUCTION], ids=[*CASES, "reduction"])
+def test_subspace_from_echelon_matches_from_vectors(raw):
+    """The span read off an `Echelon`, as `close_generators` builds k, is
+    the canonical RREF of the same vectors, and so are its cached sparse
+    rows, key order included."""
+    pin = parse_input(raw)
+    L = build_algebra(pin.algebra)
+    ech = Echelon.from_rows(pin.generators)
+    spans = [(Subspace.from_echelon(ech, L.dim), Subspace.from_vectors(pin.generators, L.dim))]
+    k = close_generators(L, pin.generators)
+    spans.append((k, Subspace(k.rows, L.dim)))
+    for got, ref in spans:
+        assert got == ref
+        assert [(p, list(r.items())) for p, r in got.pivot_rows.items()] == [
+            (p, list(r.items())) for p, r in ref.pivot_rows.items()
+        ]
 
 
 def _generator_sets(draw_types=("A2", "B2", "G2", "A3")):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghcert.linalg import (
+    Echelon,
     exact,
     integral,
     inverse,
@@ -163,3 +164,21 @@ def test_rank_matches_fraction_rref(m):
     # the same rows as sparse dicts, nonzero entries only
     assert rank([{c: x for c, x in enumerate(row) if x} for row in m]) == expected
     assert all(type(x) is int for row in m for x in integral(row).values())
+
+
+# -- the canonical rows of the Echelon against the Fraction RREF ----------
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(rows_with_zeros, st.booleans())
+def test_canonical_rows_match_fraction_rref(m, sparse):
+    """Dense or sparse rows, zero rows and non-integral entries, inserted in
+    either order, read off the same canonical rows as the Fraction RREF."""
+    rows, pivots = fraction_rref(m) if m else ([], [])
+    expected = [(p, [(c, x) for c, x in enumerate(row) if x]) for row, p in zip(rows, pivots)]
+    if sparse:
+        m = [{c: x for c, x in enumerate(row) if x} for row in m]
+    for order in (m, m[::-1]):
+        canon = Echelon.from_rows(order).canonical_rows()
+        assert [(p, list(row.items())) for p, row in canon.items()] == expected
+        assert all(is_normal(x) for row in canon.values() for x in row.values())
