@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ghcert.errors import DimensionMismatch, InvariantViolation
-from ghcert.linalg import axpy, exact, rref
+from ghcert.linalg import Echelon, axpy, exact
 from ghcert.rootsystem import CartanType, RootSystem
 
 
@@ -242,16 +242,10 @@ class LieAlgebra:
             gram.append(out)
         return gram
 
-    def killing(self, x, y):
-        """K(x, y) of dense vectors, by `killing_dual`; exact, in normal form."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimensionMismatch("element length does not match algebra dimension")
-        return exact(sum(x[i] * v for i, v in self.killing_dual(_sparse(y)).items()))
-
     def simple_ideal_subspaces(self):
         """One coordinate Subspace per simple factor, in factor order; built
-        once per algebra.  A factor is spanned by basis vectors, so its RREF
-        rows are those unit vectors in basis order."""
+        once per algebra.  A factor is spanned by basis vectors, so its
+        canonical rows are those unit vectors in basis order."""
         if self._simple_ideals is None:
             out = []
             for fr in self.rs.factor_ranges:
@@ -259,7 +253,7 @@ class LieAlgebra:
                     i for i, (kind, data) in enumerate(self.basis)
                     if (data in fr if kind == "h" else any(data[j] for j in fr))
                 )
-                out.append(Subspace([self.basis_vector(self.basis[i]) for i in idx], self.dim))
+                out.append(Subspace({i: {i: 1} for i in idx}, self.dim))
             self._simple_ideals = tuple(out)
         return self._simple_ideals
 
@@ -270,41 +264,37 @@ def _sparse(v):
 
 
 class Subspace:
-    """A subspace of coordinate space, canonicalized to RREF rows."""
+    """A subspace of coordinate space in its reduced row echelon form,
+    `pivot_rows`: {pivot column: the canonical row there, sparse}, in pivot
+    order (`Echelon.canonical_rows`)."""
 
-    __slots__ = ("rows", "ambient", "_pivot_rows")
+    __slots__ = ("pivot_rows", "ambient")
 
-    def __init__(self, rows, ambient):
-        self.rows = tuple(tuple(r) for r in rows)
+    def __init__(self, pivot_rows, ambient):
+        self.pivot_rows = pivot_rows
         self.ambient = ambient
-        self._pivot_rows = None
 
     @classmethod
     def from_vectors(cls, vecs, ambient):
-        return cls(rref(vecs)[0], ambient)
+        """The span of rows of exact rationals, lists or sparse dicts."""
+        return cls.from_echelon(Echelon.from_rows(vecs), ambient)
 
     @classmethod
     def from_echelon(cls, ech, ambient):
         """The span of an `Echelon`'s rows, read off its canonical rows
         without eliminating them again."""
-        canon = ech.canonical_rows()
-        sub = cls(([row.get(c, 0) for c in range(ambient)] for row in canon.values()), ambient)
-        sub._pivot_rows = canon
-        return sub
+        return cls(ech.canonical_rows(), ambient)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivot_rows)
 
     @property
-    def pivot_rows(self):
-        """{pivot column: the row there, sparse}, in row order; built once."""
-        if self._pivot_rows is None:
-            self._pivot_rows = {}
-            for row in self.rows:
-                sparse = _sparse(row)
-                self._pivot_rows[min(sparse)] = sparse
-        return self._pivot_rows
+    def rows(self):
+        """The canonical rows as dense tuples, built on each call."""
+        return tuple(
+            tuple(row.get(c, 0) for c in range(self.ambient)) for row in self.pivot_rows.values()
+        )
 
     def contains(self, v) -> bool:
         """Whether v, dense or sparse, lies in the span.  In RREF each pivot
@@ -324,10 +314,11 @@ class Subspace:
         return all(self.contains(r) for r in other.pivot_rows.values())
 
     def __eq__(self, other):
-        return isinstance(other, Subspace) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
+        return (
+            isinstance(other, Subspace)
+            and self.ambient == other.ambient
+            and self.pivot_rows == other.pivot_rows
+        )
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"

@@ -12,7 +12,7 @@ from math import lcm
 
 from ghcert.algebra import LieAlgebra
 from ghcert.errors import InvariantViolation
-from ghcert.linalg import exact, matvec
+from ghcert.linalg import exact
 from ghcert.weights import Weight
 
 
@@ -40,7 +40,7 @@ class BorelData:
         return all(self.L.rs.pair_coroot(lam.coords, b) >= 0 for b in self.m_simple_roots)
 
     def apply_wb(self, lam: Weight) -> Weight:
-        return Weight("g", tuple(matvec([list(r) for r in self.w_b], list(lam.coords))))
+        return Weight("g", tuple(sum(x * y for x, y in zip(row, lam.coords)) for row in self.w_b))
 
 
 def build_borel(L: LieAlgebra, h) -> BorelData:

@@ -23,7 +23,6 @@ from ghcert.embedding import (
     RegularElement,
     choose_regular,
     is_ideal,
-    killing_perp,
     make_embedding,
     regular_from_coeffs,
     split_off_contained_ideals,
@@ -329,11 +328,17 @@ def derive(fr: Front, raw_input: dict, witness: Witness | None,
     }
     L, emb = fr.L, fr.emb
     if fr.ideal:
-        comp = _stage("killing_perp", killing_perp, L, emb.k)
+        # k is a sum of simple ideals, and distinct simple ideals are
+        # Killing-orthogonal, so k_perp is the sum of the others: their
+        # basis vectors, in basis order
+        comp = sorted(
+            i for ideal in L.simple_ideal_subspaces()
+            if not emb.k.contains_subspace(ideal) for i in ideal.pivot_rows
+        )
         cert["verdict"] = {"kind": "IdealNoModule", "reason": None}
         cert["ideal"] = {
-            "complement_dim": comp.dim,
-            "complement_basis": [enc_vec(r) for r in comp.rows],
+            "complement_dim": len(comp),
+            "complement_basis": [enc_vec(L.basis_vector(L.basis[i])) for i in comp],
         }
         return cert
     if fr.reduction is not None:

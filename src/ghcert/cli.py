@@ -68,10 +68,13 @@ def _parse_nu(text, rank):
 
 
 def _parse_degrees(text):
+    """The degrees named by "a..b" (a range, kept lazy: each degree is
+    checked against the number of positive roots as it is reached) or by
+    "a,b,..."."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         try:
-            degrees = list(range(int(lo), int(hi) + 1))
+            degrees = range(int(lo), int(hi) + 1)
         except ValueError:
             raise InputInvalid(f"bad degree range {text!r}")
         if not degrees:

@@ -1,5 +1,5 @@
 """The embedded pair (k, t): closure, reductivity checks, the ideal test,
-the Killing complement, the t-grading and the regular element h.
+the t-grading and the regular element h.
 
 Input contract: the torus t must lie inside the standard Cartan h_std of g
 (its basis vectors are supported on the Cartan coordinates).  This keeps
@@ -12,15 +12,13 @@ from dataclasses import dataclass
 
 from ghcert.algebra import LieAlgebra, Subspace
 from ghcert.errors import (
-    DegenerateRestriction,
     InputInvalid,
-    InvariantViolation,
     NoRegularFound,
     NotTInvariant,
     ReducedToZero,
     TNotInK,
 )
-from ghcert.linalg import Echelon, exact, integral, nullspace, rank
+from ghcert.linalg import Echelon, exact, integral, rank
 from ghcert.rootsystem import CartanType
 from ghcert.weights import WeightMultiset
 from ghcert import algebra as _algebra
@@ -93,13 +91,6 @@ def close_generators(L: LieAlgebra, gens) -> Subspace:
     return Subspace.from_echelon(ech, L.dim)
 
 
-def _dense(v, dim):
-    out = [0] * dim
-    for i, x in v.items():
-        out[i] = x
-    return out
-
-
 def verify_reductive(L: LieAlgebra, k: Subspace, t: Subspace) -> ReductivityReport:
     """The practical battery standing in for 'reductive in g, algebraic'.
 
@@ -126,7 +117,7 @@ def verify_reductive(L: LieAlgebra, k: Subspace, t: Subspace) -> ReductivityRepo
 def make_embedding(L: LieAlgebra, gens, t_rows) -> EmbeddedSubalgebra:
     """Close the generators and validate the full (k, t) input contract."""
     k = close_generators(L, gens)
-    t = Subspace.from_vectors([list(r) for r in t_rows], L.dim)
+    t = Subspace.from_vectors(t_rows, L.dim)
     checks = verify_reductive(L, k, t)
     trows = list(t.pivot_rows.values())
     if any(L.bracket_sparse(x, y) for i, x in enumerate(trows) for y in trows[i + 1:]):
@@ -148,20 +139,6 @@ def is_ideal(L: LieAlgebra, k: Subspace) -> bool:
     return k.dim == sum(
         ideal.dim for ideal in L.simple_ideal_subspaces() if k.contains_subspace(ideal)
     )
-
-
-def killing_perp(L: LieAlgebra, k: Subspace) -> Subspace:
-    """Killing-orthogonal complement of k in g."""
-    pairing = [_dense(L.killing_dual(r), L.dim) for r in k.pivot_rows.values()]
-    perp = Subspace(nullspace(pairing, n_cols=L.dim), L.dim)  # canonical already
-    both = list(k.pivot_rows.values()) + list(perp.pivot_rows.values())
-    if rank(both) != k.dim + perp.dim:
-        raise DegenerateRestriction("k meets its Killing complement nontrivially")
-    if k.dim + perp.dim != L.dim:
-        raise InvariantViolation(
-            f"dim k + dim k_perp = {k.dim} + {perp.dim} != dim g = {L.dim}"
-        )
-    return perp
 
 
 @dataclass
@@ -206,8 +183,16 @@ def split_off_contained_ideals(L: LieAlgebra, k: Subspace, t: Subspace):
 
     # k holds the dropped ideals, so its rows cut to the kept columns span
     # k ∩ rest; once t holds their Cartan, the same holds for t
-    k_red = Subspace.from_vectors([[row[c] for c in old_columns] for row in k.rows], L_red.dim)
-    t_red = Subspace.from_vectors([[row[c] for c in old_columns] for row in t.rows], L_red.dim)
+    new_index = {c: i for i, c in enumerate(old_columns)}
+
+    def cut(sub):
+        rows = (
+            {new_index[c]: x for c, x in row.items() if c in new_index}
+            for row in sub.pivot_rows.values()
+        )
+        return Subspace.from_vectors(rows, L_red.dim)
+
+    k_red, t_red = cut(k), cut(t)
     if k_red.dim != k.dim - sum(ideals[i].dim for i in contained):
         raise InputInvalid("k does not split along the contained ideals")
     if t_red.dim != t.dim - sum(L.ctype.factors[i][1] for i in contained):
@@ -289,7 +274,6 @@ def _shells(dim, max_height):
 def regular_from_coeffs(L: LieAlgebra, emb: EmbeddedSubalgebra, coeffs):
     """RegularElement for h = sum coeffs[i] * t_basis[i], or None if some
     nonzero joint t-weight of g vanishes on it."""
-    t = emb.t
     coeffs = tuple(exact(c) for c in coeffs)
     spectrum = {}
     for w, idxs in emb.grading.blocks.items():
@@ -297,10 +281,11 @@ def regular_from_coeffs(L: LieAlgebra, emb: EmbeddedSubalgebra, coeffs):
         if val == 0 and any(w):
             return None
         spectrum[val] = spectrum.get(val, 0) + len(idxs)
-    h = [
-        exact(sum(c * row[i] for c, row in zip(coeffs, t.rows)))
-        for i in range(L.dim)
-    ]
+    h = [0] * L.dim
+    for c, row in zip(coeffs, emb.t.pivot_rows.values()):
+        for i, x in row.items():
+            h[i] += c * x
+    h = [exact(x) for x in h]
     return RegularElement(h=h, t_coeffs=coeffs, g_spectrum=tuple(sorted(spectrum.items())))
 
 

@@ -35,10 +35,6 @@ class ReducedToZero(GhcError):
     pass
 
 
-class DegenerateRestriction(GhcError):
-    pass
-
-
 class NoRegularFound(GhcError):
     pass
 

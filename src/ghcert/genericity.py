@@ -77,8 +77,8 @@ def restrict_to_t(emb: EmbeddedSubalgebra, nu: Weight) -> Weight:
     return Weight(
         "t",
         tuple(
-            sum(row[i] * nu.coords[i] for i in range(len(nu.coords)))
-            for row in emb.t.rows
+            sum(x * nu.coords[i] for i, x in row.items())
+            for row in emb.t.pivot_rows.values()
         ),
     )
 

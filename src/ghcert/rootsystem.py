@@ -22,7 +22,7 @@ from ghcert.errors import (
     NonDominant,
     SearchTooLarge,
 )
-from ghcert.linalg import exact, inverse, matvec
+from ghcert.linalg import exact
 
 WEYL_ORDER_CAP = 10**7
 
@@ -188,7 +188,6 @@ class RootSystem:
             self.root_norm2[c] = self.root_norm2[tuple(-x for x in c)] = sum(
                 x * d * y for x, d, y in zip(c, self.d, f)
             )
-        self._cartan_inv = None
         # Weyl levels found so far, extended by weyl_by_length
         self._weyl_levels = [[WeylElement((), tuple(1 for _ in range(self.rank)))]]
 
@@ -228,15 +227,6 @@ class RootSystem:
 
     # -- invariant bilinear form ---------------------------------------
 
-    def root_ip(self, b, c) -> int:
-        """(beta, gamma) for roots in simple-root coordinates."""
-        return sum(
-            b[i] * c[j] * self.d[i] * self.cartan[i][j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-            if b[i] and c[j]
-        )
-
     def weight_root_ip(self, lam, c):
         """(lambda, beta) for a weight in fundamental coordinates."""
         return sum(c[j] * self.d[j] * lam[j] for j in range(self.rank) if c[j])
@@ -253,14 +243,6 @@ class RootSystem:
             for i in range(self.rank)
         )
 
-    def cartan_inverse(self):
-        if self._cartan_inv is None:
-            self._cartan_inv = inverse(self.cartan)
-        return self._cartan_inv
-
-    def weight_to_root_coords(self, lam):
-        return tuple(matvec(self.cartan_inverse(), lam))
-
     def coroot_coeffs(self, c):
         """Integer coefficients of beta^vee on the simple coroots h_i."""
         norm2 = self.root_norm2[c]
@@ -276,14 +258,6 @@ class RootSystem:
 
     # -- Weyl group ----------------------------------------------------
 
-    def simple_reflection_matrix(self, i):
-        """Matrix of s_i on fundamental coordinates (columns act on weights)."""
-        n = self.rank
-        m = [[int(r == c) for c in range(n)] for r in range(n)]
-        for j in range(n):
-            m[j][i] -= self.cartan[j][i]
-        return m
-
     def reflect_simple(self, i, lam):
         return tuple(lam[j] - lam[i] * self.cartan[j][i] for j in range(self.rank))
 
@@ -291,11 +265,6 @@ class RootSystem:
         k = self.pair_coroot(lam, c)
         f = self.root_to_weight(c)
         return tuple(x - k * y for x, y in zip(lam, f))
-
-    def act_on_root(self, matrix, c):
-        """Image of a root (simple-root coords) under a weight-coords matrix."""
-        f = matvec(matrix, list(self.root_to_weight(c)))
-        return tuple(self.weight_to_root_coords(f))
 
     def weyl_by_length(self, max_len=None):
         """Weyl group elements grouped by length: levels[r] lists those of
@@ -340,12 +309,6 @@ class RootSystem:
         if r < 0 or r > n_pos:
             raise LengthOutOfRange(f"length {r} not in [0, {n_pos}]")
         return self.weyl_by_length(max_len=r)[r]
-
-    def weyl_act(self, w: "WeylElement", lam):
-        """w(lambda) for a weight in fundamental coordinates."""
-        for i in reversed(w.word):
-            lam = self.reflect_simple(i, lam)
-        return lam
 
     # -- weights -------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 from fractions import Fraction
@@ -28,6 +29,101 @@ def fraction_det(m):
             if f:
                 work[i] = [x - f * y for x, y in zip(work[i], work[c])]
     return d
+
+
+def fraction_rref(m):
+    """The canonical RREF computed in Fractions throughout: (rows, pivots)."""
+    work = [[Fraction(x) for x in row] for row in m]
+    n_cols = len(work[0]) if work else 0
+    pivots = []
+    for c in range(n_cols):
+        r = next((r for r in range(len(pivots), len(work)) if work[r][c]), None)
+        if r is None:
+            continue
+        p = len(pivots)
+        work[p], work[r] = work[r], work[p]
+        work[p] = [x / work[p][c] for x in work[p]]
+        for i in range(len(work)):
+            if i != p and work[i][c]:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[p])]
+        pivots.append(c)
+    return work[: len(pivots)], pivots
+
+
+def fraction_nullspace(m, n_cols=None):
+    """Basis of {x : m x = 0} as canonical RREF rows, in Fractions; n_cols
+    is the width when m has no rows."""
+    rows, pivots = fraction_rref(m)
+    n_cols = len(m[0]) if m else n_cols
+    basis = []
+    for f in (c for c in range(n_cols) if c not in pivots):
+        v = [Fraction(0)] * n_cols
+        v[f] = Fraction(1)
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return fraction_rref(basis)[0] if basis else []
+
+
+def fraction_inverse(m):
+    """The inverse of a nonsingular square matrix, by the Fraction RREF of
+    [m | 1]."""
+    n = len(m)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
+    rows, pivots = fraction_rref(aug)
+    assert pivots[:n] == list(range(n)), "matrix is singular"
+    return [row[n:] for row in rows]
+
+
+def matvec(m, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in m]
+
+
+def killing(L, x, y):
+    """K(x, y) of dense vectors, through the Gram matrix `killing_matrix`."""
+    return sum(a * sum(k * b for k, b in zip(row, y)) for a, row in zip(x, L.killing_matrix) if a)
+
+
+# Weyl-group references in Fractions: roots in simple-root coordinates,
+# weights in fundamental coordinates (their values on the simple coroots)
+
+
+def root_ip(rs, b, c):
+    """(beta, gamma) for roots in simple-root coordinates."""
+    return sum(
+        b[i] * c[j] * rs.d[i] * rs.cartan[i][j] for i in range(rs.rank) for j in range(rs.rank)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _cartan_inverse(rs):
+    return fraction_inverse(rs.cartan)
+
+
+def weight_to_root_coords(rs, lam):
+    """Simple-root coordinates of a weight, by the inverse Cartan matrix."""
+    return tuple(matvec(_cartan_inverse(rs), lam))
+
+
+def simple_reflection_matrix(rs, i):
+    """Matrix of s_i on fundamental coordinates (columns act on weights)."""
+    m = [[int(r == c) for c in range(rs.rank)] for r in range(rs.rank)]
+    for j in range(rs.rank):
+        m[j][i] -= rs.cartan[j][i]
+    return m
+
+
+def act_on_root(rs, matrix, c):
+    """Image of a root (simple-root coords) under a weight-coords matrix."""
+    return weight_to_root_coords(rs, matvec(matrix, rs.root_to_weight(c)))
+
+
+def weyl_act(rs, w, lam):
+    """w(lambda) for a WeylElement w and a weight in fundamental coordinates."""
+    for i in reversed(w.word):
+        lam = rs.reflect_simple(i, lam)
+    return lam
 
 
 def unit(dim, *idx):

@@ -6,6 +6,8 @@ import pytest
 from ghcert.algebra import Subspace, build_algebra
 from ghcert.errors import DimensionMismatch
 
+from conftest import killing
+
 F = Fraction
 
 INTEGRITY_TYPES = ["A1", "A2", "B2", "G2", "A1xA1"]
@@ -49,7 +51,7 @@ def test_killing_invariance_all_triples(ctype):
     vecs = basis_vecs(L)
     for i, j, k in itertools.product(range(L.dim), repeat=3):
         x, y, z = vecs[i], vecs[j], vecs[k]
-        assert L.killing(L.bracket(x, y), z) == L.killing(x, L.bracket(y, z))
+        assert killing(L, L.bracket(x, y), z) == killing(L, x, L.bracket(y, z))
 
 
 @pytest.mark.parametrize("ctype", INTEGRITY_TYPES)
@@ -109,10 +111,11 @@ def test_killing_matrix_matches_sparse_trace(ctype):
     L = build_algebra(ctype)
     km = sparse_trace_killing(L)
     assert L.killing_matrix == km
-    # killing(x, y) reads only the support; check it on mixed vectors
+    # killing_gram reads only the support; check it on mixed vectors
     x = [F(i % 5 - 2, 1 + i % 3) for i in range(L.dim)]
     y = [F(3 - i % 7) for i in range(L.dim)]
-    assert L.killing(x, y) == sum(
+    sparse = [{i: v for i, v in enumerate(vec) if v} for vec in (x, y)]
+    assert L.killing_gram(sparse)[0][1] == sum(
         x[i] * km[i][j] * y[j] for i in range(L.dim) for j in range(L.dim)
     )
 
@@ -155,7 +158,7 @@ def test_killing_values_match_dual_coxeter():
     # {2, 0, -2} so trace(ad h ad h) = 8
     L = build_algebra("A1")
     h = L.basis_vector(("h", 0))
-    assert L.killing(h, h) == 8  # [DERIVED] trace of (ad h)^2 on sl2
+    assert killing(L, h, h) == 8  # [DERIVED] trace of (ad h)^2 on sl2
 
 
 def test_bracket_dimension_check():

@@ -1,6 +1,6 @@
 """The integer `build_borel` against the construction in `Fraction`s that it
-replaced: w_b as a product of `simple_reflection_matrix`, the image of the
-standard positive roots through `act_on_root`, and the half-sum of pos."""
+replaced: w_b as a product of simple reflection matrices, the image of the
+standard positive roots through it, and the half-sum of pos."""
 
 from fractions import Fraction
 
@@ -11,10 +11,18 @@ from hypothesis import strategies as st
 from ghcert.algebra import build_algebra
 from ghcert.borel import BorelData, build_borel
 from ghcert.certify import _searched_regular, front, parse_input
-from ghcert.linalg import matvec
 from ghcert.weights import Weight
 
-from conftest import CASES, REDUCTION, is_normal, problem, unit
+from conftest import (
+    CASES,
+    REDUCTION,
+    act_on_root,
+    is_normal,
+    matvec,
+    problem,
+    simple_reflection_matrix,
+    unit,
+)
 
 F = Fraction
 
@@ -46,12 +54,12 @@ def reference_borel(L, h) -> BorelData:
         assert len(word) <= len(rs.positive_roots)
     w_b = [[F(int(r == c)) for c in range(rs.rank)] for r in range(rs.rank)]
     for i in word:
-        m = rs.simple_reflection_matrix(i)
+        m = simple_reflection_matrix(rs, i)
         w_b = [
             [sum(w_b[r][k] * m[k][c] for k in range(rs.rank)) for c in range(rs.rank)]
             for r in range(rs.rank)
         ]
-    assert {tuple(rs.act_on_root(w_b, c)) for c in rs.positive_roots} == set(pos)
+    assert {act_on_root(rs, w_b, c) for c in rs.positive_roots} == set(pos)
     rho = Weight("g", tuple(matvec(w_b, [F(1)] * rs.rank)))
     half = tuple(sum(F(rs.root_to_weight(c)[i], 2) for c in pos) for i in range(rs.rank))
     assert half == rho.coords

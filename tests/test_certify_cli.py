@@ -192,17 +192,20 @@ def test_reductivity_battery_runs_once(monkeypatch):
 
 
 def test_front_runs_on_sparse_rows_and_integer_ranks(monkeypatch):
-    """Certify and verify make no dense bracket call, and no row reduction
-    does Fraction arithmetic: every elimination runs on the integer
-    `Echelon`, which only divides by its pivots when it reads off the
-    canonical rows.  The sparse bracket and those canonical rows still run."""
+    """Certify and verify make no dense bracket call and no dense row
+    reduction (`rref_in_place`), and no row reduction does Fraction
+    arithmetic: every elimination runs on the integer `Echelon`, which only
+    divides by its pivots when it reads off the canonical rows.  The sparse
+    bracket and those canonical rows still run."""
     import ghcert.linalg
+    import ghcert.linalg.matrix
     from ghcert.algebra import LieAlgebra
     from ghcert.linalg import Echelon
 
     linalg_dir = os.path.dirname(ghcert.linalg.__file__)
-    dense, sparse, canonical, in_linalg = [], [], [], []
+    dense, sparse, canonical, in_linalg, rref_calls = [], [], [], [], []
     bracket, bracket_sparse = LieAlgebra.bracket, LieAlgebra.bracket_sparse
+    rref_in_place = ghcert.linalg.matrix.rref_in_place
     canonical_rows = Echelon.canonical_rows
 
     def watched(op):
@@ -226,11 +229,14 @@ def test_front_runs_on_sparse_rows_and_integer_ranks(monkeypatch):
     monkeypatch.setattr(
         Echelon, "canonical_rows", lambda self: canonical.append(self) or canonical_rows(self)
     )
+    monkeypatch.setattr(
+        ghcert.linalg.matrix, "rref_in_place", lambda m: rref_calls.append(m) or rref_in_place(m)
+    )
     for raw in (*CASES.values(), REDUCTION):
         cert = certify(parse_input(raw), raw)
         ok, reasons = verify_certificate(cert, raw)
         assert ok, reasons
-    assert dense == [] and in_linalg == []
+    assert dense == [] and in_linalg == [] and rref_calls == []
     assert sparse and canonical
 
 
@@ -328,7 +334,8 @@ def test_cli_degree_out_of_range_is_invalid_input(write_input, capsys):
                 f"--degree={degree}"]
         assert main(argv) == 2
         assert f"length {degree} not in [0, 1]" in capsys.readouterr().err
-    for degrees in ("0..2", "-1"):
+    # a huge upper end is not materialised: the range stops at degree 2
+    for degrees in ("0..2", "-1", f"0..{10**30}"):
         assert main(["oracle-compare", inp, "--nu", "1", f"--degrees={degrees}"]) == 2
         assert "not in [0, 1]" in capsys.readouterr().err
 

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghcert.algebra import LieAlgebra, Subspace, build_algebra
-from ghcert.certify import parse_input
+from ghcert.certify import certify, dec_vec, enc_vec, parse_input
 from ghcert.embedding import (
     choose_regular,
     close_generators,
     is_ideal,
-    killing_perp,
     make_embedding,
     regular_from_coeffs,
     split_off_contained_ideals,
@@ -19,10 +18,10 @@ from ghcert.embedding import (
     verify_reductive,
 )
 from ghcert.errors import InputInvalid, NoRegularFound, NotTInvariant, ReducedToZero
-from ghcert.linalg import Echelon, nullspace, rank
+from ghcert.linalg import Echelon, rank
 from ghcert.rootsystem import CartanType
 
-from conftest import CASES, REDUCTION
+from conftest import CASES, REDUCTION, fraction_nullspace, fraction_rref
 
 F = Fraction
 
@@ -92,22 +91,6 @@ def test_corrupted_structure_breaks_semisimplicity():
     other = L.index[("e", (1, 1))]
     L._structure[(0, j)] = {**L._structure[(0, j)], other: F(1)}
     assert not verify_reductive(L, k, t).toral_action_semisimple
-
-
-def test_killing_perp_dims(a2):
-    k = close_generators(a2, principal_sl2(a2))
-    perp = killing_perp(a2, k)
-    assert perp.dim == 5
-    assert rank(list(perp.rows) + list(k.rows)) == perp.dim + k.dim
-
-
-def test_killing_perp_torus():
-    L = build_algebra("A1")
-    t = Subspace.from_vectors([unit(3, 0)], 3)
-    perp = killing_perp(L, t)
-    # the complement of the Cartan line is spanned by e and f
-    assert perp.dim == 2
-    assert perp.contains(unit(3, 1)) and perp.contains(unit(3, 2))
 
 
 def test_is_ideal_cases():
@@ -232,17 +215,17 @@ def centralizer_dim(L, k, t):
     for tv in t.rows:
         brackets = [L.bracket(list(tv), x) for x in rows]
         eqs += [[b[c] for b in brackets] for c in range(L.dim)]
-    return len(nullspace(eqs, n_cols=len(rows)))
+    return len(fraction_nullspace(eqs, n_cols=len(rows)))
 
 
 def intersect(a, b):
     """a ∩ b: solve x·a = y·b and map the x part back through a."""
     if a.dim == 0 or b.dim == 0:
-        return Subspace((), a.ambient)
+        return Subspace.from_vectors([], a.ambient)
     eqs = [
         [r[c] for r in a.rows] + [-r[c] for r in b.rows] for c in range(a.ambient)
     ]
-    sols = nullspace(eqs, n_cols=a.dim + b.dim)
+    sols = fraction_nullspace(eqs, n_cols=a.dim + b.dim)
     return Subspace.from_vectors(
         [[sum(s[i] * r[c] for i, r in enumerate(a.rows)) for c in range(a.ambient)]
          for s in sols],
@@ -251,10 +234,10 @@ def intersect(a, b):
 
 
 def _factor_sums():
-    """Every sum of simple factors of A1xA1, A1xA2 and B2xA1, as (name, g,
-    k, t): t is the Cartan of the chosen factors, or, with the extra torus,
-    k also holds the Cartan of the other factors and t = h."""
-    for ctype in ("A1xA1", "A1xA2", "B2xA1"):
+    """Every sum of simple factors of A1xA1, A1xA2, B2xA1 and A2xA1xA1, as
+    (name, g, k, t): t is the Cartan of the chosen factors, or, with the
+    extra torus, k also holds the Cartan of the other factors and t = h."""
+    for ctype in ("A1xA1", "A1xA2", "B2xA1", "A2xA1xA1"):
         L = build_algebra(ctype)
         ideals = L.simple_ideal_subspaces()
         n = len(ideals)
@@ -311,7 +294,7 @@ def test_front_matches_definitions(name, L, k, t):
     # dim k_0 of the grading is dim C_k(t), for t and for every sub-torus
     # spanned by a prefix of its rows, the empty one included
     for j in range(t.dim + 1):
-        sub = Subspace(t.rows[:j], L.dim)
+        sub = Subspace.from_vectors(t.rows[:j], L.dim)
         k0 = t_grading(L, k, sub).k_dims.get((F(0),) * j, 0)
         assert k0 == centralizer_dim(L, k, sub)
 
@@ -337,6 +320,29 @@ def test_front_matches_definitions(name, L, k, t):
             red.algebra.dim,
         )
         assert cut == expect
+
+
+IDEAL_INPUTS = [x for x in FRONT_INPUTS if is_ideal(x[1], x[2])]
+
+
+@pytest.mark.parametrize("name,L,k,t", IDEAL_INPUTS, ids=[x[0] for x in IDEAL_INPUTS])
+def test_ideal_complement_is_killing_nullspace(name, L, k, t):
+    """When k is an ideal, the certificate's Killing complement (the basis
+    vectors of the factors k does not contain) is the Fraction nullspace of
+    the pairing K(k, .) read off the dense Gram matrix, k = 0 and k = g
+    included."""
+    raw = {
+        "algebra": str(L.ctype),
+        "subalgebra_generators": [enc_vec(r) for r in k.rows] or [[0] * L.dim],
+        "cartan_t": [enc_vec(r) for r in t.rows],
+    }
+    cert = certify(parse_input(raw), raw)
+    assert cert["verdict"]["kind"] == "IdealNoModule"
+    km = L.killing_matrix
+    pairing = [[sum(x[i] * km[i][j] for i in range(L.dim)) for j in range(L.dim)] for x in k.rows]
+    expect = fraction_nullspace(pairing, n_cols=L.dim)
+    assert [dec_vec(v) for v in cert["ideal"]["complement_basis"]] == expect
+    assert cert["ideal"]["complement_dim"] == len(expect) == L.dim - k.dim
 
 
 def test_split_off_rejects_t_without_a_dropped_cartan():
@@ -384,18 +390,21 @@ def test_closure_matches_dense_reference(raw):
 @pytest.mark.parametrize("raw", [*CASES.values(), REDUCTION], ids=[*CASES, "reduction"])
 def test_subspace_from_echelon_matches_from_vectors(raw):
     """The span read off an `Echelon`, as `close_generators` builds k, is
-    the canonical RREF of the same vectors, and so are its cached sparse
-    rows, key order included."""
+    the canonical RREF of the same vectors in Fractions, sparse rows in
+    pivot and key order."""
     pin = parse_input(raw)
     L = build_algebra(pin.algebra)
     ech = Echelon.from_rows(pin.generators)
-    spans = [(Subspace.from_echelon(ech, L.dim), Subspace.from_vectors(pin.generators, L.dim))]
     k = close_generators(L, pin.generators)
-    spans.append((k, Subspace(k.rows, L.dim)))
-    for got, ref in spans:
-        assert got == ref
+    spans = [
+        (Subspace.from_echelon(ech, L.dim), pin.generators),
+        (Subspace.from_vectors(pin.generators, L.dim), pin.generators),
+        (k, k.rows),
+    ]
+    for got, vecs in spans:
+        rows, pivots = fraction_rref(vecs)
         assert [(p, list(r.items())) for p, r in got.pivot_rows.items()] == [
-            (p, list(r.items())) for p, r in ref.pivot_rows.items()
+            (p, [(c, x) for c, x in enumerate(row) if x]) for p, row in zip(pivots, rows)
         ]
 
 
@@ -424,11 +433,11 @@ def test_sparse_closure_and_bracket_match_dense(drawn):
     for x, y in itertools.product(gens, repeat=2):
         assert L.bracket(x, y) == dense_bracket(L, x, y)
     # the reductivity battery's closure pass agrees with the definition
-    assert verify_reductive(L, k, Subspace((), L.dim)).bracket_closed
+    assert verify_reductive(L, k, Subspace.from_vectors([], L.dim)).bracket_closed
     if k.dim > 1:
-        cut = Subspace(k.rows[:-1], L.dim)
+        cut = Subspace.from_vectors(k.rows[:-1], L.dim)
         rows = [list(r) for r in cut.rows]
         closed = all(
             rank_contains(cut, dense_bracket(L, x, y)) for x in rows for y in rows
         )
-        assert verify_reductive(L, cut, Subspace((), L.dim)).bracket_closed == closed
+        assert verify_reductive(L, cut, Subspace.from_vectors([], L.dim)).bracket_closed == closed

@@ -13,10 +13,9 @@ import pytest
 
 import ghcert.certify
 from ghcert import oracle
-from ghcert.algebra import Subspace
+from ghcert.algebra import LieAlgebra
 from ghcert.certify import dec_q, enc_q, front, parse_input, search
 from ghcert.cli import main
-from ghcert.embedding import killing_perp
 from ghcert.errors import InvariantViolation
 from ghcert.kostant import kostant_cohomology
 from ghcert.linalg import exact
@@ -43,11 +42,12 @@ def test_front_and_witness_values_in_normal_form(name):
     assert normal(x for row in L.killing_matrix for x in row)
     assert normal(x for c in L.rs.positive_roots for x in L.rs.root_to_weight(c))
     assert normal(x for r in emb.k.rows + emb.t.rows for x in r)
-    rows = [list(r) for r in emb.k.rows]
-    assert normal(L.killing(x, y) for x in rows for y in rows)
+    assert normal(x for row in L.killing_gram(list(emb.k.pivot_rows.values())) for x in row)
     assert normal(x for w in emb.grading.weights for x in w)
     if fr.ideal:
-        assert normal(x for r in killing_perp(L, emb.k).rows for x in r)
+        # the Killing complement is spanned by the rows of the other factors
+        ideals = L.simple_ideal_subspaces()
+        assert normal(x for sp in ideals for r in sp.pivot_rows.values() for x in r.values())
         return
     w = search(fr)
     assert w is not None
@@ -109,17 +109,16 @@ def test_float_weight_exits_3(monkeypatch, write_input, tmp_path, capsys):
 
 
 def test_float_reaching_the_encoder_exits_3(monkeypatch, write_input, tmp_path, capsys):
-    """A float that slips past the normaliser (here 1.0 in the Killing
-    complement, which Fraction would encode as "1/1") is refused by
-    enc_q."""
+    """A float that slips past the normaliser (here 1.0 in a basis vector of
+    the Killing complement, which Fraction would encode as "1/1") is refused
+    by enc_q."""
 
-    def with_float(L, k):
-        perp = killing_perp(L, k)
-        rows = [list(r) for r in perp.rows]
-        rows[0][rows[0].index(1)] = 1.0
-        return Subspace(rows, perp.ambient)
+    def with_float(self, label):
+        v = self.zero()
+        v[self.index[label]] = 1.0
+        return v
 
-    monkeypatch.setattr(ghcert.certify, "killing_perp", with_float)
+    monkeypatch.setattr(LieAlgebra, "basis_vector", with_float)
     assert _certify_exit(write_input, tmp_path, CASES["a1a1_factor"]) == (3, False)
     assert "1.0 is not an exact rational" in capsys.readouterr().err
 

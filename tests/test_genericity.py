@@ -19,11 +19,11 @@ from ghcert.genericity import (
     mu_from_nu,
     restrict_to_t,
 )
-from ghcert.linalg import exact, inverse
+from ghcert.linalg import exact
 from ghcert.parabolic import build_parabolic, rho_vectors
 from ghcert.weights import Weight, WeightMultiset
 
-from conftest import brute_force_condition_2
+from conftest import brute_force_condition_2, fraction_inverse
 
 F = Fraction
 
@@ -90,7 +90,7 @@ def test_tstar_form_inverse_matches_fraction_reference(a):
         for i in range(n)
     ]
     form = TStarForm(gram)
-    inv = inverse(gram)
+    inv = fraction_inverse(gram)
     den = lcm(*(x.denominator for row in inv for x in row))
     assert form.den == den
     assert form.inv_scaled == [[int(x * den) for x in row] for row in inv]

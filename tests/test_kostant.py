@@ -2,12 +2,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from conftest import CASES, borel_from_case, problem, unit
+from conftest import CASES, borel_from_case, fraction_inverse, problem, unit
 
 from ghcert.algebra import build_algebra
 from ghcert.borel import build_borel
 from ghcert.errors import LengthOutOfRange, NonDominant
-from ghcert.linalg import inverse
 from ghcert.kostant import (
     kostant_cohomology,
     m_rho,
@@ -134,7 +133,7 @@ def reference_summands(L, borel, nu, r, images):
     w_b = [[int(x) for x in row] for row in borel.w_b]
     rho = [int(x) for x in borel.rho.coords]
     if not images:
-        inv = [[int(x) for x in row] for row in inverse([list(row) for row in borel.w_b])]
+        inv = [[int(x) for x in row] for row in fraction_inverse(borel.w_b)]
         images[()] = tuple(
             sum(a * (int(x) + p) for a, x, p in zip(row, nu.coords, rho)) for row in inv
         )

@@ -28,7 +28,7 @@ from ghcert.oracle import (
 )
 from ghcert.weights import Weight
 
-from conftest import CASES, borel_from_case, compare_at
+from conftest import CASES, borel_from_case, compare_at, weight_to_root_coords, weyl_act
 
 F = Fraction
 
@@ -532,8 +532,8 @@ def kostant_multiplicity(rs, lam, mu, weyl, partitions):
     mu_rho = [x + 1 for x in mu]
     total = 0
     for el in weyl:
-        img = rs.weyl_act(el, lam_rho)
-        diff = rs.weight_to_root_coords([a - b for a, b in zip(img, mu_rho)])
+        img = weyl_act(rs, el, lam_rho)
+        diff = weight_to_root_coords(rs, [a - b for a, b in zip(img, mu_rho)])
         if all(x.denominator == 1 and x >= 0 for x in diff):
             total += (-1) ** el.length * partitions(tuple(int(x) for x in diff), 0)
     return total

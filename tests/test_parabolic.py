@@ -15,7 +15,7 @@ from ghcert.errors import InvariantViolation
 from ghcert.parabolic import _validate, build_parabolic, rho_vectors
 from ghcert.rootsystem import CartanType
 
-from conftest import CASES
+from conftest import CASES, act_on_root
 
 F = Fraction
 
@@ -40,6 +40,8 @@ def test_a1_torus_parabolic():
     assert (pd.r, pd.s) == (1, 0)  # [DERIVED] n cap k_perp = span(e)
     assert pd.m.dim == 1 and pd.n.dim == 1 and pd.nbar.dim == 1
     assert L.index[("e", (1,))] in pd.n
+    # k_perp is spanned by e and f: nothing of it at weight 0
+    assert pd.kperp_dims == {(0,): 0, (2,): 1, (-2,): 1}
 
 
 def test_a2_principal_parabolic():
@@ -48,6 +50,8 @@ def test_a2_principal_parabolic():
     assert (pd.r, pd.s) == (2, 1)  # [DERIVED] n cap k = span(e1+e2); s=1 [PAPER] for principal sl2
     assert pd.n.dim == 3 and pd.m.dim == 2
     assert sum(pd.kperp_dims.values()) == 5  # dim k_perp
+    # K is nondegenerate on k, so k and k_perp are independent: g = k + k_perp
+    assert emb.checks.killing_nondegenerate_on_k
     # triangular decomposition of k_perp: its n, m and nbar parts
     by_sign = {-1: 0, 0: 0, 1: 0}
     for w, d in pd.kperp_dims.items():
@@ -122,10 +126,7 @@ def test_nonstandard_borel_sifting():
     borel = build_borel(L, [F(-1), F(2)])
     # alpha1 flips sign; w_b maps the standard positives onto the new set
     assert (-1, 0) in borel.pos_roots
-    image = {
-        tuple(L.rs.act_on_root([list(r) for r in borel.w_b], c))
-        for c in L.rs.positive_roots
-    }
+    image = {act_on_root(L.rs, borel.w_b, c) for c in L.rs.positive_roots}
     assert image == set(borel.pos_roots)
 
 
