@@ -30,7 +30,7 @@ from ghcert.errors import (
     PipelineError,
     SearchTooLarge,
 )
-from ghcert.kostant import kostant_cohomology
+from ghcert.kostant import check_degrees, kostant_cohomology
 from ghcert.oracle import compare_kostant_vs_oracle
 from ghcert.rootsystem import CartanType
 from ghcert.weights import Weight
@@ -68,8 +68,8 @@ def _parse_nu(text, rank):
 
 
 def _parse_degrees(text):
-    """The degrees named by "a..b" (a range, kept lazy: each degree is
-    checked against the number of positive roots as it is reached) or by
+    """The degrees named by "a..b" (a range, kept lazy: `check_degrees`
+    stops at the first degree past the number of positive roots) or by
     "a,b,..."."""
     if ".." in text:
         lo, hi = text.split("..", 1)
@@ -144,8 +144,10 @@ def cmd_oracle_compare(args):
     fr, _, _, borel = adapted_borel(pin)
     L = fr.L
     nu = _parse_nu(args.nu, L.rank)
+    degrees = _parse_degrees(args.degrees)
     try:
-        kostant = [kostant_cohomology(L, borel, nu, r) for r in _parse_degrees(args.degrees)]
+        check_degrees(L, borel, nu, degrees)
+        kostant = [kostant_cohomology(L, borel, nu, r) for r in degrees]
         rep = compare_kostant_vs_oracle(L, borel, nu, kostant, dim_cap=pin.dim_cap)
     except (NonDominant, LengthOutOfRange) as exc:
         raise InputInvalid(str(exc))

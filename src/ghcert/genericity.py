@@ -1,12 +1,26 @@
 """Genericity of the shifted weight mu = omega + 2*rho_n_perp: integrality
 and dominance for k, the nonnegativity condition over the t-weights of
-n ∩ k, and the strict positivity condition over every nonempty submultiset
-of the t-weights of n.
+n ∩ k, and the strict positivity condition (2) over every nonempty
+submultiset of the t-weights of n.
+
+Every pairing is taken in integers, through the integer-scaled inverse
+Gram matrix of `TStarForm`.  Condition (2) is decided at the singles and
+at the nonzero vertices of the zonotope that the submultisets fill, found
+by an integer walk over the regions of the weights' hyperplanes and
+memoised per weight multiset; at equal rank (dim t = rank g) the singles
+alone decide (`check_condition_2` has both arguments).  Its
+`enumerated_count` is the number of submultisets this covers,
+prod_j (m_j + 1) - 1, not the number of points evaluated.  The cap
+`caps.cond2` bounds the work actually done, the singles plus the regions,
+to 2^cap; it is checked before the work starts.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations
+from math import comb, gcd, lcm
+from operator import mul
 
 from ghcert.algebra import LieAlgebra
 from ghcert.borel import BorelData
@@ -60,6 +74,10 @@ class TStarForm:
         self.den = d // gcd(d, D * gcd(*(x for row in adj for x in row)))
         self.inv_scaled = [[self.den * D * x // d for x in row] for row in adj]
 
+    def image(self, x):
+        """inv_scaled x, for an integer vector x."""
+        return [sum(map(mul, row, x)) for row in self.inv_scaled]
+
     def ip(self, a, b):
         """<a, b>, exact, in normal form."""
         num = sum(x * sum(g * y for g, y in zip(row, b)) for x, row in zip(a, self.inv_scaled))
@@ -87,26 +105,37 @@ def mu_from_nu(emb: EmbeddedSubalgebra, nu: Weight, rv: RhoVectors) -> Weight:
     return restrict_to_t(emb, nu) + rv.mu_shift
 
 
+def _ints(vec):
+    """(integer vector, D): vec times D, D > 0 the least such."""
+    D = lcm(*(x.denominator for x in vec))
+    return [x.numerator * (D // x.denominator) for x in vec], D
+
+
 def check_integral_dominant(form: TStarForm, mu: Weight, k_roots, positive_k_roots):
     """Integrality against all t-root coroots of k; dominance against the
-    positive ones."""
+    positive ones.  In integers: with mu = m / D and beta = b / B,
+    2 <mu, beta> / <beta, beta> = 2 B <Mm, b> / (D <Mb, b>)."""
+    m, D = _ints(mu.coords)
+    Mm = form.image(m)
     integral = True
     for beta in k_roots.entries:
-        bb = form.ip(beta, beta)
-        if Fraction(2 * form.ip(mu.coords, beta), bb).denominator != 1:
+        b, B = _ints(beta)
+        if 2 * B * sum(map(mul, Mm, b)) % (D * sum(map(mul, form.image(b), b))):
             integral = False
             break
     dominant = all(
-        form.ip(mu.coords, beta) >= 0 for beta in positive_k_roots.entries
+        sum(map(mul, Mm, _ints(beta)[0])) >= 0 for beta in positive_k_roots.entries
     )
     return integral, dominant
 
 
 def check_condition_1(form: TStarForm, mu: Weight, rho: Weight, rho_n: Weight, weights_n_cap_k):
     """<mu + 2 rho - rho_n, beta> >= 0 for every t-weight beta of n ∩ k."""
-    vec = [m + 2 * r - rn for m, r, rn in zip(mu.coords, rho.coords, rho_n.coords)]
+    vec, _ = _ints([m + 2 * r - rn for m, r, rn in zip(mu.coords, rho.coords, rho_n.coords)])
+    Mv = form.image(vec)
     violations = [
-        beta for beta in sorted(weights_n_cap_k.entries) if form.ip(vec, beta) < 0
+        beta for beta in sorted(weights_n_cap_k.entries)
+        if sum(map(mul, Mv, _ints(beta)[0])) < 0
     ]
     return not violations, violations
 
@@ -114,8 +143,132 @@ def check_condition_1(form: TStarForm, mu: Weight, rho: Weight, rho_n: Weight, w
 @dataclass
 class Cond2Result:
     ok: bool
-    witness: tuple  # ((weight coords, chosen count), ...) for the first violation
+    witness: tuple  # ((weight coords, chosen count), ...) of a violating submultiset
     enumerated_count: int
+
+
+def _det(m):
+    """Determinant of a square integer matrix, fraction-free (Bareiss)."""
+    if len(m) < 3:
+        return m[0][0] if len(m) == 1 else m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    m = [list(row) for row in m]
+    sign, prev = 1, 1
+    for k in range(len(m)):
+        p = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            m[k], m[p], sign = m[p], m[k], -sign
+        piv = m[k]
+        for i in range(k + 1, len(m)):
+            m[i] = [(piv[k] * x - m[i][k] * y) // prev for x, y in zip(m[i], piv)]
+        prev = piv[k]
+    return sign * prev
+
+
+def _sign_patterns(idx):
+    """Every subset of idx as a bitmask: the regions of independent lines."""
+    out = [0]
+    for i in idx:
+        out += [A | 1 << i for A in out]
+    return out
+
+
+def _regions(q, memo):
+    """The regions of the arrangement of the hyperplanes q_i^perp over the
+    keys i of q, as bitmasks of the i negative on them.  q maps each i to
+    its coordinates in a basis of the span, so the rank r is their length.
+
+    Independent lines give every sign pattern.  Otherwise r >= 2, and a
+    region is a pointed cone, so it has an extreme ray psi: the normal of a
+    flat Z of rank r - 1, spanned by an (r - 1)-subset S.  The regions at
+    psi are N | A and, at -psi, P | A, where N and P are the i negative and
+    positive on psi and A runs over the regions of Z, memoised by Z.
+    <psi, q_x> is the determinant of the rows q_s, s in S, and q_x, so psi
+    is their cofactor vector, and Z's coordinates in the basis S are the
+    <q_x, q_s>."""
+    idx = list(q)
+    r = len(q[idx[0]])
+    if len(idx) == r:
+        return _sign_patterns(idx)
+    out, covered = set(), set()
+    for S in combinations(idx, r - 1):
+        if S in covered:
+            continue
+        rows = [q[s] for s in S]
+        cof = [(-1) ** c * _det([row[:c] + row[c + 1:] for row in rows]) for c in range(r)]
+        if not any(cof):
+            continue  # S is dependent
+        P = N = Z = 0
+        for i in idx:
+            x = sum(map(mul, q[i], cof))
+            if x > 0:
+                P |= 1 << i
+            elif x < 0:
+                N |= 1 << i
+            else:
+                Z |= 1 << i
+        flat = [i for i in idx if Z >> i & 1]
+        if len(flat) == r - 1:
+            sub = _sign_patterns(flat)
+        else:
+            covered.update(combinations(flat, r - 1))
+            sub = memo.get(Z)
+            if sub is None:
+                sub = memo[Z] = _regions(
+                    {i: [sum(map(mul, q[i], row)) for row in rows] for i in flat}, memo
+                )
+        for A in sub:
+            out.add(N | A)
+            out.add(P | A)
+    return out
+
+
+@lru_cache(maxsize=64)
+def _arrangement(groups):
+    """The zonotope of the sorted (coords, mult) pairs of a weight multiset:
+    (E, u, lines, on_line, basis).  u_j = E w_j are the distinct weights as
+    integer vectors; lines[i] is primitive with its first nonzero entry
+    positive, and u_j = sign |u_j| lines[i] for each (j, sign) in
+    on_line[i]; basis is a greedy basis of the lines' span."""
+    E = lcm(*(x.denominator for coords, _ in groups for x in coords))
+    u = [[x.numerator * (E // x.denominator) for x in coords] for coords, _ in groups]
+    line_of, lines, on_line = {}, [], []
+    for j, uj in enumerate(u):
+        g = gcd(*uj)
+        if g:
+            sign = 1 if next(x for x in uj if x) > 0 else -1
+            p = tuple(sign * x // g for x in uj)
+            if p not in line_of:
+                line_of[p] = len(lines)
+                lines.append(p)
+                on_line.append([])
+            on_line[line_of[p]].append((j, sign))
+    basis = []
+    for p in lines:
+        cand = basis + [p]
+        if len(basis) < len(p) and _det([[sum(map(mul, a, b)) for b in cand] for a in cand]):
+            basis = cand
+    return E, u, lines, on_line, basis
+
+
+@lru_cache(maxsize=64)
+def _vertices(groups):
+    """The zonotope's vertices as (s, mask), one per region of its lines'
+    arrangement (`_regions`) in the order of the bitmasks: s sums m_j u_j
+    over the u_j negative on the region, on the lines in the mask those
+    with sign 1, on the others those with sign -1."""
+    E, u, lines, on_line, basis = _arrangement(groups)
+    sides = [([0] * len(u[0]), [0] * len(u[0])) for _ in lines]  # (sign -1, sign 1)
+    for i, members in enumerate(on_line):
+        for j, sign in members:
+            side = sides[i][sign > 0]
+            side[:] = [x + groups[j][1] * y for x, y in zip(side, u[j])]
+    q = {i: [sum(map(mul, p, b)) for b in basis] for i, p in enumerate(lines)}
+    return [
+        ([sum(col) for col in zip(*(sides[i][mask >> i & 1] for i in range(len(lines))))], mask)
+        for mask in sorted(_regions(q, {}))
+    ]
 
 
 def check_condition_2(
@@ -124,66 +277,81 @@ def check_condition_2(
     rho: Weight,
     S: WeightMultiset,
     cap: int = DEFAULT_COND2_CAP,
+    equal_rank: bool = False,
 ) -> Cond2Result:
     """<mu + 2 rho - rho_T, rho_T> > 0 for every nonempty submultiset T of S.
 
-    The empty submultiset is excluded (it would demand 0 > 0).  The
-    witness is the first violating submultiset, counts taken
-    lexicographically in the sorted order of S.
+    With h_j = w_j / 2 over the distinct weights w_j of S (multiplicity
+    m_j), c = mu + 2 rho and sigma = rho_T, the test is f(sigma) > 0 for
+    the concave f(sigma) = <c, sigma> - <sigma, sigma>, over the nonzero
+    points sigma = sum_j n_j h_j, 0 <= n_j <= m_j, of the zonotope
+    Z = sum_j [0, m_j h_j]; f > 0 says that sigma lies in the open ball B
+    with diameter [0, c].  It is decided at the singles h_j and at the
+    nonzero vertices sum_{j in A} m_j h_j of Z, one per region of the
+    arrangement {psi : psi(h_j) = 0}, A = {j : psi(h_j) < 0} (Zaslavsky):
 
-    With h_j = w_j / 2 over the distinct weights w_j of S, c = mu + 2 rho
-    and n_j the count of w_j in T, the tested value is the quadratic
-    sum_j n_j a_j - sum_{j,l} n_j n_l Q_jl, where a_j = <c, h_j> and
-    Q_jl = <h_j, h_l>.  Both tables are built in ints, scaled by one
-    positive factor: with den * gram_inv integral, w_j = u_j / E and
-    c = v / C for integer vectors u_j and v, the factor 4 C E^2 den gives
-    a_j -> 2 E <v, u_j> and Q_jl -> C <u_j, u_l> in the integer form.  The
-    walk over the count tuples does int additions only.
+    * if a single fails, the answer is no;
+    * if every single passes, then <c, h_j> > |h_j|^2 > 0, so the h_j lie
+      in an open half-space, and 0 is the vertex of the region where every
+      psi(h_j) > 0, the one vertex not tested.  For any psi, the maximum
+      of psi over the points other than 0 is at most the larger of its
+      maximum over the nonzero vertices (when some psi(h_j) > 0, the
+      points' maximum sum_{psi(h_j) > 0} m_j psi(h_j) is reached at a
+      vertex) and over the singles (otherwise psi(sigma) <= psi(h_j) for
+      each h_j that sigma counts).  Hence those points lie in the convex
+      hull of the nonzero vertices and the singles, which lies in the
+      convex set B when they all do.
+
+    At equal rank (t a Cartan subalgebra of g, so S is a positive system of
+    roots, each once) the vertices are sigma_w = (rho_S - w rho_S) / 2 for w
+    in W, and f(sigma_w) = <c - rho_S, rho_S - w rho_S> / 2, as
+    |rho_S - w rho_S|^2 = 2 <rho_S, rho_S - w rho_S>.  rho_S - w rho_S is a
+    nonnegative sum of simple roots, and f(sigma_{s_i}) = f(alpha_i / 2)
+    since <rho_S, alpha_i> = |alpha_i|^2 / 2; so the singles decide.
+
+    Values are integers scaled by one positive factor: with M = den *
+    gram^-1 integral, w_j = u_j / E and c = v / C for integer vectors u_j
+    and v, 4 C E^2 den f(s / 2E) = <s, 2 E M v> - C <s, M s> at
+    s = sum_j n_j u_j.  A failure's witness is a violating single or
+    vertex, as counts in the sorted order of S.  `enumerated_count` is the
+    number of submultisets covered, prod_j (m_j + 1) - 1.  The cap bounds
+    the work, the singles plus the regions of the n distinct lines of rank
+    r, at most 2 sum_{i < r} C(n - 1, i), to at most 2^cap before any of
+    it is done.
     """
-    groups = S.items()  # sorted (coords, mult)
+    groups = tuple(S.items())  # sorted (coords, mult)
     combos = 1
     for _, mult in groups:
         combos *= mult + 1
-    if (combos - 1).bit_length() > cap:
-        raise SearchTooLarge(f"{combos} submultisets exceeds the 2^{cap} cap")
-    enumerated = combos - 1
-    c = [m + 2 * r for m, r in zip(mu.coords, rho.coords)]
-    C = lcm(*(x.denominator for x in c))
-    v = [int(x * C) for x in c]
-    E = lcm(*(x.denominator for coords, _ in groups for x in coords))
-    u = [[int(x * E) for x in coords] for coords, _ in groups]
-    images = [
-        [sum(g * y for g, y in zip(row, uj)) for row in form.inv_scaled] for uj in u
-    ]
-    a = [2 * E * sum(x * y for x, y in zip(v, g)) for g in images]
-    Q = [[C * sum(x * y for x, y in zip(uj, g)) for g in images] for uj in u]
-    # raising n_j by one adds step[j] - 2 acc[j], acc = sum_l n_l Q[l]
-    step = [a[j] - Q[j][j] for j in range(len(groups))]
-    mults = [mult for _, mult in groups]
-    counts = [0] * len(groups)
-    witness = None
+    result = Cond2Result(ok=True, witness=None, enumerated_count=combos - 1)
+    E, u, lines, on_line, basis = _arrangement(groups)
+    work = len(u)
+    if equal_rank:
+        if combos != 1 << len(u):
+            raise InvariantViolation("n's weights at equal rank are not a positive system")
+    elif lines:
+        work += 2 * sum(comb(len(lines) - 1, i) for i in range(len(basis)))
+    if work and (work - 1).bit_length() > cap:
+        raise SearchTooLarge(f"{work} singles and regions exceed the 2^{cap} cap")
+    v, C = _ints([m + 2 * r for m, r in zip(mu.coords, rho.coords)])
+    w = [2 * E * x for x in form.image(v)]
 
-    def dfs(idx, val, acc, any_chosen):
-        nonlocal witness
-        if idx == len(groups):
-            if any_chosen and val <= 0:
-                witness = tuple(
-                    (groups[j][0], counts[j]) for j in range(len(groups)) if counts[j]
-                )
-            return
-        row = Q[idx]
-        for k in range(mults[idx] + 1):
-            if k:
-                val += step[idx] - 2 * acc[idx]
-                acc = [x + y for x, y in zip(acc, row)]
-            counts[idx] = k
-            dfs(idx + 1, val, acc, any_chosen or k > 0)
-            if witness is not None:
-                return
-        counts[idx] = 0
+    def value(s):
+        return sum(map(mul, s, w)) - C * sum(map(mul, s, form.image(s)))
 
-    dfs(0, 0, [0] * len(groups), False)
-    return Cond2Result(ok=witness is None, witness=witness, enumerated_count=enumerated)
+    for j, uj in enumerate(u):
+        if value(uj) <= 0:
+            result.ok, result.witness = False, ((groups[j][0], 1),)
+            return result
+    if equal_rank or not u:
+        return result
+    for s, mask in _vertices(groups):
+        if any(s) and value(s) <= 0:
+            chosen = {j for i, members in enumerate(on_line)
+                      for j, sign in members if (sign > 0) == bool(mask >> i & 1)}
+            result.ok, result.witness = False, tuple(groups[j] for j in sorted(chosen))
+            return result
+    return result
 
 
 @dataclass
@@ -209,7 +377,9 @@ def evaluate_genericity(
     mu = mu_from_nu(emb, nu, rv)
     integral, dominant = check_integral_dominant(form, mu, pd.k_roots, pd.k_positive_roots)
     c1_ok, c1_viol = check_condition_1(form, mu, rv.rho, rv.rho_n, pd.weights_n_cap_k)
-    c2 = check_condition_2(form, mu, rv.rho, pd.weights_n, cap=cond2_cap)
+    c2 = check_condition_2(
+        form, mu, rv.rho, pd.weights_n, cap=cond2_cap, equal_rank=len(mu.coords) == L.rank
+    )
     return GenericityReport(
         mu=mu,
         integral=integral,

@@ -91,6 +91,18 @@ def _act(rs, word, lam):
     return lam
 
 
+def check_degrees(L: LieAlgebra, borel: BorelData, nu: Weight, degrees):
+    """Raise what `kostant_cohomology` raises at the first of `degrees` it
+    refuses: NonDominant for nu, else LengthOutOfRange for the first degree
+    outside [0, |Phi+|].  A range stops by |Phi+| + 1, however long it is."""
+    if not (borel.dominant(nu) and borel.integral(nu)):
+        raise NonDominant(f"nu = {nu.coords} is not b-dominant integral")
+    n_pos = len(L.rs.positive_roots)
+    for r in degrees:
+        if r < 0 or r > n_pos:
+            raise LengthOutOfRange(f"length {r} not in [0, {n_pos}]")
+
+
 def kostant_cohomology(L: LieAlgebra, borel: BorelData, nu: Weight, r: int) -> CohomologyDecomposition:
     """Degree-r decomposition: one summand gamma = w(nu + rho) - rho per
     minimal coset representative w of W_m in W of length r (Kostant).
@@ -101,12 +113,9 @@ def kostant_cohomology(L: LieAlgebra, borel: BorelData, nu: Weight, r: int) -> C
     from the nearer end: u -> w_0 u w_{0,J} reverses length on W^J, whose
     longest element has length dim n.
     """
-    if not (borel.dominant(nu) and borel.integral(nu)):
-        raise NonDominant(f"nu = {nu.coords} is not b-dominant integral")
+    check_degrees(L, borel, nu, (r,))
     rs = L.rs
     n_pos = len(rs.positive_roots)
-    if r < 0 or r > n_pos:
-        raise LengthOutOfRange(f"length {r} not in [0, {n_pos}]")
     n = rs.rank
     w_b = borel.w_b
     rho = borel.rho.coords

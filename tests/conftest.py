@@ -140,6 +140,56 @@ def problem(algebra, gens, t, **search):
     return d
 
 
+def _chevalley_units(L):
+    """(e, f, h): the basis vector of e_{alpha_i}, of f_{alpha_i} and of h_i
+    as a function of the simple root's index i."""
+    def vec(index):
+        return [int(j == index) for j in range(L.dim)]
+
+    def simple(i):
+        return tuple(int(j == i) for j in range(L.rank))
+
+    return (lambda i: vec(L.index[("e", simple(i))]),
+            lambda i: vec(L.index[("f", simple(i))]),
+            vec)
+
+
+def principal_sl2(algebra):
+    """The principal sl2 of g: e = sum_i e_{alpha_i}, f = sum_i c_i f_{alpha_i}
+    and t spanned by h = [e, f] = sum_i c_i h_i, where
+    sum_i c_i alpha_j(h_i) = 2 for every simple root alpha_j."""
+    from ghcert.algebra import build_algebra
+
+    L = build_algebra(algebra)
+    e, f, h = _chevalley_units(L)
+    n = L.rank
+    # alpha_j(h_i) = (the fundamental coordinates of alpha_j)_i
+    inv = fraction_inverse(
+        [[L.rs.root_to_weight(tuple(int(k == j) for k in range(n)))[i] for j in range(n)]
+         for i in range(n)]
+    )
+    c = [int(2 * sum(inv[j][i] for j in range(n))) for i in range(n)]
+
+    def combination(coeffs, unit):
+        return [sum(a * x for a, x in zip(coeffs, col))
+                for col in zip(*(unit(i) for i in range(n)))]
+
+    return problem(algebra, [combination([1] * n, e), combination(c, f)], [combination(c, h)])
+
+
+def levi(algebra, nodes, full=False):
+    """The Levi subalgebra on the simple roots `nodes`: e and f of each
+    alpha_i, i in nodes, with t spanned by those h_i or, when `full`, by
+    every h_i (then t is the Cartan subalgebra of g)."""
+    from ghcert.algebra import build_algebra
+
+    L = build_algebra(algebra)
+    e, f, h = _chevalley_units(L)
+    t = [h(i) for i in (range(L.rank) if full else nodes)]
+    gens = [v for i in nodes for v in (e(i), f(i))]
+    return problem(algebra, gens + (t if full else []), t)
+
+
 # the standing cases used throughout the suite
 CASES = {
     "a1_t": problem("A1", [unit(3, 0)], [unit(3, 0)]),
@@ -197,22 +247,35 @@ def compare_at(L, borel, nu, degrees):
     return compare_kostant_vs_oracle(L, borel, nu, kostant)
 
 
+def condition_2_value(form, mu, rho, counts):
+    """<mu + 2 rho - rho_T, rho_T> for T given as ((weight, count), ...)."""
+    c = [m + 2 * r for m, r in zip(mu.coords, rho.coords)]
+    rho_t = [Fraction(sum(k * w[i] for w, k in counts), 2) for i in range(len(c))]
+    return form.ip([a - b for a, b in zip(c, rho_t)], rho_t)
+
+
 def brute_force_condition_2(form, mu, rho, S):
     """(ok, witness, enumerated) over every count tuple in lexicographic
     order: the first nonempty T with <mu + 2 rho - rho_T, rho_T> <= 0 is
     the witness."""
     groups = S.items()
-    c = [m + 2 * r for m, r in zip(mu.coords, rho.coords)]
     tuples = list(itertools.product(*(range(m + 1) for _, m in groups)))
     for counts in tuples[1:]:
-        rho_t = [
-            Fraction(sum(k * w[i] for (w, _), k in zip(groups, counts)), 2)
-            for i in range(len(c))
-        ]
-        if form.ip([a - b for a, b in zip(c, rho_t)], rho_t) <= 0:
-            witness = tuple((w, k) for (w, _), k in zip(groups, counts) if k)
+        witness = tuple((w, k) for (w, _), k in zip(groups, counts) if k)
+        if condition_2_value(form, mu, rho, witness) <= 0:
             return False, witness, len(tuples) - 1
     return True, None, len(tuples) - 1
+
+
+def assert_condition_2_matches_brute_force(res, form, mu, rho, S):
+    """`ok` and `enumerated_count` equal the exhaustive walk's; a witness is
+    a submultiset of S on which the tested value is <= 0."""
+    ok, _, enumerated = brute_force_condition_2(form, mu, rho, S)
+    assert (res.ok, res.enumerated_count) == (ok, enumerated)
+    assert (res.witness is None) == ok
+    if res.witness is not None:
+        assert all(0 < k <= S.entries[w] for w, k in res.witness)
+        assert condition_2_value(form, mu, rho, res.witness) <= 0
 
 
 @pytest.fixture

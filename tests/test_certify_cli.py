@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -20,7 +21,7 @@ from ghcert.certify import (
 from ghcert.cli import main
 from ghcert.errors import InputInvalid
 
-from conftest import CASES, REDUCTION, problem, unit
+from conftest import CASES, REDUCTION, levi, principal_sl2, problem, unit
 
 F = Fraction
 
@@ -148,6 +149,36 @@ def test_round_trip_higher_rank(algebra):
     ok, reasons = verify_certificate(cert, raw)
     assert ok, reasons
     assert canonical_json(certify(parse_input(raw), raw)) == canonical_json(cert)
+
+
+def _certify_file(write_input, tmp_path, raw, name="cert.json"):
+    inp = write_input("in.json", raw)
+    out = str(tmp_path / name)
+    assert main(["certify", inp, "--out", out]) == 0
+    with open(out, "rb") as fh:
+        return inp, out, fh.read()
+
+
+@pytest.mark.parametrize("algebra", ["E7", "E8"])
+def test_round_trip_principal_sl2(algebra, write_input, tmp_path, capsys):
+    """Condition (2) over the 3.98e10 (E7) and 1.06e19 (E8) submultisets of
+    n's t-weights is decided at the singles and the two sides of t* = Q."""
+    inp, out, first = _certify_file(write_input, tmp_path, principal_sl2(algebra))
+    assert json.loads(first)["verdict"]["kind"] == "ExistsWitness"
+    capsys.readouterr()
+    assert main(["verify", out, inp]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+    assert _certify_file(write_input, tmp_path, principal_sl2(algebra), "again.json")[2] == first
+
+
+# the sha256 of certificates made by the exhaustive walk of count tuples
+@pytest.mark.parametrize("raw, sha256", [
+    (principal_sl2("F4"), "372b4ac31bfbda3b72dbde7d4eac0e77b6ee74e02703f35521e9dc1e29ee37c8"),
+    (principal_sl2("E6"), "4e950311c7845da199c92a333a209b70dd0053d800b493db9cd66ba5ee76f35f"),
+    (levi("E6", [0, 2, 3]), "ce4f79c958ccadec3ed77e55c296503312022c2d41ab15f79eaf85eda8aef9d8"),
+], ids=["principal_F4", "principal_E6", "levi_E6_023"])
+def test_frontier_certificates_unchanged(raw, sha256, write_input, tmp_path):
+    assert hashlib.sha256(_certify_file(write_input, tmp_path, raw)[2]).hexdigest() == sha256
 
 
 def test_reductivity_battery_runs_once(monkeypatch):
@@ -340,6 +371,22 @@ def test_cli_degree_out_of_range_is_invalid_input(write_input, capsys):
         assert "not in [0, 1]" in capsys.readouterr().err
 
 
+def test_cli_oracle_degree_range_checked_before_kostant(write_input, monkeypatch, capsys):
+    """A range past |Phi+| is refused before any Kostant sum, with the
+    message the first degree out of range gives; a non-dominant nu still
+    reports that first."""
+    import ghcert.cli
+
+    calls = []
+    monkeypatch.setattr(ghcert.cli, "kostant_cohomology", lambda *args: calls.append(args))
+    inp = write_input("in.json", CASES["a1_t"])
+    for nu, err in (("1", "error: length 2 not in [0, 1]\n"),
+                    ("-1", "error: nu = (-1,) is not b-dominant integral\n")):
+        assert main(["oracle-compare", inp, "--nu", nu, f"--degrees=0..{10**30}"]) == 2
+        assert capsys.readouterr().err == err
+    assert calls == []
+
+
 def _no_module(*args, **kwargs):
     raise AssertionError("the oracle built a module")
 
@@ -488,10 +535,18 @@ def test_cli_exit_code_internal_error(write_input, monkeypatch, capsys):
 
 
 def test_cli_exit_code_cap_exceeded(write_input, capsys):
+    # t = h: condition (2) takes the 3 singles, over 2^1
     data = json.loads(json.dumps(CASES["a2_torus"]))
     data["search"] = {"caps": {"cond2": 1}}
     inp = write_input("in.json", data)
     assert main(["certify", inp]) == 4
+    # a 2-torus of A3: 6 singles on 6 lines of the plane and 12 regions, so
+    # 18 over 2^4; the 63 submultisets they cover fit in 2^5 only by the work
+    torus = problem("A3", [unit(15, 0), unit(15, 1)], [unit(15, 0), unit(15, 1)])
+    for cap, code in ((4, 4), (5, 0)):
+        torus["search"] = {"caps": {"cond2": cap}}
+        assert main(["certify", write_input("torus.json", torus)]) == code
+    assert "18 singles and regions exceed the 2^4 cap" in capsys.readouterr().err
 
 
 def test_cli_verify_rejects_tampered(write_input, tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ghcert.algebra import build_algebra
 from ghcert.borel import build_borel
 from ghcert.embedding import choose_regular, make_embedding
-from ghcert.errors import DegenerateOnT, SearchTooLarge
+from ghcert.errors import DegenerateOnT, InvariantViolation, SearchTooLarge
 from ghcert.genericity import (
     TStarForm,
     check_condition_2,
@@ -23,7 +23,14 @@ from ghcert.linalg import exact
 from ghcert.parabolic import build_parabolic, rho_vectors
 from ghcert.weights import Weight, WeightMultiset
 
-from conftest import brute_force_condition_2, fraction_inverse
+from conftest import (
+    assert_condition_2_matches_brute_force,
+    brute_force_condition_2,
+    fraction_inverse,
+    levi,
+    problem,
+    unit as int_unit,
+)
 
 F = Fraction
 
@@ -159,66 +166,119 @@ def test_condition_2_witness_reported():
     mu = Weight("t", (F(0),))
     rho = Weight("t", (F(0),))
     res = check_condition_2(form, mu, rho, S)
-    # [DERIVED] <mu + 2rho - rho_T, rho_T> = -4 for T = {4}
+    # [DERIVED] <mu + 2rho - rho_T, rho_T> = -4 for T = {4}: a failing single
     assert not res.ok
     assert res.witness == (((F(4),), 1),)
 
 
-def test_condition_2_cap():
-    form = TStarForm([[F(1)]])
+def _plane(weights, mults=None):
+    """A multiset of weights of t = Q^2 with the standard form."""
     S = WeightMultiset("t")
-    for i in range(30):
-        S.add((F(i + 1),), 1)
+    for i, w in enumerate(weights):
+        S.add(tuple(F(x) for x in w), mults[i] if mults else 1)
+    return S
+
+
+PLANE = TStarForm([[F(1), F(0)], [F(0), F(1)]])
+FAR = Weight("t", (F(400), F(300))), Weight("t", (F(0), F(0)))  # mu, rho: all pass
+
+
+def test_condition_2_cap():
+    """30 distinct lines in the plane: 30 singles and 60 regions exceed
+    2^6, although the singles alone are under it."""
+    S = _plane([(1, i) for i in range(30)])
+    with pytest.raises(SearchTooLarge, match="^90 singles and regions exceed the 2\\^6 cap$"):
+        check_condition_2(PLANE, *FAR, S, cap=6)
+    assert check_condition_2(PLANE, *FAR, S, cap=7).ok
+
+
+def test_condition_2_cap_raises_before_the_walk(monkeypatch):
+    """Over the cap, no region is enumerated and no value is taken."""
+    import ghcert.genericity
+
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(ghcert.genericity, "_vertices", no_walk)
+    monkeypatch.setattr(ghcert.genericity, "_regions", no_walk)
+    monkeypatch.setattr(TStarForm, "image", no_walk)
+    S = _plane([(1, i) for i in range(40)])
     with pytest.raises(SearchTooLarge):
-        check_condition_2(form, Weight("t", (F(0),)), Weight("t", (F(0),)), S, cap=4)
+        check_condition_2(PLANE, *FAR, S, cap=6)
 
 
 def test_condition_2_huge_cap_is_prompt():
     # a cap far beyond any multiset is only compared by bit length
-    form = TStarForm([[F(1)]])
-    S = WeightMultiset("t")
-    S.add((F(1),), 3)
-    S.add((F(2),), 2)
-    mu, rho = Weight("t", (F(1),)), Weight("t", (F(0),))
-    assert check_condition_2(form, mu, rho, S, cap=10**12) == check_condition_2(
-        form, mu, rho, S
-    )
+    S = _plane([(1, 0), (0, 1), (1, 1)], [3, 2, 1])
+    assert check_condition_2(PLANE, *FAR, S, cap=10**12) == check_condition_2(PLANE, *FAR, S)
 
 
 @pytest.mark.parametrize(
     "mults, cap, fits",
     [
-        ((1, 1, 1), 3, True),  # 2^3 submultisets
-        ((1, 1, 1), 2, False),
-        ((3,), 2, True),  # 4 = 2^2
-        ((4,), 2, False),  # 5 = 2^2 + 1
+        # two lines, two weights on each: 4 singles + 4 regions = 2^3
+        ({(1, 0): 1, (2, 0): 2, (0, 1): 3, (0, 2): 1}, 3, True),
+        ({(1, 0): 3, (0, 1): 3}, 2, False),  # 2 + 4 regions; 15 submultisets
+        ({(1, 0): 2, (2, 0): 1}, 2, True),  # one line: 2 + 2 regions = 2^2
+        ({(1, 0): 1, (2, 0): 1, (3, 0): 1}, 2, False),  # 3 + 2
     ],
 )
 def test_condition_2_cap_boundary(mults, cap, fits):
-    form = TStarForm([[F(1)]])
-    S = WeightMultiset("t")
-    for i, m in enumerate(mults):
-        S.add((F(i + 1),), m)
-    args = (form, Weight("t", (F(40),)), Weight("t", (F(0),)), S)
+    """The cap bounds the work, the singles plus the regions, to 2^cap;
+    multiplicities cost nothing."""
+    S = _plane(list(mults), list(mults.values()))
     if fits:
-        assert check_condition_2(*args, cap=cap).ok
+        assert check_condition_2(PLANE, *FAR, S, cap=cap).ok
     else:
         with pytest.raises(SearchTooLarge):
-            check_condition_2(*args, cap=cap)
+            check_condition_2(PLANE, *FAR, S, cap=cap)
+
+
+@pytest.mark.parametrize("weights", [
+    [(1, 0), (0, 1), (1, 1)],  # 3 singles + 6 regions
+    [(1, 0), (2, 0), (3, 0), (0, 1), (0, 2)],  # 5 singles + 4 regions
+])
+def test_condition_2_cap_counts_regions(weights):
+    S = _plane(weights)
+    with pytest.raises(SearchTooLarge, match="^9 singles and regions exceed the 2\\^3 cap$"):
+        check_condition_2(PLANE, *FAR, S, cap=3)
+    assert check_condition_2(PLANE, *FAR, S, cap=4).ok
+
+
+def test_condition_2_equal_rank_cap_counts_singles():
+    S = _plane([(1, 0), (0, 1), (1, 1)])
+    assert check_condition_2(PLANE, *FAR, S, cap=2, equal_rank=True).ok  # 3 singles
+    with pytest.raises(SearchTooLarge, match="^3 singles and regions exceed the 2\\^1 cap$"):
+        check_condition_2(PLANE, *FAR, S, cap=1, equal_rank=True)
 
 
 def test_condition_2_witness_is_first_not_least():
+    """A failing single is reported before any vertex, the first in the
+    sorted order of S."""
     form = TStarForm([[F(1)]])
     S = WeightMultiset("t")
     S.add((F(-2),), 2)
     S.add((F(6),), 1)
     mu, rho = Weight("t", (F(4),)), Weight("t", (F(0),))
-    # [DERIVED] <4 - h, h> with h = (sum of T)/2, counts in lexicographic
-    # order: (0,1) -> 3, (1,0) -> -5, (1,1) -> 4, (2,0) -> -12, (2,1) -> 3.
-    # The first violation is (1,0); the least value is at (2,0).
+    # [DERIVED] <4 - h, h> with h = (sum of T)/2: the singles give -5 at
+    # {-2} and 3 at {6}; the least value, -12, is at the vertex {-2, -2}
     res = check_condition_2(form, mu, rho, S)
     assert not res.ok
     assert res.witness == (((F(-2),), 1),)
+
+
+def test_condition_2_witness_is_a_vertex_once_the_singles_pass():
+    form = TStarForm([[F(1)]])
+    S = WeightMultiset("t")
+    S.add((F(1),), 1)
+    S.add((F(2),), 2)
+    mu, rho = Weight("t", (F(2),)), Weight("t", (F(0),))
+    # [DERIVED] <2 - s, s> at s = 1/2, 1 (the singles) is 3/4, 1; the
+    # lexicographically first violation is {2, 2} (s = 2, value 0), and the
+    # one nonzero vertex {1, 2, 2} (s = 5/2) gives -5/4
+    res = check_condition_2(form, mu, rho, S)
+    assert brute_force_condition_2(form, mu, rho, S)[1] == (((F(2),), 2),)
+    assert res.witness == (((F(1),), 1), ((F(2),), 2))
 
 
 def test_condition_2_zero_value_survives_scaling():
@@ -227,9 +287,10 @@ def test_condition_2_zero_value_survives_scaling():
     S.add((F(-9, 5),), 1)
     S.add((F(-9, 7),), 1)
     mu, rho = Weight("t", (F(-54, 35),)), Weight("t", (F(0),))
-    # [DERIVED] <c - h, h> with c = -54/35: T = {-9/7} and T = {-9/5}
-    # both give 81/140 > 0; T = {-9/5, -9/7} gives exactly 0, which
-    # violates only if the scaling to integers rounds nothing.
+    # [DERIVED] <c - h, h> with c = -54/35: the singles T = {-9/7} and
+    # T = {-9/5} both give 81/140 > 0; the vertex T = {-9/5, -9/7} gives
+    # exactly 0, which violates only if the scaling to integers rounds
+    # nothing.
     res = check_condition_2(form, mu, rho, S)
     assert res.witness == (((F(-9, 5),), 1), ((F(-9, 7),), 1))
 
@@ -238,27 +299,29 @@ def test_condition_2_empty_multiset():
     form = TStarForm([[F(2), F(1)], [F(1), F(3)]])
     mu, rho = Weight("t", (F(1), F(-1))), Weight("t", (F(0), F(1, 2)))
     S = WeightMultiset("t")
-    res = check_condition_2(form, mu, rho, S)
-    assert (res.ok, res.witness, res.enumerated_count) == (True, None, 0)
+    for equal_rank in (False, True):
+        res = check_condition_2(form, mu, rho, S, cap=1, equal_rank=equal_rank)
+        assert (res.ok, res.witness, res.enumerated_count) == (True, None, 0)
     assert brute_force_condition_2(form, mu, rho, S) == (True, None, 0)
+
+
+def _random_form(rng, dim, den=lambda: 1):
+    """A random positive definite form on Q^dim; den() draws the
+    denominators of its factor's entries."""
+    while True:
+        a = [[F(rng.randint(-2, 2), den()) for _ in range(dim)] for _ in range(dim)]
+        g = [[sum(a[i][k] * a[j][k] for k in range(dim)) for j in range(dim)]
+             for i in range(dim)]
+        try:
+            return TStarForm(g)
+        except DegenerateOnT:
+            continue
 
 
 def _random_instance(rng, dim, den=lambda: 1):
     """A random positive definite form, multiset, mu and rho; den() draws
     the denominator of each coordinate (1 keeps them in Z, rho in Z/2)."""
-    gram = None
-    while gram is None:
-        a = [
-            [F(rng.randint(-2, 2), den()) for _ in range(dim)] for _ in range(dim)
-        ]
-        g = [[sum(a[i][k] * a[j][k] for k in range(dim)) for j in range(dim)]
-             for i in range(dim)]
-        try:
-            TStarForm(g)
-            gram = g
-        except DegenerateOnT:
-            continue
-    form = TStarForm(gram)
+    form = _random_form(rng, dim, den)
     S = WeightMultiset("t")
     total = 0
     while total < rng.randint(1, 12):
@@ -279,9 +342,7 @@ def test_condition_2_matches_brute_force(dim):
     for _ in range(60):
         form, mu, rho, S = _random_instance(rng, dim)
         res = check_condition_2(form, mu, rho, S)
-        assert (res.ok, res.witness, res.enumerated_count) == (
-            brute_force_condition_2(form, mu, rho, S)
-        )
+        assert_condition_2_matches_brute_force(res, form, mu, rho, S)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -293,12 +354,84 @@ def test_condition_2_matches_brute_force_thirds_and_fifths(dim):
         dens.update(form.ip(w, w).denominator for w, _ in S.items())
         dens.update(F(x, form.den).denominator for row in form.inv_scaled for x in row)
         res = check_condition_2(form, mu, rho, S)
-        assert (res.ok, res.witness, res.enumerated_count) == (
-            brute_force_condition_2(form, mu, rho, S)
-        )
+        assert_condition_2_matches_brute_force(res, form, mu, rho, S)
     # the common denominator of the pairings takes factors 3 and 5
     assert any(d % 3 == 0 for d in dens)
     assert any(d % 5 == 0 for d in dens)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_condition_2_matches_brute_force_in_a_half_space(dim):
+    """Weights in an open half-space, as n's are, multiplicities up to 3,
+    and mu scaled up so that about half the instances pass: the regions of
+    up to 4 dimensions and their vertices decide as the exhaustive walk."""
+    rng = random.Random(242 + dim)
+    passed = 0
+    for _ in range(50):
+        form = _random_form(rng, dim)
+        ell = [rng.randint(-2, 2) or 1 for _ in range(dim)]
+        S = WeightMultiset("t")
+        while len(S.entries) < rng.randint(1, 6):
+            w = tuple(F(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(dim))
+            if sum(x * y for x, y in zip(ell, w)) > 0:
+                S.add(w, rng.randint(1, 3))
+        scale = rng.choice((2, 4, 8))
+        mu = Weight("t", tuple(F(scale * rng.randint(-2, 6)) for _ in range(dim)))
+        rho = Weight("t", tuple(F(rng.randint(-3, 3), 2) for _ in range(dim)))
+        res = check_condition_2(form, mu, rho, S)
+        assert_condition_2_matches_brute_force(res, form, mu, rho, S)
+        passed += res.ok
+    assert 5 <= passed <= 45
+
+
+# equal rank: t = h, so n's t-weights are a positive system of roots of g
+EQUAL_RANK = [
+    ("A1", levi("A1", [0], full=True)),
+    ("A2", levi("A2", [0], full=True)),
+    ("A3", levi("A3", [1], full=True)),
+    ("A4", levi("A4", [0, 3], full=True)),
+    ("B2", levi("B2", [1], full=True)),
+    ("B3", levi("B3", [0], full=True)),
+    ("C3", levi("C3", [2], full=True)),
+    ("D4", levi("D4", [1], full=True)),
+    ("G2", levi("G2", [0], full=True)),
+    ("A1xA1", levi("A1xA1", [0], full=True)),
+    # A2 on the long roots (0,1) and (3,1) of G2, with t = h: not a Levi
+    ("G2", problem("G2", [int_unit(14, i) for i in (0, 1, 2, 6, 8, 12)],
+                   [int_unit(14, 0), int_unit(14, 1)])),
+]
+
+
+@pytest.mark.parametrize("algebra, raw", EQUAL_RANK)
+def test_condition_2_equal_rank_singles_match_brute_force(algebra, raw):
+    """At equal rank the singles decide: ok equals the exhaustive walk's
+    over mu = -2 rho + (1 + s) rho_n + x w, w a weight of n; the singles
+    pass when s rho_n + x w is strictly dominant for n's roots."""
+    from ghcert.certify import parse_input
+
+    pin = parse_input(raw)
+    L, emb, pd, rv, borel, form = pipeline(algebra, pin.generators, pin.cartan_t)
+    S = pd.weights_n
+    assert len(S.entries) == S.total() == len(L.rs.positive_roots)
+    rng = random.Random(algebra)
+    weights = sorted(S.entries)
+    passed = 0
+    for _ in range(16):
+        s, x, w = rng.randint(0, 3), rng.randint(-3, 3), rng.choice(weights)
+        mu = Weight("t", tuple(
+            -2 * r + (1 + s) * rn + x * y
+            for r, rn, y in zip(rv.rho.coords, rv.rho_n.coords, w)
+        ))
+        res = check_condition_2(form, mu, rv.rho, S, equal_rank=True)
+        assert_condition_2_matches_brute_force(res, form, mu, rv.rho, S)
+        passed += res.ok
+    assert 0 < passed < 16
+
+
+def test_condition_2_equal_rank_needs_a_positive_system():
+    S = _plane([(1, 0), (0, 1)], [1, 2])
+    with pytest.raises(InvariantViolation):
+        check_condition_2(PLANE, *FAR, S, equal_rank=True)
 
 
 def test_evaluate_genericity_passes_on_witness():
