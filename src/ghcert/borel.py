@@ -7,7 +7,6 @@ the adapted one; dominant weights for b are w_b-images of standard
 dominant weights.
 """
 
-from dataclasses import dataclass
 from math import lcm
 
 from ghcert.algebra import LieAlgebra
@@ -16,16 +15,24 @@ from ghcert.linalg import exact
 from ghcert.weights import Weight
 
 
-@dataclass
 class BorelData:
-    L: LieAlgebra
-    h: list
-    pos_roots: tuple  # b-positive roots, simple-root coords
-    simple_roots: tuple
-    w_b: tuple  # matrix on fundamental coords, std-dominant -> b-dominant
-    rho: Weight  # half-sum of the b-positive roots (context "g")
-    m_pos_roots: tuple  # b-positive roots vanishing on h (roots of m)
-    m_simple_roots: tuple
+    __slots__ = ("L", "h", "pos_roots", "simple_roots", "w_b", "rho", "m_pos_roots",
+                 "m_simple_roots")
+
+    def __init__(self, L: LieAlgebra, h: list, pos_roots: tuple, simple_roots: tuple,
+                 w_b: tuple, rho: Weight, m_pos_roots: tuple, m_simple_roots: tuple):
+        self.L, self.h = L, h
+        self.pos_roots = pos_roots  # b-positive roots, simple-root coords
+        self.simple_roots = simple_roots
+        self.w_b = w_b  # matrix on fundamental coords, std-dominant -> b-dominant
+        self.rho = rho  # half-sum of the b-positive roots (context "g")
+        self.m_pos_roots = m_pos_roots  # b-positive roots vanishing on h (roots of m)
+        self.m_simple_roots = m_simple_roots
+
+    def __eq__(self, other):
+        if type(other) is not BorelData:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     def dominant(self, lam) -> bool:
         return all(self.L.rs.pair_coroot(lam.coords, b) >= 0 for b in self.simple_roots)

@@ -9,10 +9,18 @@ byte for byte. Only an `Inconclusive` certificate, which records no choices,
 makes verification repeat the (deterministic) search.
 """
 
-import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+
+# hashlib loads OpenSSL's libcrypto to hash one input; the interpreter's own
+# SHA-256 module is far lighter to import (the pattern of the stdlib's random)
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from ghcert import genericity
 from ghcert.algebra import LieAlgebra, build_algebra
@@ -137,18 +145,20 @@ def dec_vec(v):
     return [dec_q(x) for x in v]
 
 
-@dataclass
 class ProblemInput:
-    algebra: str
-    generators: list  # coordinate vectors in the ambient Chevalley basis
-    cartan_t: list
-    max_coeff: int = genericity.DEFAULT_MAX_COEFF
-    max_scale: int = genericity.DEFAULT_MAX_SCALE
-    max_height: int = 6
-    seed: int = 0
-    cond2_cap: int = genericity.DEFAULT_COND2_CAP
-    dim_cap: int = DEFAULT_DIM_CAP
-    mode: str = "certify"
+    __slots__ = ("algebra", "generators", "cartan_t", "max_coeff", "max_scale",
+                 "max_height", "seed", "cond2_cap", "dim_cap", "mode")
+
+    def __init__(self, algebra: str, generators: list, cartan_t: list,
+                 max_coeff: int = genericity.DEFAULT_MAX_COEFF,
+                 max_scale: int = genericity.DEFAULT_MAX_SCALE, max_height: int = 6,
+                 seed: int = 0, cond2_cap: int = genericity.DEFAULT_COND2_CAP,
+                 dim_cap: int = DEFAULT_DIM_CAP, mode: str = "certify"):
+        self.algebra = algebra
+        self.generators = generators  # coordinate vectors in the ambient Chevalley basis
+        self.cartan_t = cartan_t
+        self.max_coeff, self.max_scale, self.max_height = max_coeff, max_scale, max_height
+        self.seed, self.cond2_cap, self.dim_cap, self.mode = seed, cond2_cap, dim_cap, mode
 
 
 def parse_input(data: dict) -> ProblemInput:
@@ -157,14 +167,14 @@ def parse_input(data: dict) -> ProblemInput:
         ctype = CartanType.parse(data["algebra"])
     except GhcError as exc:
         raise InputInvalid(str(exc))
-    L = build_algebra(ctype)
+    # dim g in closed form: a malformed input naming a large type is refused
+    # before its algebra is built
+    dim = ctype.dim
     gens = [dec_vec(v) for v in data["subalgebra_generators"]]
     t_rows = [dec_vec(v) for v in data["cartan_t"]]
     for v in gens + t_rows:
-        if len(v) != L.dim:
-            raise InputInvalid(
-                f"vector length {len(v)} != dim g = {L.dim} for {ctype}"
-            )
+        if len(v) != dim:
+            raise InputInvalid(f"vector length {len(v)} != dim g = {dim} for {ctype}")
     search = data.get("search", {})
     caps = search.get("caps", {})
     return ProblemInput(
@@ -186,7 +196,7 @@ def canonical_json(obj) -> str:
 
 
 def input_hash(data: dict) -> str:
-    return hashlib.sha256(canonical_json(data).encode()).hexdigest()
+    return sha256(canonical_json(data).encode()).hexdigest()
 
 
 def _stage(name, fn, *args, **kwargs):
@@ -196,17 +206,17 @@ def _stage(name, fn, *args, **kwargs):
         raise PipelineError(name, exc) from exc
 
 
-@dataclass
 class Front:
     """The pipeline before any witness choice. `L` and `emb` hold g, k and t
     after closure and the reductivity check; when k is not an ideal, they
     are taken after splitting off the simple ideals of g that k contains."""
 
-    pin: ProblemInput
-    L: LieAlgebra
-    emb: EmbeddedSubalgebra
-    ideal: bool
-    reduction: Reduction | None = None
+    __slots__ = ("pin", "L", "emb", "ideal", "reduction")
+
+    def __init__(self, pin: ProblemInput, L: LieAlgebra, emb: EmbeddedSubalgebra,
+                 ideal: bool, reduction: Reduction | None = None):
+        self.pin, self.L, self.emb = pin, L, emb
+        self.ideal, self.reduction = ideal, reduction
 
 
 def front(pin: ProblemInput) -> Front:
@@ -255,16 +265,15 @@ def adapted_borel(pin: ProblemInput):
     return (fr, reg, *_parabolic_and_borel(fr, reg))
 
 
-@dataclass
 class Witness:
     """The witness choices, `reg.t_coeffs` and `nu`, with what they determine."""
 
-    reg: RegularElement
-    pd: ParabolicData
-    rv: RhoVectors
-    borel: BorelData
-    nu: Weight
-    greport: GenericityReport
+    __slots__ = ("reg", "pd", "rv", "borel", "nu", "greport")
+
+    def __init__(self, reg: RegularElement, pd: ParabolicData, rv: RhoVectors,
+                 borel: BorelData, nu: Weight, greport: GenericityReport):
+        self.reg, self.pd, self.rv, self.borel = reg, pd, rv, borel
+        self.nu, self.greport = nu, greport
 
 
 def _witness(fr: Front, reg: RegularElement, nu: Weight | None = None) -> Witness:

@@ -8,7 +8,6 @@ root decomposition.
 """
 
 import random
-from dataclasses import dataclass
 
 from ghcert.algebra import LieAlgebra, Subspace
 from ghcert.errors import (
@@ -24,11 +23,13 @@ from ghcert.weights import WeightMultiset
 from ghcert import algebra as _algebra
 
 
-@dataclass(frozen=True)
 class ReductivityReport:
-    bracket_closed: bool
-    killing_nondegenerate_on_k: bool
-    toral_action_semisimple: bool
+    __slots__ = ("bracket_closed", "killing_nondegenerate_on_k", "toral_action_semisimple")
+
+    def __init__(self, bracket_closed: bool, killing_nondegenerate_on_k: bool,
+                 toral_action_semisimple: bool):
+        self.bracket_closed, self.toral_action_semisimple = bracket_closed, toral_action_semisimple
+        self.killing_nondegenerate_on_k = killing_nondegenerate_on_k
 
     @property
     def passed(self) -> bool:
@@ -39,7 +40,6 @@ class ReductivityReport:
         )
 
 
-@dataclass(frozen=True)
 class TGrading:
     """g = sum of the joint t-weight spaces g_w, and k = sum of k_w = k ∩ g_w.
 
@@ -47,25 +47,29 @@ class TGrading:
     basis: each g_w is spanned by the basis vectors of t-weight w.
     """
 
-    weights: tuple  # t-weight (coords tuple) of each basis index
-    blocks: dict  # t-weight -> basis indices of g_w
-    k_dims: dict  # t-weight -> dim k_w, for the weights with k_w != 0
-    k_roots: WeightMultiset  # the nonzero t-weights of k: the t-roots
+    __slots__ = ("weights", "blocks", "k_dims", "k_roots")
+
+    def __init__(self, weights: tuple, blocks: dict, k_dims: dict, k_roots: WeightMultiset):
+        self.weights = weights  # t-weight (coords tuple) of each basis index
+        self.blocks = blocks  # t-weight -> basis indices of g_w
+        self.k_dims = k_dims  # t-weight -> dim k_w, for the weights with k_w != 0
+        self.k_roots = k_roots  # the nonzero t-weights of k: the t-roots
 
 
-@dataclass
 class EmbeddedSubalgebra:
-    k: Subspace
-    t: Subspace
-    checks: ReductivityReport
-    grading: TGrading
+    __slots__ = ("k", "t", "checks", "grading")
+
+    def __init__(self, k: Subspace, t: Subspace, checks: ReductivityReport, grading: TGrading):
+        self.k, self.t, self.checks, self.grading = k, t, checks, grading
 
 
-@dataclass
 class RegularElement:
-    h: list  # coordinates in the algebra basis
-    t_coeffs: tuple  # integer coefficients on the t basis rows
-    g_spectrum: tuple  # sorted ((eigenvalue, multiplicity), ...)
+    __slots__ = ("h", "t_coeffs", "g_spectrum")
+
+    def __init__(self, h: list, t_coeffs: tuple, g_spectrum: tuple):
+        self.h = h  # coordinates in the algebra basis
+        self.t_coeffs = t_coeffs  # integer coefficients on the t basis rows
+        self.g_spectrum = g_spectrum  # sorted ((eigenvalue, multiplicity), ...)
 
     def value(self, w):
         """w(h) for a t-weight w (coords tuple)."""
@@ -141,15 +145,16 @@ def is_ideal(L: LieAlgebra, k: Subspace) -> bool:
     )
 
 
-@dataclass
 class Reduction:
     """Result of splitting off the simple ideals of g contained in k."""
 
-    removed_factors: tuple  # indices into the original factor list
-    algebra: LieAlgebra
-    k: Subspace
-    t: Subspace
-    old_columns: tuple  # basis index in the original algebra per new basis index
+    __slots__ = ("removed_factors", "algebra", "k", "t", "old_columns")
+
+    def __init__(self, removed_factors: tuple, algebra: LieAlgebra, k: Subspace, t: Subspace,
+                 old_columns: tuple):
+        self.removed_factors = removed_factors  # indices into the original factor list
+        self.algebra, self.k, self.t = algebra, k, t
+        self.old_columns = old_columns  # basis index in the original algebra per new basis index
 
 
 def split_off_contained_ideals(L: LieAlgebra, k: Subspace, t: Subspace):

@@ -15,7 +15,6 @@ prod_j (m_j + 1) - 1, not the number of points evaluated.  The cap
 to 2^cap; it is checked before the work starts.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations
@@ -140,11 +139,17 @@ def check_condition_1(form: TStarForm, mu: Weight, rho: Weight, rho_n: Weight, w
     return not violations, violations
 
 
-@dataclass
 class Cond2Result:
-    ok: bool
-    witness: tuple  # ((weight coords, chosen count), ...) of a violating submultiset
-    enumerated_count: int
+    __slots__ = ("ok", "witness", "enumerated_count")
+
+    def __init__(self, ok: bool, witness: tuple, enumerated_count: int):
+        self.ok, self.enumerated_count = ok, enumerated_count
+        self.witness = witness  # ((weight coords, chosen count), ...) of a violating submultiset
+
+    def __eq__(self, other):
+        if type(other) is not Cond2Result:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
 
 def _det(m):
@@ -354,16 +359,17 @@ def check_condition_2(
     return result
 
 
-@dataclass
 class GenericityReport:
-    mu: Weight
-    integral: bool
-    dominant: bool
-    cond1_ok: bool
-    cond1_violations: list
-    cond2_ok: bool
-    cond2_witness: tuple
-    enumerated_count: int
+    __slots__ = ("mu", "integral", "dominant", "cond1_ok", "cond1_violations", "cond2_ok",
+                 "cond2_witness", "enumerated_count")
+
+    def __init__(self, mu: Weight, integral: bool, dominant: bool, cond1_ok: bool,
+                 cond1_violations: list, cond2_ok: bool, cond2_witness: tuple,
+                 enumerated_count: int):
+        self.mu, self.integral, self.dominant = mu, integral, dominant
+        self.cond1_ok, self.cond1_violations = cond1_ok, cond1_violations
+        self.cond2_ok, self.cond2_witness = cond2_ok, cond2_witness
+        self.enumerated_count = enumerated_count
 
     @property
     def passed(self) -> bool:

@@ -2,7 +2,6 @@
 and the Hom-vanishing check that settles the non-ideal branch.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ghcert.algebra import LieAlgebra
@@ -14,17 +13,20 @@ from ghcert.weights import Weight
 COSET_CAP = 4 * 10**6
 
 
-@dataclass(frozen=True)
 class KostantSummand:
-    gamma: Weight
-    dim: int  # of the simple m-module with b_m-highest weight gamma
+    __slots__ = ("gamma", "dim")
+
+    def __init__(self, gamma: Weight, dim: int):
+        self.gamma = gamma
+        self.dim = dim  # of the simple m-module with b_m-highest weight gamma
 
 
-@dataclass
 class CohomologyDecomposition:
-    degree: int
-    summands: list  # included (m-dominant) summands, sorted by gamma
-    total_dim: int
+    __slots__ = ("degree", "summands", "total_dim")
+
+    def __init__(self, degree: int, summands: list, total_dim: int):
+        self.degree, self.total_dim = degree, total_dim
+        self.summands = summands  # included (m-dominant) summands, sorted by gamma
 
     def omits(self, nu: Weight) -> bool:
         """True iff no summand has highest weight nu (the Hom space over m

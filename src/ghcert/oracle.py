@@ -13,7 +13,6 @@ import itertools
 import math
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ghcert.algebra import LieAlgebra
@@ -43,16 +42,18 @@ def _as_int(x, what):
 # -- module construction -------------------------------------------------
 
 
-@dataclass
 class ExplicitModule:
-    dim: int
-    weight_of_basis: list  # Weight on h_std per basis vector
-    nu: Weight
-    borel: BorelData
-    # ambient basis label -> its action's columns; the simple root vectors'
-    # come with the module, the others are built on first request
-    _build_columns: Callable[[tuple], list] = field(repr=False, compare=False)
-    _columns: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("dim", "weight_of_basis", "nu", "borel", "_build_columns", "_columns")
+
+    def __init__(self, dim: int, weight_of_basis: list, nu: Weight, borel: BorelData,
+                 _build_columns: Callable[[tuple], list], _columns: dict | None = None):
+        self.dim = dim
+        self.weight_of_basis = weight_of_basis  # Weight on h_std per basis vector
+        self.nu, self.borel = nu, borel
+        # ambient basis label -> its action's columns; the simple root vectors'
+        # come with the module, the others are built on first request
+        self._build_columns = _build_columns
+        self._columns = {} if _columns is None else _columns
 
     def action(self, label) -> list:
         """The action of an ambient basis element as dim sparse columns: the
@@ -245,18 +246,21 @@ def check_module_relations(L: LieAlgebra, W: ExplicitModule) -> bool:
 # -- Chevalley-Eilenberg complex ----------------------------------------
 
 
-@dataclass
 class CochainComplex:
-    n_roots: tuple  # b-positive roots spanning n, in borel order
-    bases: list  # per degree: list of (subset tuple, module index)
-    weights: list  # per degree: weight tuple (ints) per basis element
-    # D * d_q : C^q -> C^(q+1) in blocks per weight, {weight: {column:
-    # {row: entry}}} with basis indices of C^q and C^(q+1); only nonzero
-    # entries and columns are stored, all integers
-    differentials: list
-    # D: the least common denominator of n's action, which scales every d_q
-    # to integers; D * d has the ranks of d
-    scale: int
+    __slots__ = ("n_roots", "bases", "weights", "differentials", "scale")
+
+    def __init__(self, n_roots: tuple, bases: list, weights: list, differentials: list,
+                 scale: int):
+        self.n_roots = n_roots  # b-positive roots spanning n, in borel order
+        self.bases = bases  # per degree: list of (subset tuple, module index)
+        self.weights = weights  # per degree: weight tuple (ints) per basis element
+        # D * d_q : C^q -> C^(q+1) in blocks per weight, {weight: {column:
+        # {row: entry}}} with basis indices of C^q and C^(q+1); only nonzero
+        # entries and columns are stored, all integers
+        self.differentials = differentials
+        # D: the least common denominator of n's action, which scales every d_q
+        # to integers; D * d has the ranks of d
+        self.scale = scale
 
     def cohomology(self) -> dict:
         """Cohomology dimensions per degree and weight, from the ranks of
@@ -293,13 +297,15 @@ class CochainComplex:
         return coh
 
 
-@dataclass
 class OracleReport:
-    degrees: list
-    cohomology: dict  # degree -> {weight tuple: dim}
-    m_decompositions: dict  # degree -> list of (weight coords, multiplicity)
-    match_with_kostant: bool = True
-    diff: dict = field(default_factory=dict)
+    __slots__ = ("degrees", "cohomology", "m_decompositions", "match_with_kostant", "diff")
+
+    def __init__(self, degrees: list, cohomology: dict, m_decompositions: dict,
+                 match_with_kostant: bool = True, diff: dict | None = None):
+        self.degrees = degrees
+        self.cohomology = cohomology  # degree -> {weight tuple: dim}
+        self.m_decompositions = m_decompositions  # degree -> list of (weight coords, multiplicity)
+        self.match_with_kostant, self.diff = match_with_kostant, {} if diff is None else diff
 
 
 def _n_roots(borel: BorelData):

@@ -7,8 +7,6 @@ the basis indices whose t-weight is zero, positive or negative on h, and
 each intersection is a sum of one block dimension per t-weight.
 """
 
-from dataclasses import dataclass
-
 from ghcert.algebra import LieAlgebra
 from ghcert.embedding import EmbeddedSubalgebra, RegularElement, split_by_weight
 from ghcert.errors import InvariantViolation
@@ -24,18 +22,20 @@ class Block(tuple):
         return len(self)
 
 
-@dataclass
 class ParabolicData:
-    h: RegularElement
-    m: Block
-    n: Block
-    nbar: Block
-    kperp_dims: dict  # t-weight -> dim (k_perp)_w
-    k_roots: WeightMultiset  # t-roots of k
-    k_positive_roots: WeightMultiset  # the t-roots of k positive on h
-    weights_n: WeightMultiset
-    weights_n_cap_k: WeightMultiset
-    weights_n_cap_kperp: WeightMultiset
+    __slots__ = ("h", "m", "n", "nbar", "kperp_dims", "k_roots", "k_positive_roots",
+                 "weights_n", "weights_n_cap_k", "weights_n_cap_kperp")
+
+    def __init__(self, h: RegularElement, m: Block, n: Block, nbar: Block, kperp_dims: dict,
+                 k_roots: WeightMultiset, k_positive_roots: WeightMultiset,
+                 weights_n: WeightMultiset, weights_n_cap_k: WeightMultiset,
+                 weights_n_cap_kperp: WeightMultiset):
+        self.h, self.m, self.n, self.nbar = h, m, n, nbar
+        self.kperp_dims = kperp_dims  # t-weight -> dim (k_perp)_w
+        self.k_roots = k_roots  # t-roots of k
+        self.k_positive_roots = k_positive_roots  # the t-roots of k positive on h
+        self.weights_n, self.weights_n_cap_k = weights_n, weights_n_cap_k
+        self.weights_n_cap_kperp = weights_n_cap_kperp
 
     @property
     def r(self) -> int:
@@ -46,11 +46,11 @@ class ParabolicData:
         return self.weights_n_cap_k.total()
 
 
-@dataclass
 class RhoVectors:
-    rho: Weight
-    rho_n: Weight
-    rho_n_perp: Weight
+    __slots__ = ("rho", "rho_n", "rho_n_perp")
+
+    def __init__(self, rho: Weight, rho_n: Weight, rho_n_perp: Weight):
+        self.rho, self.rho_n, self.rho_n_perp = rho, rho_n, rho_n_perp
 
     @property
     def mu_shift(self) -> Weight:

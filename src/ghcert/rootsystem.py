@@ -11,9 +11,9 @@ Conventions (part of the external contract, documented in the README):
   simple-root coordinate tuples (ascending).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from ghcert.errors import (
     InvalidCartanType,
@@ -27,6 +27,8 @@ from ghcert.linalg import exact
 WEYL_ORDER_CAP = 10**7
 
 _EXCEPTIONAL_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
+
+_POSITIVE_ROOTS_EXC = {("E", 6): 36, ("E", 7): 63, ("E", 8): 120, ("F", 4): 24, ("G", 2): 6}
 
 _WEYL_ORDERS_EXC = {
     ("E", 6): 51840,
@@ -49,18 +51,18 @@ def _admissible(family: str, rank: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
 class CartanType:
     """An ordered product of simple factors, e.g. A2 or A1xA1."""
 
-    factors: tuple
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors: tuple):
+        if not factors:
             raise InvalidCartanType("empty Cartan type")
-        for fam, rank in self.factors:
+        for fam, rank in factors:
             if not isinstance(rank, int) or not _admissible(fam, rank):
                 raise InvalidCartanType(f"inadmissible factor {fam}{rank}")
+        self.factors = factors
 
     @classmethod
     def parse(cls, spec) -> "CartanType":
@@ -85,6 +87,22 @@ class CartanType:
     @property
     def rank(self) -> int:
         return sum(r for _, r in self.factors)
+
+    @property
+    def dim(self) -> int:
+        """dim g = rank + 2 |Phi+|, in closed form: no algebra is built."""
+        dim = 0
+        for fam, r in self.factors:
+            if fam == "A":
+                n_pos = r * (r + 1) // 2
+            elif fam in ("B", "C"):
+                n_pos = r * r
+            elif fam == "D":
+                n_pos = r * (r - 1)
+            else:
+                n_pos = _POSITIVE_ROOTS_EXC[(fam, r)]
+            dim += r + 2 * n_pos
+        return dim
 
     def weyl_order(self) -> int:
         order = 1
@@ -319,29 +337,39 @@ class RootSystem:
         """Weyl dimension formula for the positive system pos_roots with
         half-sum rho: the product of (lam + rho, a) / (rho, a) over a in
         pos_roots, an exact positive integer. lam must be integral and
-        dominant for pos_roots, that is (lam + rho, a) >= (rho, a) for each a."""
+        dominant for pos_roots, that is (lam + rho, a) >= (rho, a) for each a.
+
+        Worked in integers: 2(lam + rho) and 2 rho are paired with each
+        root, and the two products are divided once."""
         if not self.is_integral(lam):
             raise NonDominant(f"{lam} is not dominant integral")
-        shifted = [x + r for x, r in zip(lam, rho)]
-        val = Fraction(1)
+        two_rho = [exact(2 * x) for x in rho]
+        if any(type(x) is not int for x in two_rho):
+            raise InvariantViolation(f"2 rho = {tuple(two_rho)} is not integral")
+        # (v, a) = sum_j a_j d_j v_j, so weigh each coordinate by d_j once
+        shifted = [d * (2 * int(x) + r) for d, x, r in zip(self.d, lam, two_rho)]
+        base = [d * r for d, r in zip(self.d, two_rho)]
+        num = den = 1
         for c in pos_roots:
-            num, den = self.weight_root_ip(shifted, c), self.weight_root_ip(rho, c)
-            if num < den:
+            a, b = sum(map(mul, c, shifted)), sum(map(mul, c, base))
+            if a < b:
                 raise NonDominant(f"{lam} is not dominant integral")
-            val *= Fraction(num, den)
-        if val.denominator != 1 or val <= 0:
-            raise InvariantViolation(f"Weyl dimension of {lam} is {val}")
-        return int(val)
+            num *= a
+            den *= b
+        if den <= 0 or num <= 0 or num % den:
+            raise InvariantViolation(f"Weyl dimension of {lam} is {num}/{den}")
+        return num // den
 
 
-@dataclass(frozen=True)
 class WeylElement:
     """A Weyl group element: a reduced word (i_1, ..., i_r) for
     s_{i_1} ... s_{i_r}, and its orbit point w(rho) in fundamental
     coordinates (integers)."""
 
-    word: tuple
-    rho_image: tuple
+    __slots__ = ("word", "rho_image")
+
+    def __init__(self, word: tuple, rho_image: tuple):
+        self.word, self.rho_image = word, rho_image
 
     @property
     def length(self) -> int:

@@ -11,20 +11,26 @@ Coordinates are kept in exact normal form (`ghcert.linalg.exact`): an int
 when integral, otherwise a Fraction; a float is refused.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ghcert.errors import ContextMismatch
 from ghcert.linalg import exact
 
 
-@dataclass(frozen=True)
 class Weight:
-    context: str
-    coords: tuple
+    __slots__ = ("context", "coords")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(exact(x) for x in self.coords))
+    def __init__(self, context: str, coords):
+        self.context = context
+        self.coords = tuple(exact(x) for x in coords)
+
+    def __eq__(self, other):
+        if type(other) is not Weight:
+            return NotImplemented
+        return self.context == other.context and self.coords == other.coords
+
+    def __repr__(self):
+        return f"Weight({self.context!r}, {self.coords!r})"
 
     def __add__(self, other):
         if self.context != other.context or len(self.coords) != len(other.coords):

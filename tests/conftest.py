@@ -106,6 +106,20 @@ def weight_to_root_coords(rs, lam):
     return tuple(matvec(_cartan_inverse(rs), lam))
 
 
+def fraction_weyl_dimension(rs, lam, pos_roots, rho):
+    """Reference Weyl dimension formula: the product of (lam + rho, a) /
+    (rho, a) over a in pos_roots, one Fraction per root."""
+
+    def ip(v, c):
+        return sum(Fraction(c[j] * rs.d[j]) * v[j] for j in range(rs.rank))
+
+    shifted = [Fraction(x) + Fraction(r) for x, r in zip(lam, rho)]
+    val = Fraction(1)
+    for c in pos_roots:
+        val *= ip(shifted, c) / ip(rho, c)
+    return val
+
+
 def simple_reflection_matrix(rs, i):
     """Matrix of s_i on fundamental coordinates (columns act on weights)."""
     m = [[int(r == c) for c in range(rs.rank)] for r in range(rs.rank)]

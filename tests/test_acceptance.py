@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -226,9 +227,9 @@ def test_criterion_8_reproducibility(write_input, tmp_path):
     out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert main(["certify", inp, "--out", out1]) == 0
     assert main(["certify", inp, "--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
-    cert = json.loads(open(out1).read())
+    cert = json.loads(Path(out1).read_text())
     assert main(["verify", out1, inp]) == 0
 
     def tampered(mutate):

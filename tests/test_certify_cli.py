@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import ghcert.algebra
+import ghcert.certify
 from ghcert.algebra import build_algebra
 from ghcert.certify import (
     canonical_json,
@@ -333,7 +335,7 @@ def test_cli_certify_byte_identical(write_input, tmp_path):
     out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
     assert main(["certify", inp, "--out", out1]) == 0
     assert main(["certify", inp, "--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_cli_check_ideal(write_input, capsys):
@@ -553,7 +555,7 @@ def test_cli_verify_rejects_tampered(write_input, tmp_path, capsys):
     inp = write_input("in.json", CASES["a1_t"])
     out = str(tmp_path / "report.json")
     assert main(["certify", inp, "--out", out]) == 0
-    cert = json.loads(open(out).read())
+    cert = json.loads(Path(out).read_text())
     cert["witness"]["nu"] = ["2/1"]
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(cert))
@@ -572,7 +574,7 @@ def test_cli_seed_override(write_input, tmp_path):
     inp = write_input("in.json", CASES["a2_torus"])
     out = str(tmp_path / "r.json")
     assert main(["certify", inp, "--out", out, "--seed", "3"]) == 0
-    cert = json.loads(open(out).read())
+    cert = json.loads(Path(out).read_text())
     assert cert["verdict"]["kind"] == "ExistsWitness"
 
 
@@ -629,17 +631,41 @@ def test_cli_options_in_any_order_last_wins(write_input, tmp_path):
     out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
     assert main(["certify", inp, "--seed", "3", "--out", out1]) == 0
     assert main(["certify", "--out=unused", "--seed=0", "--seed=3", "--out", out2, inp]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
-def test_cli_import_leaves_out_argparse_and_gettext():
+def test_cli_import_leaves_out_argparse_hashlib_and_dataclasses():
     """Building an argparse parser costs a cold request several ms (the
-    first gettext lookups import locale); the command table needs neither."""
-    code = ("import sys, ghcert.cli; "
-            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    first gettext lookups import locale); the command table needs neither.
+    hashlib loads OpenSSL's libcrypto to hash one input, and dataclasses
+    (with inspect) generates code for records that plain classes spell out."""
+    heavy = {"argparse", "gettext", "hashlib", "_hashlib", "dataclasses", "inspect"}
+    code = f"import sys, ghcert.cli; print(sorted({heavy!r} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_input_hash_is_the_sha256_of_the_canonical_json(name):
+    raw = CASES[name]
+    assert input_hash(raw) == hashlib.sha256(canonical_json(raw).encode()).hexdigest()
+
+
+def test_wrong_vector_length_exits_2_before_the_algebra_is_built(
+    monkeypatch, write_input, capsys
+):
+    """dim g comes from the Cartan type in closed form, so a one-entry vector
+    naming A400 (dim 160800) is refused without building the algebra."""
+
+    def refuse(*args):
+        raise AssertionError("build_algebra called")
+
+    for module in (ghcert.algebra, ghcert.certify):
+        monkeypatch.setattr(module, "build_algebra", refuse)
+    inp = write_input("in.json", problem("A400", [[1]], [[1]]))
+    assert main(["certify", inp]) == 2
+    assert "vector length 1 != dim g = 160800 for A400" in capsys.readouterr().err

@@ -16,7 +16,7 @@ from ghcert import oracle
 from ghcert.algebra import LieAlgebra
 from ghcert.certify import dec_q, enc_q, front, parse_input, search
 from ghcert.cli import main
-from ghcert.errors import InvariantViolation
+from ghcert.errors import ContextMismatch, InvariantViolation
 from ghcert.kostant import kostant_cohomology
 from ghcert.linalg import exact
 from ghcert.weights import Weight, WeightMultiset
@@ -130,3 +130,12 @@ def test_oracle_reads_ints_as_they_are():
         oracle._as_int(Fraction(1, 2), "structure constant")
     with pytest.raises(InvariantViolation, match="not an exact rational"):
         oracle._as_int(2.0, "structure constant")
+
+
+def test_weight_equality_and_mismatch_message():
+    assert Weight("g", (Fraction(2), Fraction(1, 2))) == Weight("g", (2, Fraction(1, 2)))
+    assert Weight("g", (1,)) != Weight("t", (1,))
+    assert Weight("g", (1,)) != (1,)
+    with pytest.raises(ContextMismatch) as exc:
+        Weight("g", (1, 2)) + Weight("t", (1,))
+    assert str(exc.value) == "cannot add Weight('g', (1, 2)) and Weight('t', (1,))"

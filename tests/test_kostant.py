@@ -2,7 +2,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from conftest import CASES, borel_from_case, fraction_inverse, problem, unit
+from conftest import (
+    CASES,
+    borel_from_case,
+    fraction_inverse,
+    fraction_weyl_dimension,
+    problem,
+    unit,
+)
 
 from ghcert.algebra import build_algebra
 from ghcert.borel import build_borel
@@ -264,3 +271,15 @@ def test_coset_cap_exits_4(monkeypatch, write_input, capsys):
     assert "more than 2 elements" in capsys.readouterr().err
     monkeypatch.setattr(ghcert.kostant, "COSET_CAP", 3)
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("name", sorted(set(CASES) - {"a1a1_factor"}))
+def test_summand_dims_match_fraction_weyl_formula(name):
+    L, _, _, _, borel = borel_from_case(CASES[name])
+    rho_m = m_rho(borel).coords
+    for lam in parity_lambdas(L.rank):
+        nu = borel.apply_wb(w(*lam))
+        for r in range(len(L.rs.positive_roots) + 1):
+            for s in kostant_cohomology(L, borel, nu, r).summands:
+                want = fraction_weyl_dimension(L.rs, s.gamma.coords, borel.m_pos_roots, rho_m)
+                assert s.dim == want, (lam, r, s.gamma.coords)

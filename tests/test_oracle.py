@@ -28,7 +28,14 @@ from ghcert.oracle import (
 )
 from ghcert.weights import Weight
 
-from conftest import CASES, borel_from_case, compare_at, weight_to_root_coords, weyl_act
+from conftest import (
+    CASES,
+    borel_from_case,
+    compare_at,
+    fraction_weyl_dimension,
+    weight_to_root_coords,
+    weyl_act,
+)
 
 F = Fraction
 
@@ -583,3 +590,13 @@ def test_compare_matches_at_every_degree(case):
     for lam in lambdas01(L.rank):
         rep = compare_at(L, borel, borel.apply_wb(w(*lam)), degrees)
         assert rep.match_with_kostant and rep.diff == {}, lam
+
+
+@pytest.mark.parametrize("case", sorted(set(CASES) - {"a1a1_factor"}))
+def test_module_dims_match_fraction_weyl_formula(case):
+    L, _, _, _, borel = borel_from_case(CASES[case])
+    for lam in lambdas01(L.rank):
+        nu = borel.apply_wb(w(*lam))
+        dim = L.rs.weyl_dimension(nu.coords, borel.pos_roots, borel.rho.coords)
+        assert construct_module(L, borel, nu).dim == dim
+        assert dim == fraction_weyl_dimension(L.rs, nu.coords, borel.pos_roots, borel.rho.coords)

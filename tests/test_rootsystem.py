@@ -1,11 +1,19 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from ghcert.errors import InvalidCartanType, LengthOutOfRange, NonDominant
+from ghcert.algebra import build_algebra
+from ghcert.errors import InvalidCartanType, InvariantViolation, LengthOutOfRange, NonDominant
 from ghcert.rootsystem import CartanType, root_system
 
-from conftest import act_on_root, root_ip, simple_reflection_matrix, weyl_act
+from conftest import (
+    act_on_root,
+    fraction_weyl_dimension,
+    root_ip,
+    simple_reflection_matrix,
+    weyl_act,
+)
 
 F = Fraction
 
@@ -140,6 +148,51 @@ def test_weyl_dimension_formula():
 def test_weyl_dimension_rejects_non_dominant_integral(lam):
     with pytest.raises(NonDominant):
         standard_weyl_dimension("A2", lam)
+
+
+# the positive systems of A1 to E8: the standard one and those of Levis
+WEYL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "D5", "G2", "F4", "E6", "E7", "E8"]
+
+
+@pytest.mark.parametrize("ctype", WEYL_TYPES)
+def test_weyl_dimension_matches_fraction_formula(ctype):
+    """The integer formula against the Fraction one, at random dominant
+    lambda, for the positive roots supported on a set J of simple roots
+    (J = all of them first): rho_J is then half-integral."""
+    rs = root_system(ctype)
+    rng = random.Random(ctype)
+    subsets = [set(range(rs.rank))] + [
+        {i for i in range(rs.rank) if rng.random() < 0.6} for _ in range(4)
+    ]
+    for J in subsets:
+        pos = [c for c in rs.positive_roots if all(i in J for i, x in enumerate(c) if x)]
+        rho = [sum(F(rs.root_to_weight(c)[i], 2) for c in pos) for i in range(rs.rank)]
+        for _ in range(3):
+            lam = [rng.randint(0, 3) if i in J else rng.randint(-3, 3) for i in range(rs.rank)]
+            got = rs.weyl_dimension(lam, pos, rho)
+            assert type(got) is int
+            assert got == fraction_weyl_dimension(rs, lam, pos, rho), (J, lam)
+
+
+def test_weyl_dimension_refuses_a_bad_rho():
+    rs = root_system("A1")
+    with pytest.raises(InvariantViolation, match="not integral"):
+        rs.weyl_dimension([0], rs.positive_roots, [F(1, 4)])
+    # (2(lam + rho), alpha) / (2 rho, alpha) = 5/3 is not an integer
+    with pytest.raises(InvariantViolation, match="Weyl dimension"):
+        rs.weyl_dimension([1], rs.positive_roots, [F(3, 2)])
+
+
+# every type the suite builds
+BUILT_TYPES = [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "D5", "G2", "F4", "E6", "E7",
+    "E8", "A1xA1", "A1xA2", "B2xA1", "B3xA1", "A2xA1xA1",
+]
+
+
+@pytest.mark.parametrize("ctype", BUILT_TYPES)
+def test_cartan_type_dim_is_the_algebra_dim(ctype):
+    assert CartanType.parse(ctype).dim == build_algebra(ctype).dim
 
 
 def test_dominance():

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -164,7 +165,7 @@ def test_inconclusive_round_trip(monkeypatch, write_input, tmp_path, capsys):
     inp = write_input("in.json", CASES["b2_sl2"])
     out = str(tmp_path / "report.json")
     assert main(["certify", inp, "--out", out]) == 0
-    cert = json.loads(open(out).read())
+    cert = json.loads(Path(out).read_text())
     assert cert["verdict"] == {"kind": "Inconclusive", "reason": "search bounds exhausted"}
     assert cert["witness"] is None
     assert main(["verify", out, inp]) == 0
