@@ -16,15 +16,19 @@ from ghcert.weights import Weight
 
 
 class BorelData:
-    __slots__ = ("L", "h", "pos_roots", "simple_roots", "w_b", "rho", "m_pos_roots",
+    __slots__ = ("L", "h", "pos_roots", "simple_roots", "w_b", "word", "rho", "m_pos_roots",
                  "m_simple_roots")
 
     def __init__(self, L: LieAlgebra, h: list, pos_roots: tuple, simple_roots: tuple,
-                 w_b: tuple, rho: Weight, m_pos_roots: tuple, m_simple_roots: tuple):
+                 w_b: tuple, word: tuple, rho: Weight, m_pos_roots: tuple,
+                 m_simple_roots: tuple):
         self.L, self.h = L, h
         self.pos_roots = pos_roots  # b-positive roots, simple-root coords
         self.simple_roots = simple_roots
         self.w_b = w_b  # matrix on fundamental coords, std-dominant -> b-dominant
+        # the simple reflections that sift rho_b to rho, in order: w_b =
+        # s_word[0] ... s_word[-1]
+        self.word = word
         self.rho = rho  # half-sum of the b-positive roots (context "g")
         self.m_pos_roots = m_pos_roots  # b-positive roots vanishing on h (roots of m)
         self.m_simple_roots = m_simple_roots
@@ -111,6 +115,7 @@ def build_borel(L: LieAlgebra, h) -> BorelData:
         pos_roots=pos,
         simple_roots=simple,
         w_b=tuple(tuple(row) for row in w_b),
+        word=tuple(word),
         rho=Weight("g", rho),
         m_pos_roots=tuple(c for c, _, v in signed if v == 0),
         m_simple_roots=m_simple,

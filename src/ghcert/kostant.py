@@ -131,12 +131,7 @@ def kostant_cohomology(L: LieAlgebra, borel: BorelData, nu: Weight, r: int) -> C
     if r <= top:
         # base = w_b^-1 (nu + rho_b), in integers: w_b^-1 = s_{i_l} ... s_{i_1}
         # for the word (i_1, ..., i_l) that sifts w_b(rho) = rho_b back to rho
-        back, point = [], tuple(rho)
-        while any(x < 0 for x in point):
-            i = next(i for i, x in enumerate(point) if x < 0)
-            point = rs.reflect_simple(i, point)
-            back.append(i)
-        base = _act(rs, back, tuple(x + p for x, p in zip(nu.coords, rho)))
+        base = _act(rs, borel.word, tuple(x + p for x, p in zip(nu.coords, rho)))
         if r <= top - r:
             images = [_act(rs, u, base) for u in _coset_representatives(rs, J, r)]
         else:

@@ -243,6 +243,15 @@ REDUCTION = problem(
 )
 
 
+# (case, nu, degrees) on which the oracle is checked against Kostant: a
+# module of dim 80, G2 with dim n = 5, and a rank-3 parabolic
+ORACLE_CASES = (
+    [("a1_t", (n,), [0, 1]) for n in (0, 2, 4)]
+    + [("a2_torus", nu, [0, 1, 2, 3]) for nu in ((0, 0), (1, 0), (1, 1))]
+    + [("b2_sl2", (4, -1), [0, 1, 2, 3]), ("g2_sl2", (-1, 1), list(range(6)))]
+    + [("a3_sl2", (2, -1, 1), list(range(6)))]
+)
+
 def borel_from_case(raw):
     """Adapted Borel of the certified witness for a case input."""
     from ghcert.certify import adapted_borel, parse_input

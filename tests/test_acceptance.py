@@ -4,6 +4,7 @@ project contract and runs at desk scale with exact arithmetic."""
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,16 +16,12 @@ from ghcert.certify import canonical_json, certify, parse_input
 from ghcert.cli import main
 from ghcert.genericity import TStarForm, check_condition_2
 from ghcert.kostant import kostant_cohomology, verify_vanishing
-from ghcert.oracle import (
-    build_complex,
-    ce_cohomology,
-    check_module_relations,
-    construct_module,
-)
+from ghcert.oracle import ce_cohomology, check_module_relations, construct_module
 from ghcert.weights import Weight, WeightMultiset
 
 from conftest import (
     CASES,
+    ORACLE_CASES,
     assert_condition_2_matches_brute_force,
     borel_from_case,
     compare_at,
@@ -70,15 +67,6 @@ def test_criterion_1_structure_constants(ctype):
 # -- criteria 2 + 3: Kostant vs oracle, Euler identity -------------------
 
 
-ORACLE_CASES = (
-    [("a1_t", (n,), [0, 1]) for n in (0, 2, 4)]
-    + [("a2_torus", nu, [0, 1, 2, 3]) for nu in ((0, 0), (1, 0), (1, 1))]
-    # a module of dim 80, G2 with dim n = 5, and a rank-3 parabolic
-    + [("b2_sl2", (4, -1), [0, 1, 2, 3]), ("g2_sl2", (-1, 1), list(range(6)))]
-    + [("a3_sl2", (2, -1, 1), list(range(6)))]
-)
-
-
 @pytest.mark.parametrize("case,nu,degrees", ORACLE_CASES)
 def test_criterion_2_kostant_oracle_agreement(case, nu, degrees):
     L, emb, reg, pd, borel = borel_from_case(CASES[case])
@@ -101,16 +89,31 @@ def test_criterion_2_principal_witness_degree():
 
 @pytest.mark.parametrize("case,nu,degrees", ORACLE_CASES)
 def test_criterion_3_euler_identity(case, nu, degrees):
+    """Per weight w, sum_q (-1)^q dim H^q_w = sum_q (-1)^q dim C^q_w, with
+    dim C^q_w counted from the module's weights and n's roots: the sum over
+    q-subsets S of n's roots of mult_W(w + sum_{alpha in S} alpha)."""
     L, emb, reg, pd, borel = borel_from_case(CASES[case])
     W = construct_module(L, borel, w(*nu))
-    cx = build_complex(L, borel, W)
     coh = ce_cohomology(L, borel, W)
-    R = len(cx.n_roots)
-    weights = {x for wq in cx.weights for x in wq}
+    mult = Counter(x.coords for x in W.weight_of_basis)
+    n_roots = [L.rs.root_to_weight(c) for c in borel.pos_roots if c not in borel.m_pos_roots]
+    R = len(n_roots)
+    shifts = [
+        [tuple(map(sum, zip(*S))) if S else (0,) * L.rank
+         for S in itertools.combinations(n_roots, q)]
+        for q in range(R + 1)
+    ]
+    weights = {
+        tuple(x - y for x, y in zip(mu, s)) for mu in mult for sq in shifts for s in sq
+    }
+    assert set(coh) == set(range(R + 1))
+    assert {wt for q in coh for wt in coh[q]} <= weights
     for wt in weights:
         lhs = sum((-1) ** q * coh[q].get(wt, 0) for q in range(R + 1))
         rhs = sum(
-            (-1) ** q * cx.weights[q].count(wt) for q in range(R + 1)
+            (-1) ** q * mult[tuple(x + y for x, y in zip(wt, s))]
+            for q in range(R + 1)
+            for s in shifts[q]
         )
         assert lhs == rhs
 

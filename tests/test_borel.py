@@ -1,6 +1,7 @@
 """The integer `build_borel` against the construction in `Fraction`s that it
-replaced: w_b as a product of simple reflection matrices, the image of the
-standard positive roots through it, and the half-sum of pos."""
+replaced: w_b as a product of simple reflection matrices, the word that
+sifts 2 rho_b (the sum of pos) back to 2 rho, the image of the standard
+positive roots through w_b, and the half-sum of pos."""
 
 from fractions import Fraction
 
@@ -70,6 +71,7 @@ def reference_borel(L, h) -> BorelData:
         pos_roots=pos,
         simple_roots=_indecomposables(pos),
         w_b=tuple(tuple(row) for row in w_b),
+        word=tuple(word),
         rho=rho,
         m_pos_roots=m_pos,
         m_simple_roots=_indecomposables(m_pos),

@@ -1,8 +1,13 @@
 import functools
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +25,6 @@ from ghcert.errors import (
 )
 from ghcert.linalg import Echelon
 from ghcert.oracle import (
-    build_complex,
     ce_cohomology,
     check_module_relations,
     construct_module,
@@ -30,8 +34,10 @@ from ghcert.weights import Weight
 
 from conftest import (
     CASES,
+    ORACLE_CASES,
     borel_from_case,
     compare_at,
+    fraction_rref,
     fraction_weyl_dimension,
     weight_to_root_coords,
     weyl_act,
@@ -247,54 +253,113 @@ def dense_differentials(L, W, n_roots):
     return bases, out
 
 
+def cochain_weight(L, W, n_roots, S, m):
+    """wt(m) - sum_{k in S} alpha_k, in fundamental coordinates."""
+    return tuple(
+        x - sum(L.rs.root_to_weight(n_roots[k])[i] for k in S)
+        for i, x in enumerate(W.weight_of_basis[m].coords)
+    )
+
+
 @pytest.mark.parametrize("case,nu", [("b2_sl2", (2, -1)), ("g2_sl2", (-1, 1))])
 def test_blocked_differentials_match_dense_reference(case, nu):
-    """The blocked differentials are D times the dense ones, D the least
-    common denominator of n's action columns."""
+    """The weight blocks split the dense basis by weight, and their columns
+    are D times the dense differentials, D the least common denominator of
+    n's action columns."""
     L, _, _, _, borel = borel_from_case(CASES[case])
     W = construct_module(L, borel, w(*nu))
-    cx = build_complex(L, borel, W)
-    bases, dense = dense_differentials(L, W, cx.n_roots)
-    assert cx.bases == bases
-    entries = [c for lab in n_labels(L, cx.n_roots) for col in W.action(lab)
+    n_roots = oracle._n_roots(borel)
+    bases, dense = dense_differentials(L, W, n_roots)
+    index = [{cell: i for i, cell in enumerate(bq)} for bq in bases]
+    entries = [c for lab in n_labels(L, n_roots) for col in W.action(lab)
                for c in col.values()]
-    assert cx.scale == math.lcm(*(F(c).denominator for c in entries))
+    D = math.lcm(*(F(c).denominator for c in entries))
+    seen = [[] for _ in bases]
+    blocked = [{} for _ in dense]
+    for wt, cells, columns in oracle._weight_blocks(L, borel, W):
+        for q, cq in enumerate(cells):
+            assert cq == sorted(cq)
+            assert all(cochain_weight(L, W, n_roots, S, m) == wt for S, m in cq)
+            seen[q].extend(cq)
+        for q, cols in enumerate(columns):
+            assert len(cols) == len(cells[q])
+            for cell, col in zip(cells[q], cols):
+                for row, c in col.items():
+                    blocked[q][(index[q + 1][cells[q + 1][row]], index[q][cell])] = c
+    assert [sorted(sq) for sq in seen] == bases
     for q, d in enumerate(dense):
-        blocked = {}
-        for wt, cols in cx.differentials[q].items():
-            for col, entries in cols.items():
-                assert cx.weights[q][col] == wt
-                for row, c in entries.items():
-                    blocked[(row, col)] = c
         expected = {
-            (row, col): cx.scale * c
+            (row, col): D * c
             for row, line in enumerate(d)
             for col, c in enumerate(line)
             if c != 0
         }
         assert expected  # every d_q of these complexes is nonzero
-        assert blocked == expected
+        assert blocked[q] == expected
+
+
+@pytest.mark.parametrize("case,nu,degrees", ORACLE_CASES)
+def test_ce_cohomology_matches_dense_fraction_ranks(case, nu, degrees):
+    """h^q_w = dim C^q_w - rank d_q - rank d_(q-1), the ranks those of the
+    dense reference's weight-w blocks, taken in Fractions."""
+    L, _, _, _, borel = borel_from_case(CASES[case])
+    W = construct_module(L, borel, w(*nu))
+    n_roots = oracle._n_roots(borel)
+    bases, dense = dense_differentials(L, W, n_roots)
+    by_weight = [{} for _ in bases]  # per degree: weight -> dense indices
+    for q, bq in enumerate(bases):
+        for i, (S, m) in enumerate(bq):
+            by_weight[q].setdefault(cochain_weight(L, W, n_roots, S, m), []).append(i)
+
+    def rank(q, wt):
+        if not 0 <= q < len(dense):
+            return 0
+        cols = by_weight[q].get(wt, [])
+        sub = [[dense[q][r][c] for c in cols] for r in by_weight[q + 1].get(wt, [])]
+        return len(fraction_rref(sub)[1])
+
+    expected = {}
+    for q, blocks in enumerate(by_weight):
+        expected[q] = {}
+        for wt, cells in blocks.items():
+            h = len(cells) - rank(q, wt) - rank(q - 1, wt)
+            if h:
+                expected[q][wt] = h
+    assert ce_cohomology(L, borel, W) == expected
 
 
 def test_tampered_action_breaks_d_squared():
     L, _, _, _, borel = borel_from_case(CASES["b2_sl2"])
     W = construct_module(L, borel, w(2, -1))
-    cx = build_complex(L, borel, W)
-    cols = W.action(n_labels(L, cx.n_roots)[0])
+    cols = W.action(n_labels(L, oracle._n_roots(borel))[0])
     col, row = next((c, r) for c in range(W.dim) for r in cols[c])
     cols[col][row] *= 2  # still weight-preserving, no longer a representation
     with pytest.raises(ComplexInconsistent, match="d compose d"):
-        build_complex(L, borel, W)
+        ce_cohomology(L, borel, W)
 
 
 def test_action_across_weights_is_rejected():
     L, _, _, _, borel = borel_from_case(CASES["b2_sl2"])
     W = construct_module(L, borel, w(2, -1))
-    cx = build_complex(L, borel, W)
     # a root vector cannot map a weight vector to itself
-    W.action(n_labels(L, cx.n_roots)[0])[0][0] = F(1)
+    W.action(n_labels(L, oracle._n_roots(borel))[0])[0][0] = F(1)
     with pytest.raises(ComplexInconsistent, match="mixes weights"):
-        build_complex(L, borel, W)
+        ce_cohomology(L, borel, W)
+
+
+def test_oracle_phases_tool_runs_request_0():
+    """`tools/oracle_phases.py` times the oracle phase by phase; a smoke run
+    on the first `oracle_ladder` request keeps it in step with the oracle."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "tools" / "oracle_phases.py"), "0"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    row = json.loads(proc.stdout)
+    assert row["match"] is True
+    assert row["cochain_dim"] == 2 ** 3 * row["module_dim"]  # b2_sl2: dim n = 3
 
 
 # -- the lazy sparse action ---------------------------------------------
@@ -430,7 +495,7 @@ def test_non_integral_structure_constant_in_complex_is_rejected(monkeypatch):
 
     monkeypatch.setattr(L, "structure", halved)
     with pytest.raises(InvariantViolation, match="structure constant 1/2"):
-        build_complex(L, borel, W)
+        ce_cohomology(L, borel, W)
 
 
 # -- the fraction-free echelon against a Fraction reference -------------
