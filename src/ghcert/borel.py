@@ -7,6 +7,7 @@ the adapted one; dominant weights for b are w_b-images of standard
 dominant weights.
 """
 
+from fractions import Fraction
 from math import lcm
 
 from ghcert.algebra import LieAlgebra
@@ -47,18 +48,26 @@ class BorelData:
             for b in self.simple_roots
         )
 
-    def m_dominant(self, lam) -> bool:
-        return all(self.L.rs.pair_coroot(lam.coords, b) >= 0 for b in self.m_simple_roots)
-
     def apply_wb(self, lam: Weight) -> Weight:
         return Weight("g", tuple(sum(x * y for x, y in zip(row, lam.coords)) for row in self.w_b))
+
+
+def m_rho(borel: BorelData) -> Weight:
+    """Half the sum of the positive roots of m, in fundamental coordinates."""
+    rs = borel.L.rs
+    twice = [0] * rs.rank
+    for c in borel.m_pos_roots:
+        for i, x in enumerate(rs.root_to_weight(c)):
+            twice[i] += x
+    return Weight("g", tuple(Fraction(x, 2) for x in twice))
 
 
 def build_borel(L: LieAlgebra, h) -> BorelData:
     """The adapted Borel, worked out in integers: roots are carried by their
     fundamental coordinates, h is scaled by the lcm of its denominators
     (only the sign of a root's value on h is read), and w_b is the product
-    of the integer simple reflections that sift 2 rho_b to 2 rho."""
+    of the integer simple reflections that sift 2 rho_b to 2 rho (the
+    chamber walk of `RootSystem`)."""
     rs = L.rs
     n = rs.rank
     h = [exact(x) for x in h]
@@ -77,16 +86,12 @@ def build_borel(L: LieAlgebra, h) -> BorelData:
 
     # sift the regular b-dominant vector 2 rho_b to find w_b
     two_rho_b = tuple(sum(f[i] for _, f, _ in signed) for i in range(n))
-    lam = two_rho_b
-    word = []
-    while True:
-        neg = next((i for i in range(n) if lam[i] < 0), None)
-        if neg is None:
-            break
-        lam = rs.reflect_simple(neg, lam)
-        word.append(neg)
-        if len(word) > len(rs.positive_roots):
-            raise InvariantViolation("w_b word is longer than the number of positive roots")
+    walk = rs.chamber_walk(two_rho_b, rs.simple_roots)
+    if walk is None:
+        raise InvariantViolation(f"2 rho_b = {two_rho_b} lies on a wall")
+    word = walk[1]
+    if len(word) > len(rs.positive_roots):
+        raise InvariantViolation("w_b word is longer than the number of positive roots")
     # w_b = s_{word[0]} ... s_{word[-1]}; right multiplication by s_i only
     # changes column i
     w_b = [[int(r == c) for c in range(n)] for r in range(n)]

@@ -147,18 +147,18 @@ def dec_vec(v):
 
 class ProblemInput:
     __slots__ = ("algebra", "generators", "cartan_t", "max_coeff", "max_scale",
-                 "max_height", "seed", "cond2_cap", "dim_cap", "mode")
+                 "max_height", "seed", "cond2_cap", "dim_cap")
 
     def __init__(self, algebra: str, generators: list, cartan_t: list,
                  max_coeff: int = genericity.DEFAULT_MAX_COEFF,
                  max_scale: int = genericity.DEFAULT_MAX_SCALE, max_height: int = 6,
                  seed: int = 0, cond2_cap: int = genericity.DEFAULT_COND2_CAP,
-                 dim_cap: int = DEFAULT_DIM_CAP, mode: str = "certify"):
+                 dim_cap: int = DEFAULT_DIM_CAP):
         self.algebra = algebra
         self.generators = generators  # coordinate vectors in the ambient Chevalley basis
         self.cartan_t = cartan_t
         self.max_coeff, self.max_scale, self.max_height = max_coeff, max_scale, max_height
-        self.seed, self.cond2_cap, self.dim_cap, self.mode = seed, cond2_cap, dim_cap, mode
+        self.seed, self.cond2_cap, self.dim_cap = seed, cond2_cap, dim_cap
 
 
 def parse_input(data: dict) -> ProblemInput:
@@ -187,7 +187,6 @@ def parse_input(data: dict) -> ProblemInput:
         seed=search.get("seed", 0),
         cond2_cap=caps.get("cond2", genericity.DEFAULT_COND2_CAP),
         dim_cap=caps.get("dim", DEFAULT_DIM_CAP),
-        mode=data.get("mode", "certify"),
     )
 
 
@@ -410,7 +409,7 @@ def derive(fr: Front, raw_input: dict, witness: Witness | None,
         "vanishing": {
             "degree": pd.r,
             "holds": True,
-            "gammas": [enc_vec(s.gamma.coords) for s in dec.summands],
+            "gammas": [enc_vec(g.coords) for g in dec.summands],
         },
         "oracle_checked": bool(oracle_check),
         "oracle_match": oracle_match,

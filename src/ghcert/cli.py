@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
+from ghcert.borel import m_rho
 from ghcert.certify import (
     _SEARCH_MINIMUMS,
     adapted_borel,
@@ -123,17 +124,16 @@ def cmd_kostant(args):
         dec = kostant_cohomology(L, borel, nu, args.degree)
     except (NonDominant, LengthOutOfRange) as exc:
         raise InputInvalid(str(exc))
+    # the dimension of each summand, by Weyl's formula for m
+    rho_m = m_rho(borel).coords
+    dims = [L.rs.weyl_dimension(g.coords, borel.m_pos_roots, rho_m) for g in dec.summands]
     _emit(
         {
             "degree": dec.degree,
             "summands": [
-                {
-                    "gamma": enc_vec(s.gamma.coords),
-                    "dim": s.dim,
-                }
-                for s in dec.summands
+                {"gamma": enc_vec(g.coords), "dim": d} for g, d in zip(dec.summands, dims)
             ],
-            "total_dim": dec.total_dim,
+            "total_dim": sum(dims),
         }
     )
     return 0

@@ -17,7 +17,7 @@ to 2^cap; it is checked before the work starts.
 
 from functools import lru_cache
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, gcd, lcm
 from operator import mul
 
@@ -398,15 +398,6 @@ def evaluate_genericity(
     )
 
 
-def _lex_tuples(rank, max_coeff):
-    if rank == 0:
-        yield ()
-        return
-    for head in range(max_coeff + 1):
-        for tail in _lex_tuples(rank - 1, max_coeff):
-            yield (head,) + tail
-
-
 def find_generic_nu(
     L,
     emb,
@@ -425,7 +416,7 @@ def find_generic_nu(
     """
     if pd.r <= 0:
         raise InvariantViolation(f"r = {pd.r}: no cohomology degree to make vanish")
-    for lam in _lex_tuples(L.rank, max_coeff):
+    for lam in product(range(max_coeff + 1), repeat=L.rank):
         nu0 = borel.apply_wb(Weight("g", lam))
         for scale in range(1, max_scale + 1):
             if all(x == 0 for x in lam) and scale > 1:

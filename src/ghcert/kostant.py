@@ -2,8 +2,6 @@
 and the Hom-vanishing check that settles the non-ideal branch.
 """
 
-from fractions import Fraction
-
 from ghcert.algebra import LieAlgebra
 from ghcert.borel import BorelData
 from ghcert.errors import InvariantViolation, LengthOutOfRange, NonDominant, SearchTooLarge
@@ -13,34 +11,19 @@ from ghcert.weights import Weight
 COSET_CAP = 4 * 10**6
 
 
-class KostantSummand:
-    __slots__ = ("gamma", "dim")
-
-    def __init__(self, gamma: Weight, dim: int):
-        self.gamma = gamma
-        self.dim = dim  # of the simple m-module with b_m-highest weight gamma
-
-
 class CohomologyDecomposition:
-    __slots__ = ("degree", "summands", "total_dim")
+    __slots__ = ("degree", "summands")
 
-    def __init__(self, degree: int, summands: list, total_dim: int):
-        self.degree, self.total_dim = degree, total_dim
-        self.summands = summands  # included (m-dominant) summands, sorted by gamma
+    def __init__(self, degree: int, summands: list):
+        self.degree = degree
+        # the b_m-highest weights gamma of the simple m-module summands
+        # (m-dominant), sorted by coordinates
+        self.summands = summands
 
     def omits(self, nu: Weight) -> bool:
         """True iff no summand has highest weight nu (the Hom space over m
         from the coefficient module of highest weight nu vanishes)."""
-        return all(s.gamma.coords != nu.coords for s in self.summands)
-
-
-def m_rho(borel: BorelData) -> Weight:
-    rs = borel.L.rs
-    twice = [0] * rs.rank
-    for c in borel.m_pos_roots:
-        for i, x in enumerate(rs.root_to_weight(c)):
-            twice[i] += x
-    return Weight("g", tuple(Fraction(x, 2) for x in twice))
+        return all(gamma.coords != nu.coords for gamma in self.summands)
 
 
 def _coset_representatives(rs, J, length):
@@ -73,16 +56,11 @@ def _coset_representatives(rs, J, length):
 
 
 def _longest_word(rs, J):
-    """A reduced word of the longest element of W_J, found by walking
-    sum_{j in J} omega_j to its J-antidominant image."""
-    point = tuple(int(i in J) for i in range(rs.rank))
-    word = []
-    while True:
-        i = next((j for j in J if point[j] > 0), None)
-        if i is None:
-            return word
-        point = rs.reflect_simple(i, point)
-        word.append(i)
+    """A reduced word of the longest element of W_J: the chamber walk of
+    -sum_{j in J} omega_j into the chamber of the alpha_j, j in J."""
+    point = tuple(-int(i in J) for i in range(rs.rank))
+    _, word = rs.chamber_walk(point, [rs.simple_roots[j] for j in J])
+    return [J[k] for k in word]
 
 
 def _act(rs, word, lam):
@@ -127,7 +105,7 @@ def kostant_cohomology(L: LieAlgebra, borel: BorelData, nu: Weight, r: int) -> C
         if tuple(sum(row[j] * rs.cartan[j][i] for j in range(n)) for row in w_b) in m_simple
     ]
     top = n_pos - len(borel.m_pos_roots)  # dim n
-    included = []
+    gammas = []
     if r <= top:
         # base = w_b^-1 (nu + rho_b), in integers: w_b^-1 = s_{i_l} ... s_{i_1}
         # for the word (i_1, ..., i_l) that sifts w_b(rho) = rho_b back to rho
@@ -142,17 +120,13 @@ def kostant_cohomology(L: LieAlgebra, borel: BorelData, nu: Weight, r: int) -> C
                 _act(rs, w0J, _act(rs, u, start))
                 for u in _coset_representatives(rs, J, top - r)
             ]
-        rho_m = m_rho(borel).coords
         for img in images:
             if any(img[j] <= 0 for j in J):
                 raise InvariantViolation(f"Kostant image {img} is not dominant for m")
-            coords = (sum(a * b for a, b in zip(row, img)) - p for row, p in zip(w_b, rho))
-            gamma = Weight("g", tuple(coords))
-            dim = rs.weyl_dimension(gamma.coords, borel.m_pos_roots, rho_m)
-            included.append(KostantSummand(gamma, dim))
-    included.sort(key=lambda s: s.gamma.coords)
-    total = sum(s.dim for s in included)
-    return CohomologyDecomposition(degree=r, summands=included, total_dim=total)
+            gammas.append(tuple(sum(a * b for a, b in zip(row, img)) - p
+                                for row, p in zip(w_b, rho)))
+    gammas.sort()
+    return CohomologyDecomposition(degree=r, summands=[Weight("g", g) for g in gammas])
 
 
 def verify_vanishing(L: LieAlgebra, borel: BorelData, nu: Weight, r: int) -> bool:

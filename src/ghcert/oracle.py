@@ -19,7 +19,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from ghcert.algebra import LieAlgebra
-from ghcert.borel import BorelData
+from ghcert.borel import BorelData, m_rho
 from ghcert.errors import (
     ComplexInconsistent,
     DimCapExceeded,
@@ -46,13 +46,12 @@ def _as_int(x, what):
 
 
 class ExplicitModule:
-    __slots__ = ("dim", "weight_of_basis", "nu", "borel", "_build_columns", "_columns")
+    __slots__ = ("dim", "weight_of_basis", "_build_columns", "_columns")
 
-    def __init__(self, dim: int, weight_of_basis: list, nu: Weight, borel: BorelData,
+    def __init__(self, dim: int, weight_of_basis: list,
                  _build_columns: Callable[[tuple], list], _columns: dict | None = None):
         self.dim = dim
         self.weight_of_basis = weight_of_basis  # Weight on h_std per basis vector
-        self.nu, self.borel = nu, borel
         # ambient basis label -> its action's columns; the simple root vectors'
         # come with the module, the others are built on first request
         self._build_columns = _build_columns
@@ -216,8 +215,6 @@ def construct_module(
     module = ExplicitModule(
         dim=dim,
         weight_of_basis=[Weight("g", wt) for wt in weights],
-        nu=nu,
-        borel=borel,
         _build_columns=build_columns,
     )
     for labels, cols in ((raising, e_cols), (lowering, f_cols)):
@@ -406,11 +403,14 @@ def decompose_as_m_module(L: LieAlgebra, borel: BorelData, weight_dims: dict):
     """Multiplicities of the irreducible m-modules in an h_std-weight
     character, sorted by highest weight.
 
-    By Weyl's character formula, chi * prod over the positive roots alpha
-    of m of (1 - e^-alpha) has coefficient mult(lam) at each m-dominant lam,
-    the multiplicity of the simple m-module of highest weight lam.  That
-    reads the unique decomposition off any finite W_m-invariant character;
-    the character is one of an m-module iff no multiplicity is negative."""
+    By Racah-Speiser: for a W_m-invariant character chi, Weyl's character
+    formula gives sum_lam mult(lam) A(lam + rho_m) = sum_mu chi(mu)
+    A(mu + rho_m), A the alternating sum over W_m.  So each weight mu adds
+    det(w) chi(mu) to the multiplicity of w(mu + rho_m) - rho_m, w the
+    element that walks mu + rho_m into the m-dominant chamber, and adds
+    nothing when mu + rho_m lies on a wall.  The walk runs on 2(mu + rho_m),
+    in integers.  The character is one of an m-module iff no multiplicity
+    is negative."""
     rs = L.rs
     m_simple = borel.m_simple_roots
     char = {tuple(w): int(m) for w, m in weight_dims.items() if m}
@@ -422,38 +422,21 @@ def decompose_as_m_module(L: LieAlgebra, borel: BorelData, weight_dims: dict):
                 raise NotAnMCharacter(
                     f"character not invariant under reflection in {c}"
                 )
-    # prod (1 - e^-alpha) as {shift: sign}, the term e^-shift
-    signs = {(0,) * rs.rank: 1}
-    for c in borel.m_pos_roots:
-        alpha = rs.root_to_weight(c)
-        nxt = dict(signs)
-        for shift, sign in signs.items():
-            up = tuple(x + a for x, a in zip(shift, alpha))
-            nxt[up] = nxt.get(up, 0) - sign
-        signs = {k: v for k, v in nxt.items() if v}
-
-    out = []
-    seen = set()
-    for w in char:
-        for shift in signs:
-            lam = tuple(x - y for x, y in zip(w, shift))
-            if lam in seen:
-                continue
-            seen.add(lam)
-            if not borel.m_dominant(Weight("g", lam)):
-                continue
-            mult = sum(
-                sign * char.get(tuple(x + y for x, y in zip(lam, sh)), 0)
-                for sh, sign in signs.items()
+    two_rho_m = [int(2 * x) for x in m_rho(borel).coords]
+    mults = {}
+    for w, m in char.items():
+        walk = rs.chamber_walk(tuple(2 * x + r for x, r in zip(w, two_rho_m)), m_simple)
+        if walk is None:
+            continue
+        img, word = walk
+        lam = tuple(_div(x - r, 2) for x, r in zip(img, two_rho_m))
+        mults[lam] = mults.get(lam, 0) + (-1) ** len(word) * m
+    for lam, mult in mults.items():
+        if mult < 0:
+            raise NotAnMCharacter(
+                f"multiplicity {mult} of highest weight {lam} is negative"
             )
-            if mult < 0:
-                raise NotAnMCharacter(
-                    f"multiplicity {mult} of highest weight {lam} is negative"
-                )
-            if mult:
-                out.append((lam, mult))
-    out.sort(key=lambda x: x[0])
-    return out
+    return sorted((lam, mult) for lam, mult in mults.items() if mult)
 
 
 # -- comparison ----------------------------------------------------------
@@ -474,7 +457,7 @@ def compare_kostant_vs_oracle(
     _n_roots(borel)
     degrees = [dec.degree for dec in kostant]
     kostant_sides = {
-        dec.degree: dict(Counter(s.gamma.coords for s in dec.summands)) for dec in kostant
+        dec.degree: dict(Counter(g.coords for g in dec.summands)) for dec in kostant
     }
     W = construct_module(L, borel, nu, dim_cap=dim_cap)
     coh = ce_cohomology(L, borel, W)

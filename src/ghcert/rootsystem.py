@@ -189,6 +189,9 @@ class RootSystem:
                     self.cartan[off + i][off + j] = A[i][j]
             self.factor_ranges.append(range(off, off + r))
             off += r
+        self.simple_roots = tuple(
+            tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)
+        )
         self.positive_roots = self._generate_positive_roots()
         self.root_index = {c: i for i, c in enumerate(self.positive_roots)}
         # fundamental coordinates of each positive root, as ints
@@ -212,13 +215,8 @@ class RootSystem:
     # -- root generation ------------------------------------------------
 
     def _generate_positive_roots(self):
-        simples = []
-        for i in range(self.rank):
-            c = [0] * self.rank
-            c[i] = 1
-            simples.append(tuple(c))
-        roots = set(simples)
-        frontier = list(simples)
+        roots = set(self.simple_roots)
+        frontier = list(self.simple_roots)
         while frontier:
             new = []
             for beta in frontier:
@@ -278,6 +276,27 @@ class RootSystem:
 
     def reflect_simple(self, i, lam):
         return tuple(lam[j] - lam[i] * self.cartan[j][i] for j in range(self.rank))
+
+    def chamber_walk(self, lam, simple):
+        """Walk the weight lam (fundamental coordinates) into the chamber
+        of the simple roots `simple`: reflect in the first listed root that
+        pairs negatively with it until none does.  Returns (image, word),
+        word the positions in `simple` of the reflections in the order made,
+        or None when some pairing is zero on the way (lam's orbit meets a
+        wall).  The pairings <lam, beta^vee> come from `coroot_coeffs`, so an
+        integral lam is walked in integers."""
+        coroots = [self.coroot_coeffs(c) for c in simple]
+        roots = [self.root_to_weight(c) for c in simple]
+        word = []
+        while True:
+            pairings = [sum(map(mul, k, lam)) for k in coroots]
+            if 0 in pairings:
+                return None
+            i = next((i for i, p in enumerate(pairings) if p < 0), None)
+            if i is None:
+                return lam, word
+            lam = tuple(x - pairings[i] * y for x, y in zip(lam, roots[i]))
+            word.append(i)
 
     def reflect_root(self, c, lam):
         k = self.pair_coroot(lam, c)

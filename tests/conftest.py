@@ -191,6 +191,16 @@ def principal_sl2(algebra):
     return problem(algebra, [combination([1] * n, e), combination(c, f)], [combination(c, h)])
 
 
+def sl2_on_alpha1(algebra):
+    """k = sl2 on the first simple root alpha_1, with t spanned by h_1."""
+    from ghcert.algebra import build_algebra
+
+    L = build_algebra(algebra)
+    alpha1 = tuple(int(i == 0) for i in range(L.rank))
+    gens = [unit(L.dim, L.index[(kind, alpha1)]) for kind in ("e", "f")]
+    return problem(algebra, [unit(L.dim, 0)] + gens, [unit(L.dim, 0)])
+
+
 def levi(algebra, nodes, full=False):
     """The Levi subalgebra on the simple roots `nodes`: e and f of each
     alpha_i, i in nodes, with t spanned by those h_i or, when `full`, by

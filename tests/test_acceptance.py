@@ -162,7 +162,7 @@ def test_criterion_5_vanishing(case):
     assert verify_vanishing(L, borel, nu, r)
     assert not verify_vanishing(L, borel, nu, 0)
     dec0 = kostant_cohomology(L, borel, nu, 0)
-    assert [s.gamma.coords for s in dec0.summands] == [nu.coords]
+    assert [g.coords for g in dec0.summands] == [nu.coords]
 
 
 # -- criterion 6: condition-(2) engine ----------------------------------

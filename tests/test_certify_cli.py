@@ -23,7 +23,16 @@ from ghcert.certify import (
 from ghcert.cli import main
 from ghcert.errors import InputInvalid
 
-from conftest import CASES, REDUCTION, levi, principal_sl2, problem, unit
+from conftest import (
+    CASES,
+    REDUCTION,
+    borel_from_case,
+    levi,
+    principal_sl2,
+    problem,
+    sl2_on_alpha1,
+    unit,
+)
 
 F = Fraction
 
@@ -64,7 +73,7 @@ def test_parse_input_accepts_every_optional_key():
     raw["cartan_t"] = [["1/1", 0, "0"]]
     pin = parse_input(raw)
     assert (pin.max_coeff, pin.max_scale, pin.max_height, pin.seed) == (0, 1, 1, 0)
-    assert (pin.cond2_cap, pin.dim_cap, pin.mode) == (1, 1, "check-ideal")
+    assert (pin.cond2_cap, pin.dim_cap) == (1, 1)
 
 
 def _with(path, value):
@@ -351,6 +360,41 @@ def test_cli_kostant(write_input, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["degree"] == 1 and len(payload["summands"]) == 2
+
+
+# sha256 of `ghc kostant` stdout at nu = rho_b, degrees 0..|Phi+| concatenated
+KOSTANT_STDOUT_SHA256 = {
+    "a1_t": "5d5513946a1ae25dff26faa280a6119590d94132b2350437a2a06b3ab11ed4c2",
+    "a2_principal": "8b4050977ba0c11d3b67cf695935ff288f8afdcba04cb83ff58a40d8f35aba92",
+    "a2_torus": "8b4050977ba0c11d3b67cf695935ff288f8afdcba04cb83ff58a40d8f35aba92",
+    "a3_sl2": "18ff7f9639d79203a69950c37d677dbd60969914c06ff82e9f24a54538f114e9",
+    "b2_sl2": "770e8fcc033baa35177de097b93bd0f2f1965aa25a12631b35770079db6cab52",
+    "g2_sl2": "3a3b7317a862f7b237e31eab78586c08465a4cd93b470cdfdb9c94fbf1ab2250",
+    "g2_sl2_rung": "be9e0cde970fba0386eee0126fbf4a9d554f948a301f0005c11e7cb713c7c20f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(KOSTANT_STDOUT_SHA256))
+def test_cli_kostant_stdout_pinned(name, write_input, capsys):
+    # g2_sl2_rung: k = sl2 on alpha_1 of G2, the rung of tools/sl2_rungs.py
+    raw = sl2_on_alpha1("G2") if name == "g2_sl2_rung" else CASES[name]
+    L, _, _, _, borel = borel_from_case(raw)
+    inp = write_input("in.json", raw)
+    nu = ",".join(str(x) for x in borel.rho.coords)
+    outs = []
+    for r in range(len(L.rs.positive_roots) + 1):
+        argv = ["kostant", "--type", raw["algebra"], "--nu", nu, "--k-spec", inp,
+                "--degree", str(r)]
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    if name == "b2_sl2":
+        # a summand of dimension 4 and an empty degree above dim n = 3
+        assert outs[1] == (
+            '{"degree":1,"summands":[{"dim":4,"gamma":["0/1","3/1"]}],"total_dim":4}\n'
+        )
+        assert outs[4] == '{"degree":4,"summands":[],"total_dim":0}\n'
+    digest = hashlib.sha256("".join(outs).encode()).hexdigest()
+    assert digest == KOSTANT_STDOUT_SHA256[name]
 
 
 def test_cli_oracle_compare(write_input, capsys):

@@ -56,7 +56,7 @@ def test_front_and_witness_values_in_normal_form(name):
     assert normal(x for row in w.borel.w_b for x in row)
     dec = kostant_cohomology(L, w.borel, w.nu, w.pd.r)
     weights = [w.nu, w.greport.mu, w.rv.rho, w.rv.rho_n, w.rv.rho_n_perp, w.borel.rho]
-    weights += [s.gamma for s in dec.summands]
+    weights += dec.summands
     assert normal(x for wt in weights for x in wt.coords)
 
 

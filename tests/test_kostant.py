@@ -8,17 +8,14 @@ from conftest import (
     fraction_inverse,
     fraction_weyl_dimension,
     problem,
+    sl2_on_alpha1,
     unit,
 )
 
 from ghcert.algebra import build_algebra
-from ghcert.borel import build_borel
+from ghcert.borel import build_borel, m_rho
 from ghcert.errors import LengthOutOfRange, NonDominant
-from ghcert.kostant import (
-    kostant_cohomology,
-    m_rho,
-    verify_vanishing,
-)
+from ghcert.kostant import kostant_cohomology, verify_vanishing
 from ghcert.weights import Weight
 
 F = Fraction
@@ -33,11 +30,10 @@ def test_a1_trivial_coefficients():
     borel = build_borel(L, [F(1)])
     dec0 = kostant_cohomology(L, borel, w(0), 0)
     # [TRIVIAL] r=0 keeps only the identity, gamma = nu
-    assert [s.gamma.coords for s in dec0.summands] == [(F(0),)]
+    assert dec0.summands == [w(0)]
     dec1 = kostant_cohomology(L, borel, w(0), 1)
     # [DERIVED] single w = s_alpha, gamma = s_alpha(rho~) - rho~ = -alpha
-    assert [s.gamma.coords for s in dec1.summands] == [(F(-2),)]
-    assert dec1.total_dim == 1
+    assert dec1.summands == [w(-2)]
 
 
 def test_a2_borel_histogram():
@@ -54,10 +50,7 @@ def test_summands_pairwise_distinct():
     L = build_algebra("A2")
     borel = build_borel(L, [F(1), F(1)])
     for r in range(4):
-        gammas = [
-            s.gamma.coords
-            for s in kostant_cohomology(L, borel, w(1, 1), r).summands
-        ]
+        gammas = [g.coords for g in kostant_cohomology(L, borel, w(1, 1), r).summands]
         assert len(set(gammas)) == len(gammas)  # multiplicity one
 
 
@@ -117,22 +110,23 @@ def test_m_weyl_dimension():
 
 
 def test_total_dims_follow_weyl_dimension():
+    # the summands' m-dimensions, as `ghc kostant` adds them up: V = C^3 and
+    # dim n = 2, so sum_r (-1)^r dim H^r(n, V) = 3 (1 - 2 + 1) = 0
     L = build_algebra("A2")
     borel = build_borel(L, [F(1), F(-1)])
     nu = borel.apply_wb(w(1, 0))
-    for r in range(3):
-        dec = kostant_cohomology(L, borel, nu, r)
-        assert [s.dim for s in dec.summands] == [
-            m_weyl_dimension(borel, s.gamma) for s in dec.summands
-        ]
-        assert dec.total_dim == sum(s.dim for s in dec.summands)
+    totals = [
+        sum(m_weyl_dimension(borel, g) for g in kostant_cohomology(L, borel, nu, r).summands)
+        for r in range(3)
+    ]
+    assert totals == [2, 3, 1] and totals[0] - totals[1] + totals[2] == 0
 
 
 # -- the minimal-coset search against the length-r filter over all of W ----
 
 
 def reference_summands(L, borel, nu, r, images):
-    """(gamma, dim) of every degree-r summand by the full filter: every
+    """The gamma of every degree-r summand by the full filter: every
     standard Weyl element w of length r, its image w_b w w_b^-1 (nu + rho)
     - rho, kept when that is dominant for m.  `images` memoises w(w_b^-1
     (nu + rho)) by reduced word across the degrees of one nu."""
@@ -151,7 +145,6 @@ def reference_summands(L, borel, nu, r, images):
             images[word] = rs.reflect_simple(word[0], act(word[1:]))
         return images[word]
 
-    rho_m = m_rho(borel).coords
     # <gamma, beta^vee> for the simple roots beta of m, in integers
     coroots = [rs.coroot_coeffs(b) for b in borel.m_simple_roots]
     out = []
@@ -159,16 +152,8 @@ def reference_summands(L, borel, nu, r, images):
         img = act(el.word)
         gamma = [sum(a * b for a, b in zip(row, img)) - p for row, p in zip(w_b, rho)]
         if all(sum(g * c for g, c in zip(gamma, co)) >= 0 for co in coroots):
-            gamma = tuple(F(g) for g in gamma)
-            out.append((gamma, rs.weyl_dimension(gamma, borel.m_pos_roots, rho_m)))
+            out.append(tuple(gamma))
     return sorted(out)
-
-
-def sl2_on_alpha1(algebra):
-    L = build_algebra(algebra)
-    alpha1 = tuple(int(i == 0) for i in range(L.rank))
-    gens = [unit(L.dim, L.index[(kind, alpha1)]) for kind in ("e", "f")]
-    return problem(algebra, [unit(L.dim, 0)] + gens, [unit(L.dim, 0)])
 
 
 def torus_h1(algebra):
@@ -203,7 +188,7 @@ def test_coset_search_matches_full_filter(name):
         images = {}
         for r in range(len(L.rs.positive_roots) + 1):
             dec = kostant_cohomology(L, borel, nu, r)
-            assert [(s.gamma.coords, s.dim) for s in dec.summands] == reference_summands(
+            assert [g.coords for g in dec.summands] == reference_summands(
                 L, borel, nu, r, images
             ), (lam, r)
 
@@ -219,7 +204,7 @@ def test_degree_bounds_and_empty_range():
     assert dim_n == pd.n.dim < n_pos
     for r in range(dim_n + 1, n_pos + 1):
         dec = kostant_cohomology(L, borel, nu, r)
-        assert dec.summands == [] and dec.total_dim == 0
+        assert dec.summands == []
     assert kostant_cohomology(L, borel, nu, dim_n).summands
 
 
@@ -280,6 +265,6 @@ def test_summand_dims_match_fraction_weyl_formula(name):
     for lam in parity_lambdas(L.rank):
         nu = borel.apply_wb(w(*lam))
         for r in range(len(L.rs.positive_roots) + 1):
-            for s in kostant_cohomology(L, borel, nu, r).summands:
-                want = fraction_weyl_dimension(L.rs, s.gamma.coords, borel.m_pos_roots, rho_m)
-                assert s.dim == want, (lam, r, s.gamma.coords)
+            for g in kostant_cohomology(L, borel, nu, r).summands:
+                want = fraction_weyl_dimension(L.rs, g.coords, borel.m_pos_roots, rho_m)
+                assert m_weyl_dimension(borel, g) == want, (lam, r, g.coords)

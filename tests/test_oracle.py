@@ -159,12 +159,16 @@ def test_decompose_rejects_non_character():
 
 @pytest.mark.parametrize(
     "ctype,lam1,lam2",
-    [("A2", (1, 0), (1, 1)), ("B2", (0, 1), (1, 1)), ("G2", (1, 0), (0, 1))],
+    [("A2", (1, 0), (1, 1)), ("B2", (0, 1), (1, 1)), ("G2", (1, 0), (0, 1)),
+     # rank 3 with zero coordinates: of the shifted weights mu + rho, many lie
+     # on walls and some take three reflections to reach the chamber
+     ("A3", (2, 0, 2), (0, 1, 0)), ("B3", (0, 0, 2), (0, 2, 0)),
+     ("C3", (1, 0, 1), (0, 0, 2))],
 )
 def test_decompose_sum_of_g_characters(ctype, lam1, lam2):
     L = build_algebra(ctype)
     m_is_g = build_borel(L, [F(0)] * L.rank)
-    regular = build_borel(L, [F(1), F(5)])
+    regular = build_borel(L, [F(5**i) for i in range(L.rank)])
     assert regular.m_pos_roots == ()
     char = Counter()
     for lam, mult in ((lam1, 1), (lam2, 2)):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -127,6 +128,24 @@ def test_pairings_against_cartan_matrix():
             lam = [F(int(k == i)) for k in range(rs.rank)]
             alpha_j = tuple(int(k == j) for k in range(rs.rank))
             assert rs.pair_coroot(lam, alpha_j) == (1 if i == j else 0)
+
+
+@pytest.mark.parametrize("ctype", ["A2", "B2", "G2", "A3", "B3"])
+def test_chamber_walk_against_root_pairings(ctype):
+    # lam is on a wall iff some root pairs to zero with it; otherwise the
+    # walk is a reduced word, one reflection per positive root negative on lam
+    rs = root_system(ctype)
+    for lam in itertools.product(range(-3, 4), repeat=rs.rank):
+        pairings = [rs.pair_coroot(lam, c) for c in rs.positive_roots]
+        walk = rs.chamber_walk(lam, rs.simple_roots)
+        if 0 in pairings:
+            assert walk is None, lam
+            continue
+        img, word = walk
+        assert all(x > 0 for x in img) and len(word) == sum(p < 0 for p in pairings)
+        for i in word:
+            lam = rs.reflect_simple(i, lam)
+        assert lam == img
 
 
 def standard_weyl_dimension(ctype, lam):

@@ -71,7 +71,7 @@ def phases(index):
     row["module_dim"] = W.dim
     row["cochain_dim"] = 2 ** len(n_roots) * W.dim
     row["match"] = all(
-        dict(decomps[r]) == Counter(s.gamma.coords for s in kostant[r].summands)
+        dict(decomps[r]) == Counter(g.coords for g in kostant[r].summands)
         for r in degrees
     )
     row["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
