@@ -28,6 +28,7 @@ from ghcert.errors import (
     InvalidCartanType,
     LengthOutOfRange,
     NonDominant,
+    NoRegularFound,
     PipelineError,
     SearchTooLarge,
 )
@@ -268,7 +269,7 @@ def parse_argv(argv):
 
 def _exit_code(exc: GhcError) -> int:
     cause = exc.cause if isinstance(exc, PipelineError) else exc
-    if isinstance(cause, (SearchTooLarge, DimCapExceeded)):
+    if isinstance(cause, (SearchTooLarge, DimCapExceeded, NoRegularFound)):
         return 4
     if isinstance(cause, InputInvalid):
         return 2

@@ -8,6 +8,8 @@ root decomposition.
 """
 
 import random
+from itertools import product
+from operator import mul
 
 from ghcert.algebra import LieAlgebra, Subspace
 from ghcert.errors import (
@@ -17,7 +19,7 @@ from ghcert.errors import (
     ReducedToZero,
     TNotInK,
 )
-from ghcert.linalg import Echelon, exact, integral, rank
+from ghcert.linalg import Echelon, exact, integral, primitive, rank
 from ghcert.rootsystem import CartanType
 from ghcert.weights import WeightMultiset
 from ghcert import algebra as _algebra
@@ -260,22 +262,6 @@ def split_by_weight(rows, blocks, weights):
 # -- regular element ---------------------------------------------------
 
 
-def _shells(dim, max_height):
-    for radius in range(max_height + 1):
-        shell = []
-
-        def rec(prefix):
-            if len(prefix) == dim:
-                if max(abs(x) for x in prefix) == radius:
-                    shell.append(tuple(prefix))
-                return
-            for v in range(-radius, radius + 1):
-                rec(prefix + [v])
-
-        rec([])
-        yield shell
-
-
 def regular_from_coeffs(L: LieAlgebra, emb: EmbeddedSubalgebra, coeffs):
     """RegularElement for h = sum coeffs[i] * t_basis[i], or None if some
     nonzero joint t-weight of g vanishes on it."""
@@ -299,21 +285,24 @@ def choose_regular(
 ) -> RegularElement:
     """Deterministic seeded search for h in t with C_g(h) = C_g(t).
 
-    The returned h is regular in k (all t-roots of k nonzero on it) and,
-    more strongly, no nonzero joint t-weight of g vanishes on it, so the
-    parabolic built from h is minimal t-compatible.
-    """
+    No nonzero joint t-weight of g vanishes on h, so h is regular in k and
+    the parabolic built from h is minimal t-compatible.  The integer
+    coefficients c on the t basis run shell by shell, max |c_i| = 0, 1,
+    ..., max_height, each shell in descending lexicographic order (a
+    nonzero seed shuffles the whole shell with random.Random(seed)); the
+    first c with a nonzero dot product on each line of g's nonzero
+    t-weights (`primitive`) is taken."""
+    lines = {primitive(w)[0] for w in emb.grading.blocks if any(w)}
     rng = random.Random(seed) if seed else None
-    for shell in _shells(emb.t.dim, max_height):
-        # canonical order prefers positive leading coefficients; a nonzero
-        # seed permutes candidates within each shell
-        shell = sorted(shell, key=lambda c: tuple(-x for x in c))
+    for radius in range(max_height + 1):
+        shell = (c for c in product(range(radius, -radius - 1, -1), repeat=emb.t.dim)
+                 if radius in map(abs, c))
         if rng is not None:
+            shell = list(shell)
             rng.shuffle(shell)
         for coeffs in shell:
-            reg = regular_from_coeffs(L, emb, coeffs)
-            if reg is not None:
-                return reg
+            if all(sum(map(mul, p, coeffs)) for p in lines):
+                return regular_from_coeffs(L, emb, coeffs)
     raise NoRegularFound(
         f"no regular element with integer coefficients up to {max_height}; raise max_height"
     )

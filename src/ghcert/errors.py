@@ -3,7 +3,7 @@
 Exit-code mapping used by the CLI:
   2 -> InputInvalid / schema problems
   3 -> internal invariant violations (and, in the CLI, any unexpected exception)
-  4 -> cap exceeded (SearchTooLarge, DimCapExceeded)
+  4 -> cap exceeded (SearchTooLarge, DimCapExceeded, NoRegularFound)
 """
 
 

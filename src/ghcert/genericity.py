@@ -31,7 +31,7 @@ from ghcert.errors import (
     InvariantViolation,
     SearchTooLarge,
 )
-from ghcert.linalg import exact, rank
+from ghcert.linalg import Echelon, exact, primitive, rank
 from ghcert.parabolic import ParabolicData, RhoVectors
 from ghcert.weights import Weight, WeightMultiset
 
@@ -235,25 +235,20 @@ def _arrangement(groups):
     (E, u, lines, on_line, basis).  u_j = E w_j are the distinct weights as
     integer vectors; lines[i] is primitive with its first nonzero entry
     positive, and u_j = sign |u_j| lines[i] for each (j, sign) in
-    on_line[i]; basis is a greedy basis of the lines' span."""
+    on_line[i] (`primitive`); basis is a greedy basis of the lines' span."""
     E = lcm(*(x.denominator for coords, _ in groups for x in coords))
     u = [[x.numerator * (E // x.denominator) for x in coords] for coords, _ in groups]
     line_of, lines, on_line = {}, [], []
     for j, uj in enumerate(u):
-        g = gcd(*uj)
-        if g:
-            sign = 1 if next(x for x in uj if x) > 0 else -1
-            p = tuple(sign * x // g for x in uj)
+        if any(uj):
+            p, sign = primitive(uj)
             if p not in line_of:
                 line_of[p] = len(lines)
                 lines.append(p)
                 on_line.append([])
             on_line[line_of[p]].append((j, sign))
-    basis = []
-    for p in lines:
-        cand = basis + [p]
-        if len(basis) < len(p) and _det([[sum(map(mul, a, b)) for b in cand] for a in cand]):
-            basis = cand
+    ech = Echelon()
+    basis = [p for p in lines if ech.insert({i: x for i, x in enumerate(p) if x})]
     return E, u, lines, on_line, basis
 
 

@@ -196,6 +196,18 @@ def integral(row):
     return vec
 
 
+def primitive(row):
+    """(p, sign) with row = sign * p times a positive rational, for a nonzero
+    dense row of exact rationals: p is the primitive integer tuple on its
+    line whose first nonzero entry is positive."""
+    den = math.lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = math.gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints), 1 if g > 0 else -1
+
+
 def rank(m) -> int:
     """The rank of the rows of m, each a list or a sparse dict of exact
     rationals."""

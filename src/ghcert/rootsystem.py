@@ -243,14 +243,10 @@ class RootSystem:
 
     # -- invariant bilinear form ---------------------------------------
 
-    def weight_root_ip(self, lam, c):
-        """(lambda, beta) for a weight in fundamental coordinates."""
-        return sum(c[j] * self.d[j] * lam[j] for j in range(self.rank) if c[j])
-
     def pair_coroot(self, lam, c):
-        """<lambda, beta^vee> = 2 (lambda, beta) / (beta, beta) for a root
-        beta, in normal form."""
-        return exact(Fraction(2 * self.weight_root_ip(lam, c), self.root_norm2[c]))
+        """<lambda, beta^vee> = sum_i k_i lambda(h_i) for a root beta with
+        beta^vee = sum_i k_i h_i (`coroot_coeffs`), in normal form."""
+        return exact(sum(map(mul, self.coroot_coeffs(c), lam)))
 
     def root_to_weight(self, c) -> tuple:
         """Fundamental coordinates of a root (its values on the h_i), ints."""

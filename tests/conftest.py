@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -138,6 +139,29 @@ def weyl_act(rs, w, lam):
     for i in reversed(w.word):
         lam = rs.reflect_simple(i, lam)
     return lam
+
+
+def shell_search_regular(L, emb, seed=0, max_height=6):
+    """Reference regular-element search: each whole shell {c : max |c_i| =
+    radius} materialised and sorted in descending lexicographic order, a
+    nonzero seed shuffling it with random.Random(seed), and every candidate
+    tested by the exact `regular_from_coeffs`."""
+    from ghcert.embedding import regular_from_coeffs
+
+    rng = random.Random(seed) if seed else None
+    for radius in range(max_height + 1):
+        shell = sorted(
+            (c for c in itertools.product(range(-radius, radius + 1), repeat=emb.t.dim)
+             if max(map(abs, c)) == radius),
+            key=lambda c: tuple(-x for x in c),
+        )
+        if rng is not None:
+            rng.shuffle(shell)
+        for coeffs in shell:
+            reg = regular_from_coeffs(L, emb, coeffs)
+            if reg is not None:
+                return reg
+    return None
 
 
 def unit(dim, *idx):

@@ -478,6 +478,29 @@ def test_cli_oracle_n_cap_checked_before_module(write_input, monkeypatch, capsys
     assert capsys.readouterr().err == "error: dim n = 15 exceeds cap 12\n"
 
 
+def test_cli_exhausted_max_height_exits_4(write_input, tmp_path, capsys):
+    """No h with coefficients in {-1, 0, 1} is regular on E6's full Levi
+    on alpha_1. certify, kostant and oracle-compare, which all search for
+    h, exit 4 (a search cap), and verify still rejects a recorded h that is
+    not regular with exit 1."""
+    raw = levi("E6", [0], full=True)
+    capped = write_input("capped.json", dict(raw, search={"max_height": 1}))
+    assert main(["certify", capped]) == 4
+    assert main(["kostant", "--type", "E6", "--nu", "0,0,0,0,0,0", "--k-spec", capped,
+                 "--degree", "0"]) == 4
+    assert main(["oracle-compare", capped, "--nu=0,0,0,0,0,0", "--degrees=0..0"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: stage 'choose_regular': no regular element with integer "
+                   "coefficients up to 1; raise max_height"] * 3
+    inp, out = write_input("in.json", raw), str(tmp_path / "cert.json")
+    assert main(["certify", inp, "--out", out]) == 0
+    cert = json.loads(Path(out).read_text())
+    cert["witness"]["t_coeffs"] = ["0/1"] * 6
+    Path(out).write_text(json.dumps(cert))
+    assert main(["verify", out, inp]) == 1
+    assert "$.witness.t_coeffs: h is not regular" in capsys.readouterr().out
+
+
 def test_cli_negative_nu_as_separate_argument(write_input, capsys):
     """A weight with a leading minus sign is a value, not an option, and
     gives the same output as the `--nu=VALUE` form."""
@@ -713,3 +736,18 @@ def test_wrong_vector_length_exits_2_before_the_algebra_is_built(
     inp = write_input("in.json", problem("A400", [[1]], [[1]]))
     assert main(["certify", inp]) == 2
     assert "vector length 1 != dim g = 160800 for A400" in capsys.readouterr().err
+
+
+def test_sl2_rungs_tool_runs_a_full_levi():
+    """`tools/sl2_rungs.py --levi ... --full` round-trips a full Levi (t = h)
+    through certify and verify in a child process."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "tools" / "sl2_rungs.py"), "B3", "--levi", "0", "--full"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    row = json.loads(proc.stdout)
+    assert row["input"] == "full levi [0]"
+    assert (row["certify_exit"], row["verify_exit"], row["valid"]) == (0, 0, True)

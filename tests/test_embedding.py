@@ -21,7 +21,15 @@ from ghcert.errors import InputInvalid, NoRegularFound, NotTInvariant, ReducedTo
 from ghcert.linalg import Echelon, rank
 from ghcert.rootsystem import CartanType
 
-from conftest import CASES, REDUCTION, fraction_nullspace, fraction_rref
+from conftest import (
+    CASES,
+    REDUCTION,
+    fraction_nullspace,
+    fraction_rref,
+    levi,
+    shell_search_regular,
+)
+from test_genericity import EQUAL_RANK
 
 F = Fraction
 
@@ -174,6 +182,36 @@ def test_regular_from_coeffs_rejects_singular(a2):
     rs = root_system("A2")
     # find integer coeffs killing alpha1: alpha1(c1 h1 + c2 h2) = 2c1 - c2
     assert regular_from_coeffs(a2, emb, [1, 2]) is None
+
+
+PARITY_INPUTS = (
+    [(f"case-{name}", CASES[name]) for name in CASES if name != "a1a1_factor"]
+    + [(f"equal-rank-{i}-{algebra}", raw) for i, (algebra, raw) in enumerate(EQUAL_RANK)]
+    + [
+        (f"levi-{algebra}-{nodes}", levi(algebra, nodes))
+        for algebra, nodes in (("A4", [0, 3]), ("B3", [0]), ("C3", [2]), ("D4", [1]),
+                               ("G2", [0]), ("F4", [1, 2]), ("E6", [0, 2, 3]))
+    ]
+    + [
+        (f"full-levi-{algebra}-{nodes}", levi(algebra, nodes, full=True))
+        for algebra, nodes in (("E6", [0]), ("D6", [0, 1, 2]))
+    ]
+)
+
+
+@pytest.mark.parametrize("raw", [raw for _, raw in PARITY_INPUTS],
+                         ids=[name for name, _ in PARITY_INPUTS])
+def test_choose_regular_matches_the_shell_search(raw):
+    """The lazy integer scan returns what the search over whole sorted
+    shells, each candidate tested in exact arithmetic, returns, for the
+    canonical order (seed 0) and a shuffled one (seed 5)."""
+    pin = parse_input(raw)
+    L = build_algebra(pin.algebra)
+    emb = make_embedding(L, pin.generators, pin.cartan_t)
+    for seed in (0, 5):
+        got = choose_regular(L, emb, seed=seed)
+        want = shell_search_regular(L, emb, seed=seed)
+        assert (got.t_coeffs, got.h, got.g_spectrum) == (want.t_coeffs, want.h, want.g_spectrum)
 
 
 def test_no_regular_in_trivial_t():

@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghcert.linalg import Echelon, exact, integral, rank, rref_in_place
+from ghcert.linalg import Echelon, exact, integral, primitive, rank, rref_in_place
 
 from conftest import fraction_det, fraction_rref, is_normal
 
@@ -93,6 +94,21 @@ def test_rank_matches_fraction_rref(m):
     # the same rows as sparse dicts, nonzero entries only
     assert rank([{c: x for c, x in enumerate(row) if x} for row in m]) == expected
     assert all(type(x) is int for row in m for x in integral(row).values())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.fractions(max_denominator=6).map(exact), min_size=1, max_size=5)
+       .filter(any))
+def test_primitive_is_the_positive_primitive_vector_on_the_line(row):
+    """row = sign * p times a positive rational, p integral with content 1
+    and its first nonzero entry positive."""
+    p, sign = primitive(row)
+    assert all(type(x) is int for x in p) and math.gcd(*p) == 1
+    assert next(x for x in p if x) > 0 and sign in (1, -1)
+    i = next(i for i, x in enumerate(p) if x)
+    c = F(row[i]) / (sign * p[i])
+    assert c > 0 and all(x == sign * c * y for x, y in zip(row, p))
+    assert primitive([F(0), F(-1, 2), F(1, 3)]) == ((0, 3, -2), -1)
 
 
 # -- the canonical rows of the Echelon against the Fraction RREF ----------

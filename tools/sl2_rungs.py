@@ -1,12 +1,14 @@
 """Cold certify + verify of one input in one ambient type, through
 `ghcert.cli.main` in process: k = sl2 on the first simple root, or with
 --principal the principal sl2 (e = sum of the e_{alpha_i}), or with
---levi the Levi subalgebra on the listed simple roots (the builders of
+--levi the Levi subalgebra on the listed simple roots, with t spanned by
+their h_i or, adding --full, by every h_i (a full Levi; the builders of
 tests/conftest.py).
 
     for t in F4 E6 E7 E8; do PYTHONPATH=src python3 tools/sl2_rungs.py $t; done
     for t in F4 E6 E7 E8; do PYTHONPATH=src python3 tools/sl2_rungs.py $t --principal; done
     PYTHONPATH=src python3 tools/sl2_rungs.py E6 --levi 0,2,3
+    PYTHONPATH=src python3 tools/sl2_rungs.py E7 --levi 0 --full
 
 `build_s` is one `build_algebra` from an empty algebra cache, the first
 layer of every request.  `certify` is timed around the call, from an empty
@@ -40,7 +42,7 @@ def sl2_on_alpha1(L, algebra):
     return {"algebra": algebra, "subalgebra_generators": unit, "cartan_t": unit[:1]}
 
 
-def rung(algebra, workdir, kind="sl2", nodes=None):
+def rung(algebra, workdir, kind="sl2", nodes=None, full=False):
     ghcert.algebra._build_cached.cache_clear()
     start = time.perf_counter()
     L = ghcert.algebra.build_algebra(algebra)
@@ -48,13 +50,14 @@ def rung(algebra, workdir, kind="sl2", nodes=None):
     if kind == "principal":
         spec = principal_sl2(algebra)
     elif kind == "levi":
-        spec = levi(algebra, nodes)
+        spec = levi(algebra, nodes, full=full)
     else:
         spec = sl2_on_alpha1(L, algebra)
     inp, cert = os.path.join(workdir, "in.json"), os.path.join(workdir, "cert.json")
     with open(inp, "w") as fh:
         json.dump(spec, fh)
-    row = {"algebra": algebra, "input": kind if nodes is None else f"levi {nodes}",
+    row = {"algebra": algebra,
+           "input": kind if nodes is None else f"{'full ' * full}levi {nodes}",
            "build_s": build_s}
     printed = io.StringIO()
     for cmd, argv in (("certify", ["certify", inp, "--out", cert]),
@@ -84,4 +87,4 @@ if __name__ == "__main__":
         kind = "levi"
         nodes = [int(x) for x in args[args.index("--levi") + 1].split(",")]
     with tempfile.TemporaryDirectory() as tmp:
-        print(json.dumps(rung(args[0], tmp, kind, nodes)))
+        print(json.dumps(rung(args[0], tmp, kind, nodes, "--full" in args)))
