@@ -26,6 +26,7 @@ from ghcert import genericity
 from ghcert.algebra import LieAlgebra, build_algebra
 from ghcert.borel import BorelData, build_borel
 from ghcert.embedding import (
+    DEFAULT_MAX_HEIGHT,
     EmbeddedSubalgebra,
     Reduction,
     RegularElement,
@@ -149,11 +150,8 @@ class ProblemInput:
     __slots__ = ("algebra", "generators", "cartan_t", "max_coeff", "max_scale",
                  "max_height", "seed", "cond2_cap", "dim_cap")
 
-    def __init__(self, algebra: str, generators: list, cartan_t: list,
-                 max_coeff: int = genericity.DEFAULT_MAX_COEFF,
-                 max_scale: int = genericity.DEFAULT_MAX_SCALE, max_height: int = 6,
-                 seed: int = 0, cond2_cap: int = genericity.DEFAULT_COND2_CAP,
-                 dim_cap: int = DEFAULT_DIM_CAP):
+    def __init__(self, algebra: str, generators: list, cartan_t: list, max_coeff: int,
+                 max_scale: int, max_height: int, seed: int, cond2_cap: int, dim_cap: int):
         self.algebra = algebra
         self.generators = generators  # coordinate vectors in the ambient Chevalley basis
         self.cartan_t = cartan_t
@@ -183,7 +181,7 @@ def parse_input(data: dict) -> ProblemInput:
         cartan_t=t_rows,
         max_coeff=search.get("max_coeff", genericity.DEFAULT_MAX_COEFF),
         max_scale=search.get("max_scale", genericity.DEFAULT_MAX_SCALE),
-        max_height=search.get("max_height", 6),
+        max_height=search.get("max_height", DEFAULT_MAX_HEIGHT),
         seed=search.get("seed", 0),
         cond2_cap=caps.get("cond2", genericity.DEFAULT_COND2_CAP),
         dim_cap=caps.get("dim", DEFAULT_DIM_CAP),
@@ -244,14 +242,18 @@ def front(pin: ProblemInput) -> Front:
     return Front(pin, L, emb, ideal=False, reduction=reduction)
 
 
-def _searched_regular(fr: Front) -> RegularElement:
-    return _stage("choose_regular", choose_regular, fr.L, fr.emb,
-                  seed=fr.pin.seed, max_height=fr.pin.max_height)
-
-
-def _parabolic_and_borel(fr: Front, reg: RegularElement):
+def _adapted(fr: Front, coeffs=None):
+    """(reg, pd, borel) at h = sum coeffs[i] t_i or, when coeffs is None, at
+    the h that choose_regular finds: the one place where h is picked."""
+    if coeffs is None:
+        reg = _stage("choose_regular", choose_regular, fr.L, fr.emb,
+                     seed=fr.pin.seed, max_height=fr.pin.max_height)
+    else:
+        reg = regular_from_coeffs(fr.L, fr.emb, coeffs)
+        if reg is None:
+            raise NoRegularFound("$.witness.t_coeffs: h is not regular")
     pd = _stage("build_parabolic", build_parabolic, fr.L, fr.emb, reg)
-    return pd, build_borel(fr.L, [reg.h[i] for i in range(fr.L.rank)])
+    return reg, pd, build_borel(fr.L, [reg.h[i] for i in range(fr.L.rank)])
 
 
 def adapted_borel(pin: ProblemInput):
@@ -260,8 +262,7 @@ def adapted_borel(pin: ProblemInput):
     fr = front(pin)
     if fr.ideal:
         raise InputInvalid("k is an ideal of g, so no witness Borel is adapted to it")
-    reg = _searched_regular(fr)
-    return (fr, reg, *_parabolic_and_borel(fr, reg))
+    return (fr, *_adapted(fr))
 
 
 class Witness:
@@ -275,15 +276,20 @@ class Witness:
         self.nu, self.greport = nu, greport
 
 
-def _witness(fr: Front, reg: RegularElement, nu: Weight | None = None) -> Witness:
-    """The witness at the regular element `reg`, at the given nu or, when nu
-    is None, at the first generic nu that find_generic_nu finds."""
-    pd, borel = _parabolic_and_borel(fr, reg)
-    if pd.r <= 0:
-        raise PipelineError(
-            "build_parabolic", InputInvalid("r = dim(n ∩ k_perp) is zero")
-        )
+def _witness(fr: Front, coeffs=None, nu: Weight | None = None) -> Witness:
+    """The witness at h = sum coeffs[i] t_i, or choose_regular's h, and at
+    nu, or find_generic_nu's first generic nu.  r = 0 (exit 2), then
+    condition (2)'s cap (exit 4) are refused first: neither depends on h,
+    as dim (k_perp)_w = dim g_w - dim k_w is the same at w and -w."""
     L, emb, pin = fr.L, fr.emb, fr.pin
+    grading = emb.grading
+    r = sum(len(idxs) - grading.k_dims.get(w, 0)
+            for w, idxs in grading.blocks.items() if any(w)) // 2
+    if r <= 0:
+        raise PipelineError("t_grading", InputInvalid("r = dim(n ∩ k_perp) is zero"))
+    _stage("check_cond2_cap", genericity.check_cond2_cap, grading, pin.cond2_cap,
+           equal_rank=emb.t.dim == L.rank)
+    reg, pd, borel = _adapted(fr, coeffs)
     rv = _stage("rho_vectors", rho_vectors, L, emb, pd)
     form = _stage("induced_form_on_tstar", induced_form_on_tstar, L, emb)
     if nu is None:
@@ -293,15 +299,9 @@ def _witness(fr: Front, reg: RegularElement, nu: Weight | None = None) -> Witnes
             L, emb, pd, rv, borel, form,
             max_coeff=pin.max_coeff,
             max_scale=pin.max_scale,
-            cond2_cap=pin.cond2_cap,
         )
     else:
-        greport = _stage(
-            "evaluate_genericity",
-            evaluate_genericity,
-            L, emb, pd, rv, form, nu,
-            cond2_cap=pin.cond2_cap,
-        )
+        greport = _stage("evaluate_genericity", evaluate_genericity, L, emb, pd, rv, form, nu)
     return Witness(reg, pd, rv, borel, nu, greport)
 
 
@@ -311,9 +311,8 @@ def search(fr: Front) -> Witness | None:
     nothing to choose) or when the search gives up (`Inconclusive`)."""
     if fr.ideal:
         return None
-    reg = _searched_regular(fr)
     try:
-        return _witness(fr, reg)
+        return _witness(fr)
     except PipelineError as exc:
         if isinstance(exc.cause, GenericNuNotFound):
             return None
@@ -367,7 +366,7 @@ def derive(fr: Front, raw_input: dict, witness: Witness | None,
     dec = _stage("kostant_cohomology", kostant_cohomology, L, borel, nu, pd.r)
     if not dec.omits(nu):
         raise PipelineError(
-            "verify_vanishing", InputInvalid("vanishing fails on generic nu")
+            "verify_vanishing", InvariantViolation("vanishing fails on generic nu")
         )
     oracle_match = None
     if oracle_check:
@@ -471,10 +470,7 @@ def _recorded_witness(fr: Front, cert):
     coeffs = _rationals(w, "$.witness", "t_coeffs", fr.emb.t.dim)
     nu = Weight("g", tuple(_rationals(w, "$.witness", "nu", fr.L.rank)))
     oracle_check = _field(w, "$.witness", "oracle_checked", bool)
-    reg = regular_from_coeffs(fr.L, fr.emb, coeffs)
-    if reg is None:
-        raise NoRegularFound("$.witness.t_coeffs: h is not regular")
-    return _witness(fr, reg, nu), oracle_check
+    return _witness(fr, coeffs, nu), oracle_check
 
 
 def _differing_paths(got, want, path="$"):

@@ -24,6 +24,8 @@ from ghcert.rootsystem import CartanType
 from ghcert.weights import WeightMultiset
 from ghcert import algebra as _algebra
 
+DEFAULT_MAX_HEIGHT = 6
+
 
 class ReductivityReport:
     __slots__ = ("bracket_closed", "killing_nondegenerate_on_k", "toral_action_semisimple")
@@ -49,13 +51,15 @@ class TGrading:
     basis: each g_w is spanned by the basis vectors of t-weight w.
     """
 
-    __slots__ = ("weights", "blocks", "k_dims", "k_roots")
+    __slots__ = ("weights", "blocks", "k_dims", "k_roots", "lines")
 
-    def __init__(self, weights: tuple, blocks: dict, k_dims: dict, k_roots: WeightMultiset):
+    def __init__(self, weights: tuple, blocks: dict, k_dims: dict, k_roots: WeightMultiset,
+                 lines: tuple):
         self.weights = weights  # t-weight (coords tuple) of each basis index
         self.blocks = blocks  # t-weight -> basis indices of g_w
         self.k_dims = k_dims  # t-weight -> dim k_w, for the weights with k_w != 0
         self.k_roots = k_roots  # the nonzero t-weights of k: the t-roots
+        self.lines = lines  # a primitive integer vector per line of the nonzero t-weights
 
 
 class EmbeddedSubalgebra:
@@ -241,8 +245,12 @@ def t_grading(L: LieAlgebra, k: Subspace, t: Subspace) -> TGrading:
             f"({sum(k_dims.values())} of {k.dim})"
         )
     k_roots = WeightMultiset("t", {w: d for w, d in k_dims.items() if any(w)})
+    # -w lies on the line of w, so the positive roots' weights meet every
+    # line; short lines first, as they vanish on the most search candidates
+    lines = {primitive(w)[0] for w in set(root_wts) if any(w)}
+    lines = tuple(sorted(lines, key=lambda p: (sum(map(abs, p)), p)))
     return TGrading(
-        tuple(weights), {w: tuple(idxs) for w, idxs in blocks.items()}, k_dims, k_roots
+        tuple(weights), {w: tuple(idxs) for w, idxs in blocks.items()}, k_dims, k_roots, lines
     )
 
 
@@ -281,7 +289,7 @@ def regular_from_coeffs(L: LieAlgebra, emb: EmbeddedSubalgebra, coeffs):
 
 
 def choose_regular(
-    L: LieAlgebra, emb: EmbeddedSubalgebra, seed: int = 0, max_height: int = 6
+    L: LieAlgebra, emb: EmbeddedSubalgebra, seed: int = 0, max_height: int = DEFAULT_MAX_HEIGHT
 ) -> RegularElement:
     """Deterministic seeded search for h in t with C_g(h) = C_g(t).
 
@@ -291,8 +299,7 @@ def choose_regular(
     ..., max_height, each shell in descending lexicographic order (a
     nonzero seed shuffles the whole shell with random.Random(seed)); the
     first c with a nonzero dot product on each line of g's nonzero
-    t-weights (`primitive`) is taken."""
-    lines = {primitive(w)[0] for w in emb.grading.blocks if any(w)}
+    t-weights (`TGrading.lines`) is taken."""
     rng = random.Random(seed) if seed else None
     for radius in range(max_height + 1):
         shell = (c for c in product(range(radius, -radius - 1, -1), repeat=emb.t.dim)
@@ -301,7 +308,7 @@ def choose_regular(
             shell = list(shell)
             rng.shuffle(shell)
         for coeffs in shell:
-            if all(sum(map(mul, p, coeffs)) for p in lines):
+            if all(sum(map(mul, p, coeffs)) for p in emb.grading.lines):
                 return regular_from_coeffs(L, emb, coeffs)
     raise NoRegularFound(
         f"no regular element with integer coefficients up to {max_height}; raise max_height"

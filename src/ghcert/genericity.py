@@ -11,8 +11,8 @@ memoised per weight multiset; at equal rank (dim t = rank g) the singles
 alone decide (`check_condition_2` has both arguments).  Its
 `enumerated_count` is the number of submultisets this covers,
 prod_j (m_j + 1) - 1, not the number of points evaluated.  The cap
-`caps.cond2` bounds the work actually done, the singles plus the regions,
-to 2^cap; it is checked before the work starts.
+`caps.cond2` bounds that work, the singles plus the regions, to 2^cap;
+`check_cond2_cap` counts it from the t-grading, before any h is chosen.
 """
 
 from functools import lru_cache
@@ -23,7 +23,7 @@ from operator import mul
 
 from ghcert.algebra import LieAlgebra
 from ghcert.borel import BorelData
-from ghcert.embedding import EmbeddedSubalgebra
+from ghcert.embedding import EmbeddedSubalgebra, TGrading
 from ghcert.errors import (
     ContextMismatch,
     DegenerateOnT,
@@ -146,11 +146,6 @@ class Cond2Result:
         self.ok, self.enumerated_count = ok, enumerated_count
         self.witness = witness  # ((weight coords, chosen count), ...) of a violating submultiset
 
-    def __eq__(self, other):
-        if type(other) is not Cond2Result:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
 
 def _det(m):
     """Determinant of a square integer matrix, fraction-free (Bareiss)."""
@@ -271,12 +266,25 @@ def _vertices(groups):
     ]
 
 
+def check_cond2_cap(grading: TGrading, cap: int = DEFAULT_COND2_CAP, equal_rank=False) -> int:
+    """The work of `check_condition_2`, refused over 2^cap: a regular h
+    puts one of w, -w into n, so the singles are half of g's nonzero
+    t-weights, and the l lines of rank r that they lie on cut at most
+    2 sum_{i < r} C(l - 1, i) regions (none walked at equal rank)."""
+    work = sum(1 for w in grading.blocks if any(w)) // 2
+    lines = grading.lines
+    if lines and not equal_rank:
+        work += 2 * sum(comb(len(lines) - 1, i) for i in range(rank(lines)))
+    if work and (work - 1).bit_length() > cap:
+        raise SearchTooLarge(f"{work} singles and regions exceed the 2^{cap} cap")
+    return work
+
+
 def check_condition_2(
     form: TStarForm,
     mu: Weight,
     rho: Weight,
     S: WeightMultiset,
-    cap: int = DEFAULT_COND2_CAP,
     equal_rank: bool = False,
 ) -> Cond2Result:
     """<mu + 2 rho - rho_T, rho_T> > 0 for every nonempty submultiset T of S.
@@ -314,25 +322,17 @@ def check_condition_2(
     and v, 4 C E^2 den f(s / 2E) = <s, 2 E M v> - C <s, M s> at
     s = sum_j n_j u_j.  A failure's witness is a violating single or
     vertex, as counts in the sorted order of S.  `enumerated_count` is the
-    number of submultisets covered, prod_j (m_j + 1) - 1.  The cap bounds
-    the work, the singles plus the regions of the n distinct lines of rank
-    r, at most 2 sum_{i < r} C(n - 1, i), to at most 2^cap before any of
-    it is done.
+    number of submultisets covered, prod_j (m_j + 1) - 1.  The work is
+    bounded before any h is chosen (`check_cond2_cap`).
     """
     groups = tuple(S.items())  # sorted (coords, mult)
     combos = 1
     for _, mult in groups:
         combos *= mult + 1
     result = Cond2Result(ok=True, witness=None, enumerated_count=combos - 1)
-    E, u, lines, on_line, basis = _arrangement(groups)
-    work = len(u)
-    if equal_rank:
-        if combos != 1 << len(u):
-            raise InvariantViolation("n's weights at equal rank are not a positive system")
-    elif lines:
-        work += 2 * sum(comb(len(lines) - 1, i) for i in range(len(basis)))
-    if work and (work - 1).bit_length() > cap:
-        raise SearchTooLarge(f"{work} singles and regions exceed the 2^{cap} cap")
+    E, u, _, on_line, _ = _arrangement(groups)
+    if equal_rank and combos != 1 << len(u):
+        raise InvariantViolation("n's weights at equal rank are not a positive system")
     v, C = _ints([m + 2 * r for m, r in zip(mu.coords, rho.coords)])
     w = [2 * E * x for x in form.image(v)]
 
@@ -372,15 +372,12 @@ class GenericityReport:
 
 
 def evaluate_genericity(
-    L, emb, pd: ParabolicData, rv: RhoVectors, form: TStarForm, nu: Weight,
-    cond2_cap: int = DEFAULT_COND2_CAP,
+    L, emb, pd: ParabolicData, rv: RhoVectors, form: TStarForm, nu: Weight
 ) -> GenericityReport:
     mu = mu_from_nu(emb, nu, rv)
     integral, dominant = check_integral_dominant(form, mu, pd.k_roots, pd.k_positive_roots)
     c1_ok, c1_viol = check_condition_1(form, mu, rv.rho, rv.rho_n, pd.weights_n_cap_k)
-    c2 = check_condition_2(
-        form, mu, rv.rho, pd.weights_n, cap=cond2_cap, equal_rank=len(mu.coords) == L.rank
-    )
+    c2 = check_condition_2(form, mu, rv.rho, pd.weights_n, equal_rank=len(mu.coords) == L.rank)
     return GenericityReport(
         mu=mu,
         integral=integral,
@@ -402,7 +399,6 @@ def find_generic_nu(
     form: TStarForm,
     max_coeff: int = DEFAULT_MAX_COEFF,
     max_scale: int = DEFAULT_MAX_SCALE,
-    cond2_cap: int = DEFAULT_COND2_CAP,
 ):
     """First b-dominant integral nu whose mu passes all genericity checks.
 
@@ -417,7 +413,7 @@ def find_generic_nu(
             if all(x == 0 for x in lam) and scale > 1:
                 break
             nu = nu0.scale(scale)
-            report = evaluate_genericity(L, emb, pd, rv, form, nu, cond2_cap=cond2_cap)
+            report = evaluate_genericity(L, emb, pd, rv, form, nu)
             if report.passed:
                 return nu, report.mu, report
     raise GenericNuNotFound(

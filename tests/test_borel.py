@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from ghcert.algebra import build_algebra
 from ghcert.borel import BorelData, build_borel
-from ghcert.certify import _searched_regular, front, parse_input
+from ghcert.certify import front, parse_input
+from ghcert.embedding import choose_regular
 from ghcert.weights import Weight
 
 from conftest import (
@@ -105,7 +106,7 @@ WITNESS_INPUTS = (
 def test_build_borel_matches_fraction_reference_on_searched_h(raw):
     # the ideal case has no witness, but its front still searches an h
     fr = front(parse_input(raw))
-    reg = _searched_regular(fr)
+    reg = choose_regular(fr.L, fr.emb, seed=fr.pin.seed, max_height=fr.pin.max_height)
     assert_parity(fr.L, [reg.h[i] for i in range(fr.L.rank)])
 
 

@@ -618,6 +618,90 @@ def test_cli_exit_code_cap_exceeded(write_input, capsys):
     assert "18 singles and regions exceed the 2^4 cap" in capsys.readouterr().err
 
 
+def test_cli_cond2_cap_refuses_before_the_regular_search(write_input, monkeypatch, capsys):
+    """E8's Levi on {0, 2, 3, 4, 5, 6}: the count from the t-grading alone
+    is over the default cap, so certify exits 4 without searching for h."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched for h")
+
+    monkeypatch.setattr(ghcert.certify, "choose_regular", no_search)
+    inp = write_input("in.json", levi("E8", [0, 2, 3, 4, 5, 6]))
+    assert main(["certify", inp]) == 4
+    assert capsys.readouterr().err == (
+        "error: stage 'check_cond2_cap': 61934852 singles and regions exceed the 2^24 cap\n"
+    )
+
+
+def test_cli_kostant_and_oracle_compare_have_no_cond2_cap(write_input, capsys):
+    """Only certify and verify run condition (2), so only they check its cap."""
+    data = json.loads(json.dumps(CASES["a2_torus"]))
+    data["search"] = {"caps": {"cond2": 1}}
+    inp = write_input("in.json", data)
+    assert main(["certify", inp]) == 4
+    assert main(["kostant", "--type", "A2", "--nu", "0,0", "--k-spec", inp,
+                 "--degree", "1"]) == 0
+    assert main(["oracle-compare", inp, "--nu=0,0", "--degrees=0..1"]) == 0
+
+
+def test_cond2_cap_counted_once_per_pipeline(monkeypatch):
+    """certify and verify each count condition (2)'s work once, however
+    many nu candidates the search evaluates: here nu = 0 is made to fail."""
+    import ghcert.genericity
+
+    calls = {"cap": 0, "nu": 0}
+    count_cap, evaluate = ghcert.genericity.check_cond2_cap, ghcert.genericity.evaluate_genericity
+
+    def counted_cap(*args, **kwargs):
+        calls["cap"] += 1
+        return count_cap(*args, **kwargs)
+
+    def first_fails(*args, **kwargs):
+        calls["nu"] += 1
+        report = evaluate(*args, **kwargs)
+        report.integral = report.integral and calls["nu"] > 1
+        return report
+
+    monkeypatch.setattr(ghcert.genericity, "check_cond2_cap", counted_cap)
+    monkeypatch.setattr(ghcert.genericity, "evaluate_genericity", first_fails)
+    raw = CASES["a3_sl2"]
+    cert = certify(parse_input(raw), raw)
+    assert cert["witness"]["nu"] != ["0/1"] * 3
+    assert calls["cap"] == 1 and calls["nu"] > 1
+    assert verify_certificate(cert, raw) == (True, [])
+    assert calls["cap"] == 2
+
+
+def test_r_zero_refused_ahead_of_the_cond2_cap():
+    """r = 0 is refused (exit 2) before condition (2)'s cap (exit 4): here
+    k is made to hold every nonzero weight space and the cap is 2^1."""
+    from ghcert.certify import front, search
+    from ghcert.errors import PipelineError
+
+    data = json.loads(json.dumps(CASES["a2_torus"]))
+    data["search"] = {"caps": {"cond2": 1}}
+    fr = front(parse_input(data))
+    grading = fr.emb.grading
+    grading.k_dims = {w: len(idxs) for w, idxs in grading.blocks.items()}
+    with pytest.raises(PipelineError) as exc:
+        search(fr)
+    assert isinstance(exc.value.cause, InputInvalid)
+    assert str(exc.value) == "stage 't_grading': r = dim(n ∩ k_perp) is zero"
+
+
+def test_cli_vanishing_failure_is_an_invariant_violation(write_input, monkeypatch, capsys):
+    """nu + rho_b is regular and r > 0, so a gamma equal to nu means
+    Kostant's enumeration is wrong: exit 3, not an input fault."""
+    from ghcert.kostant import CohomologyDecomposition
+
+    monkeypatch.setattr(ghcert.certify, "kostant_cohomology",
+                        lambda L, borel, nu, degree: CohomologyDecomposition(degree, [nu]))
+    inp = write_input("in.json", CASES["a1_t"])
+    assert main(["certify", inp]) == 3
+    assert capsys.readouterr().err == (
+        "error: stage 'verify_vanishing': vanishing fails on generic nu\n"
+    )
+
+
 def test_cli_verify_rejects_tampered(write_input, tmp_path, capsys):
     inp = write_input("in.json", CASES["a1_t"])
     out = str(tmp_path / "report.json")
@@ -740,14 +824,26 @@ def test_wrong_vector_length_exits_2_before_the_algebra_is_built(
 
 def test_sl2_rungs_tool_runs_a_full_levi():
     """`tools/sl2_rungs.py --levi ... --full` round-trips a full Levi (t = h)
-    through certify and verify in a child process."""
+    through certify and verify in a child process, and `--seed 1` reaches
+    certify's seeded search."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(root / "tools" / "sl2_rungs.py"), "B3", "--levi", "0", "--full"],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    row = json.loads(proc.stdout)
-    assert row["input"] == "full levi [0]"
-    assert (row["certify_exit"], row["verify_exit"], row["valid"]) == (0, 0, True)
+    rows = []
+    for extra in ([], ["--seed", "1"]):
+        proc = subprocess.run(
+            [sys.executable, str(root / "tools" / "sl2_rungs.py"), "B3", "--levi", "0", "--full",
+             *extra],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows.append(json.loads(proc.stdout))
+    for row in rows:
+        assert row["input"] == "full levi [0]"
+        assert (row["certify_exit"], row["verify_exit"], row["valid"]) == (0, 0, True)
+    assert "seed" not in rows[0] and rows[1]["seed"] == 1
+    assert rows[0]["sha256"] != rows[1]["sha256"]
+    raw = levi("B3", [0], full=True)
+    pin = parse_input(raw)
+    pin.seed = 1
+    assert rows[1]["sha256"] == hashlib.sha256(
+        (canonical_json(certify(pin, raw)) + "\n").encode()).hexdigest()

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,9 @@ from ghcert.embedding import (
     verify_reductive,
 )
 from ghcert.errors import InputInvalid, NoRegularFound, NotTInvariant, ReducedToZero
-from ghcert.linalg import Echelon, rank
+from ghcert.genericity import check_cond2_cap
+from ghcert.linalg import Echelon, primitive, rank
+from ghcert.parabolic import build_parabolic
 from ghcert.rootsystem import CartanType
 
 from conftest import (
@@ -212,6 +215,36 @@ def test_choose_regular_matches_the_shell_search(raw):
         got = choose_regular(L, emb, seed=seed)
         want = shell_search_regular(L, emb, seed=seed)
         assert (got.t_coeffs, got.h, got.g_spectrum) == (want.t_coeffs, want.h, want.g_spectrum)
+
+
+def cond2_work_at_h(pd, equal_rank):
+    """Reference: condition (2)'s work as counted at a chosen h, from n's
+    distinct t-weights, their lines and the lines' rank."""
+    weights = list(pd.weights_n.entries)
+    lines = list(dict.fromkeys(primitive(w)[0] for w in weights))
+    work = len(weights)
+    if lines and not equal_rank:
+        work += 2 * sum(comb(len(lines) - 1, i) for i in range(rank(lines)))
+    return work
+
+
+@pytest.mark.parametrize("raw", [raw for _, raw in PARITY_INPUTS],
+                         ids=[name for name, _ in PARITY_INPUTS])
+def test_cond2_cap_counts_at_any_regular_h(raw):
+    """The count from the t-grading equals the count from n's weights at
+    the searched h, and so does r = dim(n ∩ k_perp), for seeds 0 and 5."""
+    pin = parse_input(raw)
+    L = build_algebra(pin.algebra)
+    emb = make_embedding(L, pin.generators, pin.cartan_t)
+    equal_rank = emb.t.dim == L.rank
+    grading = emb.grading
+    work = check_cond2_cap(grading, cap=10**6, equal_rank=equal_rank)
+    r = sum(len(idxs) - grading.k_dims.get(w, 0)
+            for w, idxs in grading.blocks.items() if any(w)) // 2
+    for seed in (0, 5):
+        pd = build_parabolic(L, emb, choose_regular(L, emb, seed=seed))
+        assert work == cond2_work_at_h(pd, equal_rank)
+        assert r == pd.r
 
 
 def test_no_regular_in_trivial_t():

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from ghcert.algebra import build_algebra
 from ghcert.borel import build_borel
-from ghcert.embedding import choose_regular, make_embedding
+from ghcert.embedding import TGrading, choose_regular, make_embedding
 from ghcert.errors import DegenerateOnT, InvariantViolation, SearchTooLarge
 from ghcert.genericity import (
     TStarForm,
+    check_cond2_cap,
     check_condition_2,
     evaluate_genericity,
     find_generic_nu,
@@ -19,7 +20,7 @@ from ghcert.genericity import (
     mu_from_nu,
     restrict_to_t,
 )
-from ghcert.linalg import exact
+from ghcert.linalg import exact, primitive
 from ghcert.parabolic import build_parabolic, rho_vectors
 from ghcert.weights import Weight, WeightMultiset
 
@@ -183,34 +184,54 @@ PLANE = TStarForm([[F(1), F(0)], [F(0), F(1)]])
 FAR = Weight("t", (F(400), F(300))), Weight("t", (F(0), F(0)))  # mu, rho: all pass
 
 
+def _grading(weights, sizes=None):
+    """The blocks and lines of a t-grading of t = Q^2 whose nonzero weights
+    are the w and -w for w in `weights`, g_w of dimension sizes[i]."""
+    blocks = {}
+    for i, w in enumerate(weights):
+        w = tuple(F(x) for x in w)
+        blocks[w] = blocks[tuple(-x for x in w)] = tuple(range(sizes[i] if sizes else 1))
+    lines = tuple(dict.fromkeys(primitive(w)[0] for w in blocks))
+    return TGrading((), blocks, {}, WeightMultiset("t"), lines)
+
+
 def test_condition_2_cap():
     """30 distinct lines in the plane: 30 singles and 60 regions exceed
     2^6, although the singles alone are under it."""
-    S = _plane([(1, i) for i in range(30)])
+    grading = _grading([(1, i) for i in range(30)])
     with pytest.raises(SearchTooLarge, match="^90 singles and regions exceed the 2\\^6 cap$"):
-        check_condition_2(PLANE, *FAR, S, cap=6)
-    assert check_condition_2(PLANE, *FAR, S, cap=7).ok
+        check_cond2_cap(grading, cap=6)
+    assert check_cond2_cap(grading, cap=7) == 90
 
 
 def test_condition_2_cap_raises_before_the_walk(monkeypatch):
-    """Over the cap, no region is enumerated and no value is taken."""
+    """Over the cap, certify refuses before any h is chosen: no regular
+    element is searched, no region enumerated and no value taken."""
+    import ghcert.certify
     import ghcert.genericity
+    from ghcert.certify import certify, parse_input
+    from ghcert.errors import PipelineError
 
-    def no_walk(*args):
+    def no_walk(*args, **kwargs):
         raise AssertionError("walked")
 
+    monkeypatch.setattr(ghcert.certify, "choose_regular", no_walk)
     monkeypatch.setattr(ghcert.genericity, "_vertices", no_walk)
     monkeypatch.setattr(ghcert.genericity, "_regions", no_walk)
     monkeypatch.setattr(TStarForm, "image", no_walk)
-    S = _plane([(1, i) for i in range(40)])
-    with pytest.raises(SearchTooLarge):
-        check_condition_2(PLANE, *FAR, S, cap=6)
+    # a 2-torus of A3: 6 singles and 12 regions, over 2^4
+    raw = problem("A3", [int_unit(15, 0), int_unit(15, 1)], [int_unit(15, 0), int_unit(15, 1)])
+    raw["search"] = {"caps": {"cond2": 4}}
+    with pytest.raises(PipelineError) as exc:
+        certify(parse_input(raw), raw)
+    assert type(exc.value.cause) is SearchTooLarge
+    assert str(exc.value) == "stage 'check_cond2_cap': 18 singles and regions exceed the 2^4 cap"
 
 
 def test_condition_2_huge_cap_is_prompt():
-    # a cap far beyond any multiset is only compared by bit length
-    S = _plane([(1, 0), (0, 1), (1, 1)], [3, 2, 1])
-    assert check_condition_2(PLANE, *FAR, S, cap=10**12) == check_condition_2(PLANE, *FAR, S)
+    # a cap far beyond any grading is only compared by bit length
+    grading = _grading([(1, 0), (0, 1), (1, 1)], [3, 2, 1])
+    assert check_cond2_cap(grading, cap=10**12) == check_cond2_cap(grading) == 9
 
 
 @pytest.mark.parametrize(
@@ -218,20 +239,20 @@ def test_condition_2_huge_cap_is_prompt():
     [
         # two lines, two weights on each: 4 singles + 4 regions = 2^3
         ({(1, 0): 1, (2, 0): 2, (0, 1): 3, (0, 2): 1}, 3, True),
-        ({(1, 0): 3, (0, 1): 3}, 2, False),  # 2 + 4 regions; 15 submultisets
+        ({(1, 0): 3, (0, 1): 3}, 2, False),  # 2 + 4 regions
         ({(1, 0): 2, (2, 0): 1}, 2, True),  # one line: 2 + 2 regions = 2^2
         ({(1, 0): 1, (2, 0): 1, (3, 0): 1}, 2, False),  # 3 + 2
     ],
 )
 def test_condition_2_cap_boundary(mults, cap, fits):
     """The cap bounds the work, the singles plus the regions, to 2^cap;
-    multiplicities cost nothing."""
-    S = _plane(list(mults), list(mults.values()))
+    the dimensions of the weight spaces cost nothing."""
+    grading = _grading(list(mults), list(mults.values()))
     if fits:
-        assert check_condition_2(PLANE, *FAR, S, cap=cap).ok
+        assert check_cond2_cap(grading, cap=cap) <= 2**cap
     else:
         with pytest.raises(SearchTooLarge):
-            check_condition_2(PLANE, *FAR, S, cap=cap)
+            check_cond2_cap(grading, cap=cap)
 
 
 @pytest.mark.parametrize("weights", [
@@ -239,17 +260,17 @@ def test_condition_2_cap_boundary(mults, cap, fits):
     [(1, 0), (2, 0), (3, 0), (0, 1), (0, 2)],  # 5 singles + 4 regions
 ])
 def test_condition_2_cap_counts_regions(weights):
-    S = _plane(weights)
+    grading = _grading(weights)
     with pytest.raises(SearchTooLarge, match="^9 singles and regions exceed the 2\\^3 cap$"):
-        check_condition_2(PLANE, *FAR, S, cap=3)
-    assert check_condition_2(PLANE, *FAR, S, cap=4).ok
+        check_cond2_cap(grading, cap=3)
+    assert check_cond2_cap(grading, cap=4) == 9
 
 
 def test_condition_2_equal_rank_cap_counts_singles():
-    S = _plane([(1, 0), (0, 1), (1, 1)])
-    assert check_condition_2(PLANE, *FAR, S, cap=2, equal_rank=True).ok  # 3 singles
+    grading = _grading([(1, 0), (0, 1), (1, 1)])
+    assert check_cond2_cap(grading, cap=2, equal_rank=True) == 3
     with pytest.raises(SearchTooLarge, match="^3 singles and regions exceed the 2\\^1 cap$"):
-        check_condition_2(PLANE, *FAR, S, cap=1, equal_rank=True)
+        check_cond2_cap(grading, cap=1, equal_rank=True)
 
 
 def test_condition_2_witness_is_first_not_least():
@@ -300,8 +321,9 @@ def test_condition_2_empty_multiset():
     mu, rho = Weight("t", (F(1), F(-1))), Weight("t", (F(0), F(1, 2)))
     S = WeightMultiset("t")
     for equal_rank in (False, True):
-        res = check_condition_2(form, mu, rho, S, cap=1, equal_rank=equal_rank)
+        res = check_condition_2(form, mu, rho, S, equal_rank=equal_rank)
         assert (res.ok, res.witness, res.enumerated_count) == (True, None, 0)
+        assert check_cond2_cap(_grading([]), cap=1, equal_rank=equal_rank) == 0
     assert brute_force_condition_2(form, mu, rho, S) == (True, None, 0)
 
 

@@ -3,12 +3,14 @@
 --principal the principal sl2 (e = sum of the e_{alpha_i}), or with
 --levi the Levi subalgebra on the listed simple roots, with t spanned by
 their h_i or, adding --full, by every h_i (a full Levi; the builders of
-tests/conftest.py).
+tests/conftest.py).  --seed N passes the same option to `certify`, which
+then shuffles each shell of its regular-element search.
 
     for t in F4 E6 E7 E8; do PYTHONPATH=src python3 tools/sl2_rungs.py $t; done
     for t in F4 E6 E7 E8; do PYTHONPATH=src python3 tools/sl2_rungs.py $t --principal; done
     PYTHONPATH=src python3 tools/sl2_rungs.py E6 --levi 0,2,3
     PYTHONPATH=src python3 tools/sl2_rungs.py E7 --levi 0 --full
+    PYTHONPATH=src python3 tools/sl2_rungs.py E7 --levi 0 --full --seed 3
 
 `build_s` is one `build_algebra` from an empty algebra cache, the first
 layer of every request.  `certify` is timed around the call, from an empty
@@ -42,7 +44,7 @@ def sl2_on_alpha1(L, algebra):
     return {"algebra": algebra, "subalgebra_generators": unit, "cartan_t": unit[:1]}
 
 
-def rung(algebra, workdir, kind="sl2", nodes=None, full=False):
+def rung(algebra, workdir, kind="sl2", nodes=None, full=False, seed=None):
     ghcert.algebra._build_cached.cache_clear()
     start = time.perf_counter()
     L = ghcert.algebra.build_algebra(algebra)
@@ -59,8 +61,12 @@ def rung(algebra, workdir, kind="sl2", nodes=None, full=False):
     row = {"algebra": algebra,
            "input": kind if nodes is None else f"{'full ' * full}levi {nodes}",
            "build_s": build_s}
+    seeded = []
+    if seed is not None:
+        row["seed"] = seed
+        seeded = ["--seed", str(seed)]
     printed = io.StringIO()
-    for cmd, argv in (("certify", ["certify", inp, "--out", cert]),
+    for cmd, argv in (("certify", ["certify", inp, "--out", cert, *seeded]),
                       ("verify", ["verify", cert, inp])):
         ghcert.algebra._build_cached.cache_clear()
         start = time.perf_counter()
@@ -80,11 +86,13 @@ def rung(algebra, workdir, kind="sl2", nodes=None, full=False):
 
 if __name__ == "__main__":
     args = sys.argv[1:]
-    kind, nodes = "sl2", None
+    kind, nodes, seed = "sl2", None, None
     if "--principal" in args:
         kind = "principal"
     elif "--levi" in args:
         kind = "levi"
         nodes = [int(x) for x in args[args.index("--levi") + 1].split(",")]
+    if "--seed" in args:
+        seed = int(args[args.index("--seed") + 1])
     with tempfile.TemporaryDirectory() as tmp:
-        print(json.dumps(rung(args[0], tmp, kind, nodes, "--full" in args)))
+        print(json.dumps(rung(args[0], tmp, kind, nodes, "--full" in args, seed)))
