@@ -17,13 +17,13 @@ from ghcert.weights import Weight
 
 
 class BorelData:
-    __slots__ = ("L", "h", "pos_roots", "simple_roots", "w_b", "word", "rho", "m_pos_roots",
+    __slots__ = ("L", "pos_roots", "simple_roots", "w_b", "word", "rho", "m_pos_roots",
                  "m_simple_roots")
 
-    def __init__(self, L: LieAlgebra, h: list, pos_roots: tuple, simple_roots: tuple,
+    def __init__(self, L: LieAlgebra, pos_roots: tuple, simple_roots: tuple,
                  w_b: tuple, word: tuple, rho: Weight, m_pos_roots: tuple,
                  m_simple_roots: tuple):
-        self.L, self.h = L, h
+        self.L = L
         self.pos_roots = pos_roots  # b-positive roots, simple-root coords
         self.simple_roots = simple_roots
         self.w_b = w_b  # matrix on fundamental coords, std-dominant -> b-dominant
@@ -116,7 +116,6 @@ def build_borel(L: LieAlgebra, h) -> BorelData:
     m_simple = tuple(c for c, f, v in signed if v == 0 and f in simple_f)
     return BorelData(
         L=L,
-        h=h,
         pos_roots=pos,
         simple_roots=simple,
         w_b=tuple(tuple(row) for row in w_b),

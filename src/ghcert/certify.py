@@ -51,7 +51,7 @@ from ghcert.genericity import (
     find_generic_nu,
     induced_form_on_tstar,
 )
-from ghcert.kostant import kostant_cohomology
+from ghcert.kostant import check_coset_cap, kostant_cohomology
 from ghcert.linalg import exact
 from ghcert.oracle import DEFAULT_DIM_CAP, compare_kostant_vs_oracle
 from ghcert.parabolic import ParabolicData, RhoVectors, build_parabolic, rho_vectors
@@ -279,21 +279,25 @@ class Witness:
 def _witness(fr: Front, coeffs=None, nu: Weight | None = None) -> Witness:
     """The witness at h = sum coeffs[i] t_i, or choose_regular's h, and at
     nu, or find_generic_nu's first generic nu.  r = 0 (exit 2), then
-    condition (2)'s cap (exit 4) are refused first: neither depends on h,
-    as dim (k_perp)_w = dim g_w - dim k_w is the same at w and -w."""
+    condition (2)'s cap and Kostant's coset count (exit 4) are refused
+    first: none depends on h.  r is the t-grading's (`TGrading`), and so is
+    m = g_0, whose roots are those of t-weight 0; so W_m and the walk's
+    length min(r, dim n - r) are known before h is chosen."""
     L, emb, pin = fr.L, fr.emb, fr.pin
     grading = emb.grading
-    r = sum(len(idxs) - grading.k_dims.get(w, 0)
-            for w, idxs in grading.blocks.items() if any(w)) // 2
-    if r <= 0:
+    if grading.r == 0:
         raise PipelineError("t_grading", InputInvalid("r = dim(n ∩ k_perp) is zero"))
     _stage("check_cond2_cap", genericity.check_cond2_cap, grading, pin.cond2_cap,
            equal_rank=emb.t.dim == L.rank)
+    zero = grading.blocks[(0,) * emb.t.dim]
+    dim_n = (L.dim - len(zero)) // 2
+    m_roots = [L.basis[i][1] for i in zero if L.basis[i][0] == "e"]
+    _stage("check_coset_cap", check_coset_cap, L.rs, m_roots, min(grading.r, dim_n - grading.r))
     reg, pd, borel = _adapted(fr, coeffs)
     rv = _stage("rho_vectors", rho_vectors, L, emb, pd)
     form = _stage("induced_form_on_tstar", induced_form_on_tstar, L, emb)
     if nu is None:
-        nu, _, greport = _stage(
+        nu, greport = _stage(
             "find_generic_nu",
             find_generic_nu,
             L, emb, pd, rv, borel, form,

@@ -21,7 +21,6 @@ from ghcert.errors import (
 )
 from ghcert.linalg import Echelon, exact, integral, primitive, rank
 from ghcert.rootsystem import CartanType
-from ghcert.weights import WeightMultiset
 from ghcert import algebra as _algebra
 
 DEFAULT_MAX_HEIGHT = 6
@@ -48,18 +47,29 @@ class TGrading:
     """g = sum of the joint t-weight spaces g_w, and k = sum of k_w = k ∩ g_w.
 
     t lies in the standard Cartan, so ad t is diagonal on the Chevalley
-    basis: each g_w is spanned by the basis vectors of t-weight w.
+    basis: each g_w is spanned by the basis vectors of t-weight w.  Every
+    weight datum of the witness that h does not decide is read off here.
+    K pairs g_w only with g_{-w}, and it is nondegenerate on g and on k, so
+    dim k_{-w} = dim k_w and dim (k_perp)_w = dim g_w - dim k_w.  A regular
+    h puts exactly one of w, -w into n, so r = dim(n ∩ k_perp) is half the
+    sum of dim (k_perp)_w over the nonzero w.
     """
 
-    __slots__ = ("weights", "blocks", "k_dims", "k_roots", "lines")
+    __slots__ = ("weights", "blocks", "k_dims", "lines")
 
-    def __init__(self, weights: tuple, blocks: dict, k_dims: dict, k_roots: WeightMultiset,
-                 lines: tuple):
+    def __init__(self, weights: tuple, blocks: dict, k_dims: dict, lines: tuple):
         self.weights = weights  # t-weight (coords tuple) of each basis index
         self.blocks = blocks  # t-weight -> basis indices of g_w
         self.k_dims = k_dims  # t-weight -> dim k_w, for the weights with k_w != 0
-        self.k_roots = k_roots  # the nonzero t-weights of k: the t-roots
         self.lines = lines  # a primitive integer vector per line of the nonzero t-weights
+
+    def kperp_dim(self, w) -> int:
+        """dim (k_perp)_w."""
+        return len(self.blocks[w]) - self.k_dims.get(w, 0)
+
+    @property
+    def r(self) -> int:
+        return sum(self.kperp_dim(w) for w in self.blocks if any(w)) // 2
 
 
 class EmbeddedSubalgebra:
@@ -219,7 +229,8 @@ def t_grading(L: LieAlgebra, k: Subspace, t: Subspace) -> TGrading:
 
     dim k_w is the rank of k's rows restricted to the columns of g_w: the
     projection of k to g_w. The projections' dimensions sum to dim k
-    exactly when k = sum of (k ∩ g_w), that is, when k is t-invariant.
+    exactly when k = sum of (k ∩ g_w), that is, when k is t-invariant; so
+    the blocks of k_perp (`TGrading.kperp_dim`) sum to dim g - dim k.
     """
     # the t-weight of each positive root, by root index; f_c has minus it
     trows = t.pivot_rows.values()
@@ -237,34 +248,24 @@ def t_grading(L: LieAlgebra, k: Subspace, t: Subspace) -> TGrading:
     blocks = {}
     for idx, w in enumerate(weights):
         blocks.setdefault(w, []).append(idx)
-    cuts = split_by_weight(k.pivot_rows.values(), blocks, weights)
+    cuts = {w: [] for w in blocks}  # k's rows cut to the columns of each g_w
+    for row in k.pivot_rows.values():
+        parts = {}
+        for i, x in row.items():
+            parts.setdefault(weights[i], {})[i] = x
+        for w, part in parts.items():
+            cuts[w].append(part)
     k_dims = {w: rank(rows) for w, rows in cuts.items() if rows}
     if sum(k_dims.values()) != k.dim:
         raise NotTInvariant(
             f"subspace is not a sum of joint t-weight spaces "
             f"({sum(k_dims.values())} of {k.dim})"
         )
-    k_roots = WeightMultiset("t", {w: d for w, d in k_dims.items() if any(w)})
     # -w lies on the line of w, so the positive roots' weights meet every
     # line; short lines first, as they vanish on the most search candidates
     lines = {primitive(w)[0] for w in set(root_wts) if any(w)}
     lines = tuple(sorted(lines, key=lambda p: (sum(map(abs, p)), p)))
-    return TGrading(
-        tuple(weights), {w: tuple(idxs) for w, idxs in blocks.items()}, k_dims, k_roots, lines
-    )
-
-
-def split_by_weight(rows, blocks, weights):
-    """{w: the sparse rows cut to the columns of g_w}, in block order; a
-    row with nothing in g_w is left out there."""
-    cuts = {w: [] for w in blocks}
-    for row in rows:
-        parts = {}
-        for i, x in row.items():
-            parts.setdefault(weights[i], {})[i] = x
-        for w, part in parts.items():
-            cuts[w].append(part)
-    return cuts
+    return TGrading(tuple(weights), {w: tuple(idxs) for w, idxs in blocks.items()}, k_dims, lines)
 
 
 # -- regular element ---------------------------------------------------

@@ -33,7 +33,7 @@ from ghcert.errors import (
 )
 from ghcert.linalg import Echelon, exact, primitive, rank
 from ghcert.parabolic import ParabolicData, RhoVectors
-from ghcert.weights import Weight, WeightMultiset
+from ghcert.weights import Weight
 
 DEFAULT_MAX_COEFF = 5
 DEFAULT_MAX_SCALE = 20
@@ -110,21 +110,19 @@ def _ints(vec):
     return [x.numerator * (D // x.denominator) for x in vec], D
 
 
-def check_integral_dominant(form: TStarForm, mu: Weight, k_roots, positive_k_roots):
-    """Integrality against all t-root coroots of k; dominance against the
-    positive ones.  In integers: with mu = m / D and beta = b / B,
+def check_integral_dominant(form: TStarForm, mu: Weight, positive_k_roots):
+    """Integrality and dominance against the coroots of the positive t-roots
+    of k; -beta pairs to the negative of beta, so the positive ones decide
+    integrality for all.  In integers: with mu = m / D and beta = b / B,
     2 <mu, beta> / <beta, beta> = 2 B <Mm, b> / (D <Mb, b>)."""
     m, D = _ints(mu.coords)
     Mm = form.image(m)
-    integral = True
-    for beta in k_roots.entries:
-        b, B = _ints(beta)
-        if 2 * B * sum(map(mul, Mm, b)) % (D * sum(map(mul, form.image(b), b))):
-            integral = False
-            break
-    dominant = all(
-        sum(map(mul, Mm, _ints(beta)[0])) >= 0 for beta in positive_k_roots.entries
+    betas = [_ints(beta) for beta in positive_k_roots]
+    integral = all(
+        2 * B * sum(map(mul, Mm, b)) % (D * sum(map(mul, form.image(b), b))) == 0
+        for b, B in betas
     )
+    dominant = all(sum(map(mul, Mm, b)) >= 0 for b, _ in betas)
     return integral, dominant
 
 
@@ -133,7 +131,7 @@ def check_condition_1(form: TStarForm, mu: Weight, rho: Weight, rho_n: Weight, w
     vec, _ = _ints([m + 2 * r - rn for m, r, rn in zip(mu.coords, rho.coords, rho_n.coords)])
     Mv = form.image(vec)
     violations = [
-        beta for beta in sorted(weights_n_cap_k.entries)
+        beta for beta in sorted(weights_n_cap_k)
         if sum(map(mul, Mv, _ints(beta)[0])) < 0
     ]
     return not violations, violations
@@ -284,17 +282,18 @@ def check_condition_2(
     form: TStarForm,
     mu: Weight,
     rho: Weight,
-    S: WeightMultiset,
+    S: dict,
     equal_rank: bool = False,
 ) -> Cond2Result:
-    """<mu + 2 rho - rho_T, rho_T> > 0 for every nonempty submultiset T of S.
+    """<mu + 2 rho - rho_T, rho_T> > 0 for every nonempty submultiset T of
+    the multiset S, given as {t-weight: multiplicity}.
 
-    With h_j = w_j / 2 over the distinct weights w_j of S (multiplicity
-    m_j), c = mu + 2 rho and sigma = rho_T, the test is f(sigma) > 0 for
-    the concave f(sigma) = <c, sigma> - <sigma, sigma>, over the nonzero
-    points sigma = sum_j n_j h_j, 0 <= n_j <= m_j, of the zonotope
-    Z = sum_j [0, m_j h_j]; f > 0 says that sigma lies in the open ball B
-    with diameter [0, c].  It is decided at the singles h_j and at the
+    With h_j = w_j / 2 over the distinct weights w_j of S in sorted order
+    (multiplicity m_j), c = mu + 2 rho and sigma = rho_T, the test is
+    f(sigma) > 0 for the concave f(sigma) = <c, sigma> - <sigma, sigma>,
+    over the nonzero points sigma = sum_j n_j h_j, 0 <= n_j <= m_j, of the
+    zonotope Z = sum_j [0, m_j h_j]; f > 0 says that sigma lies in the
+    open ball B with diameter [0, c].  It is decided at the singles h_j and at the
     nonzero vertices sum_{j in A} m_j h_j of Z, one per region of the
     arrangement {psi : psi(h_j) = 0}, A = {j : psi(h_j) < 0} (Zaslavsky):
 
@@ -325,7 +324,7 @@ def check_condition_2(
     number of submultisets covered, prod_j (m_j + 1) - 1.  The work is
     bounded before any h is chosen (`check_cond2_cap`).
     """
-    groups = tuple(S.items())  # sorted (coords, mult)
+    groups = tuple(sorted(S.items()))  # (coords, mult)
     combos = 1
     for _, mult in groups:
         combos *= mult + 1
@@ -375,7 +374,7 @@ def evaluate_genericity(
     L, emb, pd: ParabolicData, rv: RhoVectors, form: TStarForm, nu: Weight
 ) -> GenericityReport:
     mu = mu_from_nu(emb, nu, rv)
-    integral, dominant = check_integral_dominant(form, mu, pd.k_roots, pd.k_positive_roots)
+    integral, dominant = check_integral_dominant(form, mu, pd.weights_n_cap_k)
     c1_ok, c1_viol = check_condition_1(form, mu, rv.rho, rv.rho_n, pd.weights_n_cap_k)
     c2 = check_condition_2(form, mu, rv.rho, pd.weights_n, equal_rank=len(mu.coords) == L.rank)
     return GenericityReport(
@@ -403,10 +402,9 @@ def find_generic_nu(
     """First b-dominant integral nu whose mu passes all genericity checks.
 
     Scans nu = N * w_b(lam) over standard-dominant coefficient tuples lam
-    (lexicographic) and scales N; deterministic.
+    (lexicographic) and scales N; deterministic.  Returns (nu, report);
+    mu is `report.mu`.
     """
-    if pd.r <= 0:
-        raise InvariantViolation(f"r = {pd.r}: no cohomology degree to make vanish")
     for lam in product(range(max_coeff + 1), repeat=L.rank):
         nu0 = borel.apply_wb(Weight("g", lam))
         for scale in range(1, max_scale + 1):
@@ -415,7 +413,7 @@ def find_generic_nu(
             nu = nu0.scale(scale)
             report = evaluate_genericity(L, emb, pd, rv, form, nu)
             if report.passed:
-                return nu, report.mu, report
+                return nu, report
     raise GenericNuNotFound(
         f"no generic nu with coefficients <= {max_coeff} and scale <= {max_scale}"
     )

@@ -2,6 +2,10 @@
 and the Hom-vanishing check that settles the non-ideal branch.
 """
 
+from collections import Counter
+from itertools import accumulate
+from operator import sub
+
 from ghcert.algebra import LieAlgebra
 from ghcert.borel import BorelData
 from ghcert.errors import InvariantViolation, LengthOutOfRange, NonDominant, SearchTooLarge
@@ -9,6 +13,58 @@ from ghcert.weights import Weight
 
 # the most minimal coset representatives one degree's search may visit
 COSET_CAP = 4 * 10**6
+
+
+def _heights(roots):
+    """{k: how many roots have height k} for a positive system `roots`
+    (simple-root coordinates in g), over its own base.  Taken by height in
+    g, a root is simple unless it is a simple root plus an earlier root,
+    and then it is one higher than that root."""
+    height, simple = {}, []
+    for c in sorted(roots, key=sum):
+        below = next((b for s in simple if (b := tuple(map(sub, c, s))) in height), None)
+        if below is None:
+            simple.append(c)
+        height[c] = 1 if below is None else height[below] + 1
+    return Counter(height.values())
+
+
+def _degrees(heights):
+    """The degrees of a Weyl group whose positive roots have the height
+    counts n_k: k occurs n_{k-1} - n_k times (Macdonald)."""
+    return [k for k in range(2, len(heights) + 2) for _ in range(heights[k - 1] - heights[k])]
+
+
+def coset_counts(rs, m_roots, length):
+    """[|W^J_l| for l = 0, ..., length], W_J the Weyl group of the positive
+    system `m_roots`: the q^l coefficients of W(q) / W_J(q) (Humphreys,
+    *Reflection Groups and Coxeter Groups*, 1.11), as a power series.  A
+    Weyl group's Poincaré polynomial is prod_i [d_i]_q over its degrees,
+    [d]_q = (1 - q^d) / (1 - q), so the quotient is prod (1 - q^d_i) over
+    W's degrees, divided by prod (1 - q^e_j) over W_J's and by (1 - q) once
+    per simple root of g that W_J lacks."""
+    g_heights, m_heights = Counter(map(sum, rs.positive_roots)), _heights(m_roots)
+    series = [1] + [0] * length
+    for d in _degrees(g_heights):  # times 1 - q^d
+        for i in range(length, d - 1, -1):
+            series[i] -= series[i - d]
+    for e in _degrees(m_heights):  # divided by 1 - q^e
+        for i in range(e, length + 1):
+            series[i] += series[i - e]
+    for _ in range(g_heights[1] - m_heights[1]):  # divided by 1 - q
+        series = list(accumulate(series))
+    return series
+
+
+def check_coset_cap(rs, m_roots, length):
+    """Refuse a W^J walk to `length` that visits more than COSET_CAP
+    elements, counted before it starts (`coset_counts`)."""
+    for step, visited in enumerate(accumulate(coset_counts(rs, m_roots, length))):
+        if visited > COSET_CAP:
+            raise SearchTooLarge(
+                f"W^J search to length {length} visits more than {COSET_CAP} "
+                f"elements (at length {step})"
+            )
 
 
 class CohomologyDecomposition:
@@ -36,8 +92,7 @@ def _coset_representatives(rs, J, length):
     <u(lambda_J), alpha_i^vee> > 0.  Only the last level is kept.
     """
     level = {tuple(int(i not in J) for i in range(rs.rank)): ()}
-    visited = 1
-    for step in range(length):
+    for _ in range(length):
         nxt = {}
         for point, word in level.items():
             for i, x in enumerate(point):
@@ -45,12 +100,6 @@ def _coset_representatives(rs, J, length):
                     img = rs.reflect_simple(i, point)
                     if img not in nxt:
                         nxt[img] = (i,) + word
-        visited += len(nxt)
-        if visited > COSET_CAP:
-            raise SearchTooLarge(
-                f"W^J search to length {length} visits more than {COSET_CAP} "
-                f"elements (at length {step + 1})"
-            )
         level = nxt
     return list(level.values())
 
@@ -91,7 +140,8 @@ def kostant_cohomology(L: LieAlgebra, borel: BorelData, nu: Weight, r: int) -> C
     standard simple roots alpha_j, j in J, that w_b maps onto them, and the
     kept w are the inverses of the u in W^J.  Those of length r are reached
     from the nearer end: u -> w_0 u w_{0,J} reverses length on W^J, whose
-    longest element has length dim n.
+    longest element has length dim n.  The walk's size is checked against
+    COSET_CAP before it starts (`check_coset_cap`).
     """
     check_degrees(L, borel, nu, (r,))
     rs = L.rs
@@ -107,6 +157,8 @@ def kostant_cohomology(L: LieAlgebra, borel: BorelData, nu: Weight, r: int) -> C
     top = n_pos - len(borel.m_pos_roots)  # dim n
     gammas = []
     if r <= top:
+        m_roots = [c for c in rs.positive_roots if not any(c[i] for i in range(n) if i not in J)]
+        check_coset_cap(rs, m_roots, min(r, top - r))
         # base = w_b^-1 (nu + rho_b), in integers: w_b^-1 = s_{i_l} ... s_{i_1}
         # for the word (i_1, ..., i_l) that sifts w_b(rho) = rho_b back to rho
         base = _act(rs, borel.word, tuple(x + p for x, p in zip(nu.coords, rho)))

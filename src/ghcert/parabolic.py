@@ -1,17 +1,18 @@
 """The minimal t-compatible parabolic p = m + n built from the regular
-element h, the intersections with k and its Killing complement, and the
-rho-vectors on t*.
+element h, the multiplicities of n's t-weights, and the rho-vectors on t*.
 
-Everything is read off the t-grading of the embedding: m, n and nbar are
-the basis indices whose t-weight is zero, positive or negative on h, and
-each intersection is a sum of one block dimension per t-weight.
+m, n and nbar are the basis indices whose t-weight is zero, positive or
+negative on h. The multiplicities of the t-weights of n, n ∩ k and
+n ∩ k_perp are the t-grading's (`TGrading`), cut by the sign of each
+weight on h.
 """
 
+from fractions import Fraction
+
 from ghcert.algebra import LieAlgebra
-from ghcert.embedding import EmbeddedSubalgebra, RegularElement, split_by_weight
+from ghcert.embedding import EmbeddedSubalgebra, RegularElement
 from ghcert.errors import InvariantViolation
-from ghcert.linalg import rank
-from ghcert.weights import Weight, WeightMultiset
+from ghcert.weights import Weight
 
 
 class Block(tuple):
@@ -23,27 +24,23 @@ class Block(tuple):
 
 
 class ParabolicData:
-    __slots__ = ("h", "m", "n", "nbar", "kperp_dims", "k_roots", "k_positive_roots",
-                 "weights_n", "weights_n_cap_k", "weights_n_cap_kperp")
+    __slots__ = ("m", "n", "nbar", "weights_n", "weights_n_cap_k", "weights_n_cap_kperp")
 
-    def __init__(self, h: RegularElement, m: Block, n: Block, nbar: Block, kperp_dims: dict,
-                 k_roots: WeightMultiset, k_positive_roots: WeightMultiset,
-                 weights_n: WeightMultiset, weights_n_cap_k: WeightMultiset,
-                 weights_n_cap_kperp: WeightMultiset):
-        self.h, self.m, self.n, self.nbar = h, m, n, nbar
-        self.kperp_dims = kperp_dims  # t-weight -> dim (k_perp)_w
-        self.k_roots = k_roots  # t-roots of k
-        self.k_positive_roots = k_positive_roots  # the t-roots of k positive on h
+    def __init__(self, m: Block, n: Block, nbar: Block, weights_n: dict,
+                 weights_n_cap_k: dict, weights_n_cap_kperp: dict):
+        self.m, self.n, self.nbar = m, n, nbar
+        # {t-weight: multiplicity}; a t-root of k is positive on h exactly
+        # when it is a t-weight of n ∩ k
         self.weights_n, self.weights_n_cap_k = weights_n, weights_n_cap_k
         self.weights_n_cap_kperp = weights_n_cap_kperp
 
     @property
     def r(self) -> int:
-        return self.weights_n_cap_kperp.total()
+        return sum(self.weights_n_cap_kperp.values())
 
     @property
     def s(self) -> int:
-        return self.weights_n_cap_k.total()
+        return sum(self.weights_n_cap_k.values())
 
 
 class RhoVectors:
@@ -57,39 +54,27 @@ class RhoVectors:
         return self.rho_n_perp.scale(2)
 
 
-def _kperp_dims(L: LieAlgebra, emb: EmbeddedSubalgebra):
-    """dim (k_perp)_w per t-weight w. The Killing form pairs g_w only with
-    g_{-w}, so (k_perp)_w is the kernel of the pairing block K(k_{-w}, g_w):
-    the functionals K(x, .) of k's rows x, cut to the columns of g_w."""
-    grading = emb.grading
-    duals = (L.killing_dual(row) for row in emb.k.pivot_rows.values())
-    cuts = split_by_weight(duals, grading.blocks, grading.weights)
-    return {w: len(cols) - rank(cuts[w]) for w, cols in grading.blocks.items()}
-
-
 def build_parabolic(L: LieAlgebra, emb: EmbeddedSubalgebra, reg: RegularElement) -> ParabolicData:
+    """m, n and nbar at the regular h, and the grading's dim g_w, dim k_w
+    and dim (k_perp)_w at each t-weight w positive on h."""
     grading = emb.grading
     values = {w: reg.value(w) for w in grading.blocks}
     sign = {w: (v > 0) - (v < 0) for w, v in values.items()}
     parts = {-1: [], 0: [], 1: []}
     for idx, w in enumerate(grading.weights):
         parts[sign[w]].append(idx)
-    kperp = _kperp_dims(L, emb)
+    positive = [w for w, s in sign.items() if s > 0]
 
-    def positive(dims):
-        return WeightMultiset("t", {w: d for w, d in dims.items() if d and sign[w] > 0})
+    def cut(dim):
+        return {w: d for w in positive if (d := dim(w))}
 
     pd = ParabolicData(
-        h=reg,
         m=Block(parts[0]),
         n=Block(parts[1]),
         nbar=Block(parts[-1]),
-        kperp_dims=kperp,
-        k_roots=grading.k_roots,
-        k_positive_roots=positive(grading.k_roots.entries),
-        weights_n=positive({w: len(idxs) for w, idxs in grading.blocks.items()}),
-        weights_n_cap_k=positive(grading.k_dims),
-        weights_n_cap_kperp=positive(kperp),
+        weights_n=cut(lambda w: len(grading.blocks[w])),
+        weights_n_cap_k=cut(lambda w: grading.k_dims.get(w, 0)),
+        weights_n_cap_kperp=cut(grading.kperp_dim),
     )
     _validate(L, emb, pd, sign)
     return pd
@@ -130,10 +115,7 @@ def _validate(L, emb, pd, sign):
     require(n_closed, "n closed under bracket")
     require(mn_in_n, "[m, n] inside n")
     require(_nilpotent(lower), "n is ad-nilpotent")
-    require(
-        sum(pd.kperp_dims.values()) == L.dim - emb.k.dim,
-        "the blocks of k_perp have dimensions summing to dim g - dim k",
-    )
+    require(pd.r == emb.grading.r, "r = dim(n ∩ k_perp) is the t-grading's")
     require(pd.n.dim == pd.nbar.dim, "dim n equals dim nbar")
 
 
@@ -148,10 +130,19 @@ def _nilpotent(lower):
     return False
 
 
+def half_sum(mults: dict, dim: int) -> Weight:
+    """Half the sum of the t-weights in {t-weight: multiplicity}."""
+    acc = [0] * dim
+    for coords, mult in mults.items():
+        for i, x in enumerate(coords):
+            acc[i] += mult * x
+    return Weight("t", acc).scale(Fraction(1, 2))
+
+
 def rho_vectors(L: LieAlgebra, emb: EmbeddedSubalgebra, pd: ParabolicData) -> RhoVectors:
     dim = emb.t.dim
     return RhoVectors(
-        rho=pd.k_positive_roots.half_sum(dim=dim),
-        rho_n=pd.weights_n.half_sum(dim=dim),
-        rho_n_perp=pd.weights_n_cap_kperp.half_sum(dim=dim),
+        rho=half_sum(pd.weights_n_cap_k, dim),
+        rho_n=half_sum(pd.weights_n, dim),
+        rho_n_perp=half_sum(pd.weights_n_cap_kperp, dim),
     )

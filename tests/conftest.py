@@ -286,6 +286,43 @@ ORACLE_CASES = (
     + [("a3_sl2", (2, -1, 1), list(range(6)))]
 )
 
+# the types of the closed-form sweep: the principal sl2, and every Levi and
+# full Levi on a nonempty proper set of simple roots
+SWEEP_TYPES = ("A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2", "F4", "E6")
+
+
+def sweep_inputs(algebra):
+    """The principal sl2, then the Levis and full Levis of `algebra`, as
+    (name, input) pairs."""
+    from ghcert.rootsystem import CartanType
+
+    n = CartanType.parse(algebra).rank
+    out = [(f"{algebra}-principal", principal_sl2(algebra))]
+    for size in range(1, n):
+        for nodes in itertools.combinations(range(n), size):
+            out.append((f"{algebra}-levi-{list(nodes)}", levi(algebra, list(nodes))))
+            out.append((f"{algebra}-full-levi-{list(nodes)}", levi(algebra, list(nodes), True)))
+    return out
+
+
+def killing_kperp_dims(L, emb):
+    """Reference: dim (k_perp)_w per t-weight w from Killing-dual ranks. The
+    Killing form pairs g_w only with g_{-w}, so (k_perp)_w is the kernel of
+    the pairing block K(k_{-w}, g_w): the functionals K(x, .) of k's rows x,
+    cut to the columns of g_w."""
+    from ghcert.linalg import rank
+
+    grading = emb.grading
+    cuts = {w: [] for w in grading.blocks}
+    for row in emb.k.pivot_rows.values():
+        parts = {}
+        for i, x in L.killing_dual(row).items():
+            parts.setdefault(grading.weights[i], {})[i] = x
+        for w, part in parts.items():
+            cuts[w].append(part)
+    return {w: len(cols) - rank(cuts[w]) for w, cols in grading.blocks.items()}
+
+
 def borel_from_case(raw):
     """Adapted Borel of the certified witness for a case input."""
     from ghcert.certify import adapted_borel, parse_input
@@ -315,7 +352,7 @@ def brute_force_condition_2(form, mu, rho, S):
     """(ok, witness, enumerated) over every count tuple in lexicographic
     order: the first nonempty T with <mu + 2 rho - rho_T, rho_T> <= 0 is
     the witness."""
-    groups = S.items()
+    groups = sorted(S.items())
     tuples = list(itertools.product(*(range(m + 1) for _, m in groups)))
     for counts in tuples[1:]:
         witness = tuple((w, k) for (w, _), k in zip(groups, counts) if k)
@@ -331,7 +368,7 @@ def assert_condition_2_matches_brute_force(res, form, mu, rho, S):
     assert (res.ok, res.enumerated_count) == (ok, enumerated)
     assert (res.witness is None) == ok
     if res.witness is not None:
-        assert all(0 < k <= S.entries[w] for w, k in res.witness)
+        assert all(0 < k <= S[w] for w, k in res.witness)
         assert condition_2_value(form, mu, rho, res.witness) <= 0
 
 

@@ -17,7 +17,7 @@ from ghcert.cli import main
 from ghcert.genericity import TStarForm, check_condition_2
 from ghcert.kostant import kostant_cohomology, verify_vanishing
 from ghcert.oracle import ce_cohomology, check_module_relations, construct_module
-from ghcert.weights import Weight, WeightMultiset
+from ghcert.weights import Weight
 
 from conftest import (
     CASES,
@@ -183,7 +183,7 @@ def test_criterion_6_condition_2_vs_brute_force_200():
         ):
             continue
         form = TStarForm(g)
-        S = WeightMultiset("t")
+        S = {}
         total = 0
         target = rng.randint(1, 12)
         while total < target:
@@ -191,7 +191,7 @@ def test_criterion_6_condition_2_vs_brute_force_200():
             if all(x == 0 for x in wt):
                 continue
             m = rng.randint(1, 3)
-            S.add(wt, m)
+            S[wt] = S.get(wt, 0) + m
             total += m
         mu = Weight("t", tuple(F(rng.randint(-6, 6)) for _ in range(dim)))
         rho = Weight("t", tuple(F(rng.randint(-4, 4), 2) for _ in range(dim)))

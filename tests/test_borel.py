@@ -68,7 +68,6 @@ def reference_borel(L, h) -> BorelData:
     m_pos = tuple(c for c in pos if root_value_on(L, h, c) == 0)
     return BorelData(
         L=L,
-        h=list(h),
         pos_roots=pos,
         simple_roots=_indecomposables(pos),
         w_b=tuple(tuple(row) for row in w_b),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghcert.algebra import LieAlgebra, Subspace, build_algebra
-from ghcert.certify import certify, dec_vec, enc_vec, parse_input
+from ghcert.certify import certify, dec_vec, enc_vec, front, parse_input
 from ghcert.embedding import (
     choose_regular,
     close_generators,
@@ -27,10 +27,13 @@ from ghcert.rootsystem import CartanType
 from conftest import (
     CASES,
     REDUCTION,
+    SWEEP_TYPES,
     fraction_nullspace,
     fraction_rref,
+    killing_kperp_dims,
     levi,
     shell_search_regular,
+    sweep_inputs,
 )
 from test_genericity import EQUAL_RANK
 
@@ -133,9 +136,9 @@ def test_split_off_no_contained_ideal(a2):
 
 def test_t_roots_of_principal(a2):
     emb = make_embedding(a2, principal_sl2(a2), [unit(8, 0, 1)])
-    roots = emb.grading.k_roots
-    assert roots.total() == 2
-    vals = sorted(w[0] for w in roots.entries)
+    roots = {w: d for w, d in emb.grading.k_dims.items() if any(w)}
+    assert sum(roots.values()) == 2
+    vals = sorted(w[0] for w in roots)
     assert vals == [-vals[1], vals[1]] and vals[1] > 0
 
 
@@ -162,7 +165,7 @@ def test_choose_regular_deterministic(a2):
     assert r1.t_coeffs == r2.t_coeffs and r1.h == r2.h
     # seeded variant still yields a regular element
     r3 = choose_regular(a2, emb, seed=5)
-    assert all(r3.value(w) != 0 for w in emb.grading.k_roots.entries)
+    assert all(r3.value(w) != 0 for w in emb.grading.k_dims if any(w))
 
 
 def test_choose_regular_spectrum_a1():
@@ -220,7 +223,7 @@ def test_choose_regular_matches_the_shell_search(raw):
 def cond2_work_at_h(pd, equal_rank):
     """Reference: condition (2)'s work as counted at a chosen h, from n's
     distinct t-weights, their lines and the lines' rank."""
-    weights = list(pd.weights_n.entries)
+    weights = list(pd.weights_n)
     lines = list(dict.fromkeys(primitive(w)[0] for w in weights))
     work = len(weights)
     if lines and not equal_rank:
@@ -241,6 +244,7 @@ def test_cond2_cap_counts_at_any_regular_h(raw):
     work = check_cond2_cap(grading, cap=10**6, equal_rank=equal_rank)
     r = sum(len(idxs) - grading.k_dims.get(w, 0)
             for w, idxs in grading.blocks.items() if any(w)) // 2
+    assert grading.r == r
     for seed in (0, 5):
         pd = build_parabolic(L, emb, choose_regular(L, emb, seed=seed))
         assert work == cond2_work_at_h(pd, equal_rank)
@@ -252,6 +256,26 @@ def test_no_regular_in_trivial_t():
     emb = make_embedding(L, [unit(3, 0)], [unit(3, 0)])
     with pytest.raises(NoRegularFound):
         choose_regular(L, emb, max_height=0)
+
+
+@pytest.mark.parametrize("algebra", ("cases",) + SWEEP_TYPES)
+def test_kperp_closed_form_matches_killing_ranks(algebra):
+    """dim (k_perp)_w = dim g_w - dim k_w is the kernel dimension of the
+    Killing pairing of g_w with k_{-w}, and r is half its sum over the
+    nonzero w, on every non-ideal input of the sweep."""
+    inputs = CASES.values() if algebra == "cases" else [raw for _, raw in sweep_inputs(algebra)]
+    compared = 0
+    for raw in inputs:
+        fr = front(parse_input(raw))
+        if fr.ideal:
+            continue
+        grading = fr.emb.grading
+        want = killing_kperp_dims(fr.L, fr.emb)
+        assert {w: grading.kperp_dim(w) for w in grading.blocks} == want
+        assert grading.r == sum(d for w, d in want.items() if any(w)) // 2
+        compared += 1
+    rank = CartanType.parse(algebra).rank if algebra != "cases" else None
+    assert compared == (6 if rank is None else 1 + 2 * (2**rank - 2))
 
 
 # -- the front against the textbook definitions ---------------------------

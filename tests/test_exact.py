@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ghcert.certify
+import ghcert.parabolic
 from ghcert import oracle
 from ghcert.algebra import LieAlgebra
 from ghcert.certify import dec_q, enc_q, front, parse_input, search
@@ -19,7 +20,8 @@ from ghcert.cli import main
 from ghcert.errors import ContextMismatch, InvariantViolation
 from ghcert.kostant import kostant_cohomology
 from ghcert.linalg import exact
-from ghcert.weights import Weight, WeightMultiset
+from ghcert.parabolic import half_sum
+from ghcert.weights import Weight
 
 from conftest import CASES, REDUCTION, is_normal
 
@@ -63,7 +65,7 @@ def test_front_and_witness_values_in_normal_form(name):
 def test_normaliser_and_encoder_refuse_floats():
     for bad in (0.5, 1.0):
         for make in (exact, enc_q, lambda x: Weight("g", (1, x)),
-                     lambda x: WeightMultiset("t", {(x,): 1})):
+                     lambda x: half_sum({(x,): 1}, 1)):
             with pytest.raises(InvariantViolation, match="not an exact rational"):
                 make(bad)
     # ints and Fractions encode as before
@@ -96,14 +98,14 @@ def test_float_weight_exits_3(monkeypatch, write_input, tmp_path, capsys):
     """x / 2 on int sums is a float: the half-sums must stop certify with
     exit 3 rather than reach the certificate."""
 
-    def float_half_sum(self, dim=None):
+    def float_half_sum(mults, dim):
         acc = [0] * dim
-        for coords, mult in self.entries.items():
+        for coords, mult in mults.items():
             for i, x in enumerate(coords):
                 acc[i] += mult * x
-        return Weight(self.context, tuple(x / 2 for x in acc))
+        return Weight("t", tuple(x / 2 for x in acc))
 
-    monkeypatch.setattr(WeightMultiset, "half_sum", float_half_sum)
+    monkeypatch.setattr(ghcert.parabolic, "half_sum", float_half_sum)
     assert _certify_exit(write_input, tmp_path, CASES["b2_sl2"]) == (3, False)
     assert "not an exact rational" in capsys.readouterr().err
 

@@ -13,6 +13,7 @@ from ghcert.errors import DegenerateOnT, InvariantViolation, SearchTooLarge
 from ghcert.genericity import (
     TStarForm,
     check_cond2_cap,
+    check_integral_dominant,
     check_condition_2,
     evaluate_genericity,
     find_generic_nu,
@@ -22,14 +23,17 @@ from ghcert.genericity import (
 )
 from ghcert.linalg import exact, primitive
 from ghcert.parabolic import build_parabolic, rho_vectors
-from ghcert.weights import Weight, WeightMultiset
+from ghcert.weights import Weight
 
 from conftest import (
+    CASES,
+    SWEEP_TYPES,
     assert_condition_2_matches_brute_force,
     brute_force_condition_2,
     fraction_inverse,
     levi,
     problem,
+    sweep_inputs,
     unit as int_unit,
 )
 
@@ -117,6 +121,43 @@ def test_restriction_and_mu():
     assert mu.coords == (F(2),)
 
 
+def integral_over_all_t_roots(form, mu, k_dims):
+    """Reference: 2 <mu, beta> / <beta, beta> is an integer for every t-root
+    beta of k, positive or negative on h."""
+    return all(
+        F(2 * form.ip(mu.coords, beta), form.ip(beta, beta)).denominator == 1
+        for beta in k_dims if any(beta)
+    )
+
+
+@pytest.mark.parametrize("algebra", ("cases",) + SWEEP_TYPES)
+def test_integrality_over_positive_t_roots_matches_all(algebra):
+    """-beta pairs to the negative of beta, so the t-roots of k positive on
+    h decide integrality for all of them: at the mu of nu = 0 and at three
+    random mu, integral, halves and thirds, on every non-ideal input of the
+    sweep."""
+    from ghcert.certify import front, parse_input
+
+    rng = random.Random(algebra)
+    inputs = CASES.values() if algebra == "cases" else [raw for _, raw in sweep_inputs(algebra)]
+    seen = set()
+    for raw in inputs:
+        fr = front(parse_input(raw))
+        if fr.ideal:
+            continue
+        L, emb = fr.L, fr.emb
+        pd = build_parabolic(L, emb, choose_regular(L, emb))
+        form = induced_form_on_tstar(L, emb)
+        mus = [mu_from_nu(emb, Weight("g", (0,) * L.rank), rho_vectors(L, emb, pd))]
+        mus += [Weight("t", tuple(F(rng.randint(-4, 4), den) for _ in range(emb.t.dim)))
+                for den in (1, 2, 3)]
+        for mu in mus:
+            integral, _ = check_integral_dominant(form, mu, pd.weights_n_cap_k)
+            assert integral == integral_over_all_t_roots(form, mu, emb.grading.k_dims)
+            seen.add(integral)
+    assert seen == {True, False}
+
+
 def test_find_generic_nu_worked_cases():
     # (case, expected nu, expected mu, expected grouped count)
     cases = [
@@ -140,18 +181,16 @@ def test_find_generic_nu_worked_cases():
     ]
     for algebra, gens, t_rows, want_nu, want_mu, count in cases:
         L, emb, pd, rv, borel, form = pipeline(algebra, gens, t_rows)
-        nu, mu, rep = find_generic_nu(L, emb, pd, rv, borel, form)
+        nu, rep = find_generic_nu(L, emb, pd, rv, borel, form)
         assert nu.coords == want_nu
-        assert mu.coords == want_mu
+        assert rep.mu.coords == want_mu
         assert rep.passed
         assert rep.enumerated_count == count
 
 
 def test_enumerated_count_formula():
     form = TStarForm([[F(1)]])
-    S = WeightMultiset("t")
-    S.add((F(1),), 3)
-    S.add((F(2),), 2)
+    S = {(F(1),): 3, (F(2),): 2}
     mu = Weight("t", (F(40),))
     rho = Weight("t", (F(0),))
     res = check_condition_2(form, mu, rho, S)
@@ -162,8 +201,7 @@ def test_enumerated_count_formula():
 
 def test_condition_2_witness_reported():
     form = TStarForm([[F(1)]])
-    S = WeightMultiset("t")
-    S.add((F(4),), 1)
+    S = {(F(4),): 1}
     mu = Weight("t", (F(0),))
     rho = Weight("t", (F(0),))
     res = check_condition_2(form, mu, rho, S)
@@ -174,10 +212,7 @@ def test_condition_2_witness_reported():
 
 def _plane(weights, mults=None):
     """A multiset of weights of t = Q^2 with the standard form."""
-    S = WeightMultiset("t")
-    for i, w in enumerate(weights):
-        S.add(tuple(F(x) for x in w), mults[i] if mults else 1)
-    return S
+    return {tuple(F(x) for x in w): mults[i] if mults else 1 for i, w in enumerate(weights)}
 
 
 PLANE = TStarForm([[F(1), F(0)], [F(0), F(1)]])
@@ -192,7 +227,7 @@ def _grading(weights, sizes=None):
         w = tuple(F(x) for x in w)
         blocks[w] = blocks[tuple(-x for x in w)] = tuple(range(sizes[i] if sizes else 1))
     lines = tuple(dict.fromkeys(primitive(w)[0] for w in blocks))
-    return TGrading((), blocks, {}, WeightMultiset("t"), lines)
+    return TGrading((), blocks, {}, lines)
 
 
 def test_condition_2_cap():
@@ -277,9 +312,7 @@ def test_condition_2_witness_is_first_not_least():
     """A failing single is reported before any vertex, the first in the
     sorted order of S."""
     form = TStarForm([[F(1)]])
-    S = WeightMultiset("t")
-    S.add((F(-2),), 2)
-    S.add((F(6),), 1)
+    S = {(F(-2),): 2, (F(6),): 1}
     mu, rho = Weight("t", (F(4),)), Weight("t", (F(0),))
     # [DERIVED] <4 - h, h> with h = (sum of T)/2: the singles give -5 at
     # {-2} and 3 at {6}; the least value, -12, is at the vertex {-2, -2}
@@ -290,9 +323,7 @@ def test_condition_2_witness_is_first_not_least():
 
 def test_condition_2_witness_is_a_vertex_once_the_singles_pass():
     form = TStarForm([[F(1)]])
-    S = WeightMultiset("t")
-    S.add((F(1),), 1)
-    S.add((F(2),), 2)
+    S = {(F(1),): 1, (F(2),): 2}
     mu, rho = Weight("t", (F(2),)), Weight("t", (F(0),))
     # [DERIVED] <2 - s, s> at s = 1/2, 1 (the singles) is 3/4, 1; the
     # lexicographically first violation is {2, 2} (s = 2, value 0), and the
@@ -304,9 +335,7 @@ def test_condition_2_witness_is_a_vertex_once_the_singles_pass():
 
 def test_condition_2_zero_value_survives_scaling():
     form = TStarForm([[F(1)]])
-    S = WeightMultiset("t")
-    S.add((F(-9, 5),), 1)
-    S.add((F(-9, 7),), 1)
+    S = {(F(-9, 5),): 1, (F(-9, 7),): 1}
     mu, rho = Weight("t", (F(-54, 35),)), Weight("t", (F(0),))
     # [DERIVED] <c - h, h> with c = -54/35: the singles T = {-9/7} and
     # T = {-9/5} both give 81/140 > 0; the vertex T = {-9/5, -9/7} gives
@@ -319,7 +348,7 @@ def test_condition_2_zero_value_survives_scaling():
 def test_condition_2_empty_multiset():
     form = TStarForm([[F(2), F(1)], [F(1), F(3)]])
     mu, rho = Weight("t", (F(1), F(-1))), Weight("t", (F(0), F(1, 2)))
-    S = WeightMultiset("t")
+    S = {}
     for equal_rank in (False, True):
         res = check_condition_2(form, mu, rho, S, equal_rank=equal_rank)
         assert (res.ok, res.witness, res.enumerated_count) == (True, None, 0)
@@ -344,14 +373,14 @@ def _random_instance(rng, dim, den=lambda: 1):
     """A random positive definite form, multiset, mu and rho; den() draws
     the denominator of each coordinate (1 keeps them in Z, rho in Z/2)."""
     form = _random_form(rng, dim, den)
-    S = WeightMultiset("t")
+    S = {}
     total = 0
     while total < rng.randint(1, 12):
         w = tuple(F(rng.randint(-3, 3), den()) for _ in range(dim))
         if all(x == 0 for x in w):
             continue
         m = rng.randint(1, 3)
-        S.add(w, m)
+        S[w] = S.get(w, 0) + m
         total += m
     mu = Weight("t", tuple(F(rng.randint(-6, 6), den()) for _ in range(dim)))
     rho = Weight("t", tuple(F(rng.randint(-3, 3), 2 * den()) for _ in range(dim)))
@@ -392,11 +421,11 @@ def test_condition_2_matches_brute_force_in_a_half_space(dim):
     for _ in range(50):
         form = _random_form(rng, dim)
         ell = [rng.randint(-2, 2) or 1 for _ in range(dim)]
-        S = WeightMultiset("t")
-        while len(S.entries) < rng.randint(1, 6):
+        S = {}
+        while len(S) < rng.randint(1, 6):
             w = tuple(F(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(dim))
             if sum(x * y for x, y in zip(ell, w)) > 0:
-                S.add(w, rng.randint(1, 3))
+                S[w] = S.get(w, 0) + rng.randint(1, 3)
         scale = rng.choice((2, 4, 8))
         mu = Weight("t", tuple(F(scale * rng.randint(-2, 6)) for _ in range(dim)))
         rho = Weight("t", tuple(F(rng.randint(-3, 3), 2) for _ in range(dim)))
@@ -434,9 +463,9 @@ def test_condition_2_equal_rank_singles_match_brute_force(algebra, raw):
     pin = parse_input(raw)
     L, emb, pd, rv, borel, form = pipeline(algebra, pin.generators, pin.cartan_t)
     S = pd.weights_n
-    assert len(S.entries) == S.total() == len(L.rs.positive_roots)
+    assert len(S) == sum(S.values()) == len(L.rs.positive_roots)
     rng = random.Random(algebra)
-    weights = sorted(S.entries)
+    weights = sorted(S)
     passed = 0
     for _ in range(16):
         s, x, w = rng.randint(0, 3), rng.randint(-3, 3), rng.choice(weights)
@@ -460,6 +489,6 @@ def test_evaluate_genericity_passes_on_witness():
     L, emb, pd, rv, borel, form = pipeline(
         "A2", [unit(8, 0, 1), unit(8, 2, 3), unit(8, 5, 6)], [unit(8, 0, 1)]
     )
-    nu, mu, rep = find_generic_nu(L, emb, pd, rv, borel, form)
+    nu, rep = find_generic_nu(L, emb, pd, rv, borel, form)
     again = evaluate_genericity(L, emb, pd, rv, form, nu)
-    assert again.passed and again.mu.coords == mu.coords
+    assert again.passed and again.mu.coords == rep.mu.coords

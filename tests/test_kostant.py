@@ -15,7 +15,13 @@ from conftest import (
 from ghcert.algebra import build_algebra
 from ghcert.borel import build_borel, m_rho
 from ghcert.errors import LengthOutOfRange, NonDominant
-from ghcert.kostant import kostant_cohomology, verify_vanishing
+from ghcert.kostant import (
+    _coset_representatives,
+    coset_counts,
+    kostant_cohomology,
+    verify_vanishing,
+)
+from ghcert.rootsystem import root_system
 from ghcert.weights import Weight
 
 F = Fraction
@@ -256,6 +262,65 @@ def test_coset_cap_exits_4(monkeypatch, write_input, capsys):
     assert "more than 2 elements" in capsys.readouterr().err
     monkeypatch.setattr(ghcert.kostant, "COSET_CAP", 3)
     assert main(argv) == 0
+
+
+def walk_level_sizes(rs, J):
+    """Reference: |W^J_l| for every l, by the walk of `_coset_representatives`
+    on the orbit of lambda_J, the sum of the fundamental weights outside J."""
+    level = {tuple(int(i not in J) for i in range(rs.rank))}
+    sizes = []
+    while level:
+        sizes.append(len(level))
+        level = {rs.reflect_simple(i, p) for p in level for i, x in enumerate(p) if x > 0}
+    return sizes
+
+
+@pytest.mark.parametrize("algebra", ["A1", "A2", "A3", "A4", "A5", "B3", "C3", "D4", "G2", "F4",
+                                     "E6"])
+def test_coset_counts_match_the_walk(algebra):
+    """The Poincaré counts equal the walk's level sizes for every J, and the
+    reference walk's middle level is `_coset_representatives`' (below E6)."""
+    rs = root_system(algebra)
+    for size in range(rs.rank + 1):
+        for J in itertools.combinations(range(rs.rank), size):
+            sizes = walk_level_sizes(rs, J)
+            m_roots = [c for c in rs.positive_roots
+                       if not any(c[i] for i in range(rs.rank) if i not in J)]
+            assert coset_counts(rs, m_roots, len(sizes) - 1) == sizes, J
+            if algebra != "E6":
+                mid = len(sizes) // 2
+                assert len(_coset_representatives(rs, J, mid)) == sizes[mid], J
+
+
+def test_coset_counts_over_a_base_of_their_own():
+    """m's positive roots need not contain simple roots of g: for the sl2 on
+    the highest root of A2 (t-weight 0 on h_1 - h_2), W_m has order 2."""
+    rs = root_system("A2")
+    assert coset_counts(rs, [(1, 1)], 3) == [1, 1, 1, 0]
+
+
+def test_coset_cap_refused_before_h(monkeypatch):
+    """certify refuses a Kostant walk over COSET_CAP before any h is
+    searched: the principal sl2 of A2 walks W(A2) to length 1, 1 + 2
+    elements."""
+    import ghcert.certify
+    import ghcert.kostant
+    from ghcert.certify import certify, parse_input
+    from ghcert.errors import PipelineError, SearchTooLarge
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(ghcert.certify, "choose_regular", no_search)
+    monkeypatch.setattr(ghcert.kostant, "COSET_CAP", 2)
+    raw = CASES["a2_principal"]
+    with pytest.raises(PipelineError) as exc:
+        certify(parse_input(raw), raw)
+    assert type(exc.value.cause) is SearchTooLarge
+    assert str(exc.value) == (
+        "stage 'check_coset_cap': W^J search to length 1 visits more than 2 elements "
+        "(at length 1)"
+    )
 
 
 @pytest.mark.parametrize("name", sorted(set(CASES) - {"a1a1_factor"}))

@@ -41,7 +41,9 @@ def test_a1_torus_parabolic():
     assert pd.m.dim == 1 and pd.n.dim == 1 and pd.nbar.dim == 1
     assert L.index[("e", (1,))] in pd.n
     # k_perp is spanned by e and f: nothing of it at weight 0
-    assert pd.kperp_dims == {(0,): 0, (2,): 1, (-2,): 1}
+    grading = emb.grading
+    assert {w: grading.kperp_dim(w) for w in grading.blocks} == {(0,): 0, (2,): 1, (-2,): 1}
+    assert pd.weights_n_cap_kperp == {(2,): 1}
 
 
 def test_a2_principal_parabolic():
@@ -49,12 +51,13 @@ def test_a2_principal_parabolic():
     L, emb, reg, pd = setup("A2", gens, [unit(8, 0, 1)])
     assert (pd.r, pd.s) == (2, 1)  # [DERIVED] n cap k = span(e1+e2); s=1 [PAPER] for principal sl2
     assert pd.n.dim == 3 and pd.m.dim == 2
-    assert sum(pd.kperp_dims.values()) == 5  # dim k_perp
+    kperp_dims = {w: emb.grading.kperp_dim(w) for w in emb.grading.blocks}
+    assert sum(kperp_dims.values()) == 5  # dim k_perp
     # K is nondegenerate on k, so k and k_perp are independent: g = k + k_perp
     assert emb.checks.killing_nondegenerate_on_k
     # triangular decomposition of k_perp: its n, m and nbar parts
     by_sign = {-1: 0, 0: 0, 1: 0}
-    for w, d in pd.kperp_dims.items():
+    for w, d in kperp_dims.items():
         v = reg.value(w)
         by_sign[(v > 0) - (v < 0)] += d
     assert by_sign[1] == pd.r
@@ -89,11 +92,23 @@ def test_bracket_into_nbar_is_caught():
         build_parabolic(L, emb, reg)
 
 
+def test_r_is_checked_against_the_grading():
+    """n's r, cut at h, must be the grading's r: a dim k_w raised at one
+    weight negative on h leaves n alone but not the grading."""
+    gens = [unit(8, 0, 1), unit(8, 2, 3), unit(8, 5, 6)]
+    L, emb, reg, pd = setup("A2", gens, [unit(8, 0, 1)])
+    grading = emb.grading
+    w = next(w for w in grading.blocks if reg.value(w) < 0 and grading.kperp_dim(w))
+    grading.k_dims[w] = grading.k_dims.get(w, 0) + 1
+    with pytest.raises(InvariantViolation, match="^r = dim\\(n ∩ k_perp\\) is the t-grading's$"):
+        build_parabolic(L, emb, reg)
+
+
 def test_t_weight_multiset_principal():
     gens = [unit(8, 0, 1), unit(8, 2, 3), unit(8, 5, 6)]
     L, emb, reg, pd = setup("A2", gens, [unit(8, 0, 1)])
     S = pd.weights_n
-    assert S.total() == 3
+    assert sum(S.values()) == 3
     # weights of n on t are {1, 1, 2} in canonical t-coordinates
     flat = sorted(w[0] for w, m in S.items() for _ in range(m))
     assert flat == [F(1), F(1), F(2)]
