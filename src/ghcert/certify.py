@@ -10,6 +10,7 @@ makes verification repeat the (deterministic) search.
 """
 
 import json
+import re
 from fractions import Fraction
 
 # hashlib loads OpenSSL's libcrypto to hash one input; the interpreter's own
@@ -126,16 +127,30 @@ def enc_q(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+_RATIONAL = "-?[0-9]+(/[0-9]+)?"  # compiled on first use, not at import
+
+
+def read_q(s: str):
+    """The rational that s spells as an integer or "p/q", not necessarily in
+    lowest terms, in normal form; None for anything else, a zero q
+    included.  `Fraction` alone would also read "0.5", " 1" and "1e5000",
+    and the last builds a 5001-digit numerator."""
+    if not re.fullmatch(_RATIONAL, s):
+        return None
+    try:
+        return exact(Fraction(s))
+    except (ValueError, ZeroDivisionError):  # q = 0, or past int's digit limit
+        return None
+
+
 def dec_q(s):
     """An input rational, in normal form: an int when integral."""
     if type(s) is int:
         return s
-    if isinstance(s, str):
-        try:
-            return exact(Fraction(s))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputInvalid(f"bad rational {s!r}: {exc}") from None
-    raise InputInvalid(f"bad rational {s!r}")
+    x = read_q(s) if type(s) is str else None
+    if x is None:
+        raise InputInvalid(f'bad rational {s!r}: not an integer or a "p/q" string')
+    return x
 
 
 def enc_vec(v):
@@ -452,13 +467,10 @@ def _rationals(obj, path, key, n):
         raise _malformed(f"{path}.{key}", f"{len(strings)} entries, expected {n}")
     out = []
     for i, s in enumerate(strings):
-        try:
-            x = Fraction(s) if type(s) is str else None
-        except (ValueError, ZeroDivisionError):
-            x = None
+        x = read_q(s) if type(s) is str else None
         if x is None or enc_q(x) != s:
             raise _malformed(f"{path}.{key}[{i}]", f'{s!r} is not a "p/q" string in lowest terms')
-        out.append(exact(x))
+        out.append(x)
     return out
 
 

@@ -7,7 +7,6 @@ or any other unexpected error, 4 = a search/size cap was exceeded.
 
 import json
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from ghcert.borel import m_rho
@@ -19,6 +18,7 @@ from ghcert.certify import (
     enc_vec,
     front,
     parse_input,
+    read_q,
     verify_certificate,
 )
 from ghcert.errors import (
@@ -63,10 +63,10 @@ def _parse_nu(text, rank):
     parts = text.split(",")
     if len(parts) != rank:
         raise InputInvalid(f"nu needs {rank} coordinates, got {len(parts)}")
-    try:
-        return Weight("g", tuple(Fraction(p) for p in parts))
-    except (ValueError, ZeroDivisionError):
+    nu = [read_q(p) for p in parts]
+    if None in nu:
         raise InputInvalid(f"bad nu {text!r}")
+    return Weight("g", tuple(nu))
 
 
 def _parse_degrees(text):

@@ -18,7 +18,7 @@ prod_j (m_j + 1) - 1, not the number of points evaluated.  The cap
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, gcd, lcm
+from math import comb, lcm
 from operator import mul
 
 from ghcert.algebra import LieAlgebra
@@ -46,32 +46,25 @@ class TStarForm:
     gram^-1, den > 0 the common denominator of its entries."""
 
     def __init__(self, gram):
-        # Fraction-free Gauss-Jordan on [D gram | 1], D the common
-        # denominator of gram, without row swaps (Bareiss; Montante): the
-        # k-th pivot is the k-th leading principal minor of D gram, and the
-        # end is [d 1 | adj(D gram)], d = det(D gram)
+        # gram^-1 off the canonical rows [1 | (D gram)^-1] of [D gram | 1],
+        # D the common denominator of gram.  Row k goes in k-th and must
+        # lead at column k, positively: it is only ever scaled by positive
+        # factors, so its entry there has the sign of the k-th leading
+        # principal minor over the (k-1)-th (Sylvester's criterion)
         n = len(gram)
         D = lcm(*(x.denominator for row in gram for x in row))
-        a = [
-            [x.numerator * (D // x.denominator) for x in row] + [int(i == j) for j in range(n)]
-            for i, row in enumerate(gram)
-        ]
-        d = 1
-        for k in range(n):
-            piv, pivot_row = a[k][k], a[k]
-            if piv <= 0:
+        ech = Echelon()
+        for k, row in enumerate(gram):
+            vec = {j: x.numerator * (D // x.denominator) for j, x in enumerate(row) if x}
+            rem = ech.reduce({**vec, n + k: 1})
+            if min(rem) != k or rem[k] < 0:
                 if rank(gram) < n:
                     raise DegenerateOnT("Killing form degenerates on t")
                 raise DegenerateOnT("Killing form is not positive definite on t")
-            for i, row in enumerate(a):
-                f = row[k]
-                if i != k and (f or d != piv):
-                    a[i] = [(piv * x - f * y) // d for x, y in zip(row, pivot_row)]
-            d = piv
-        # gram^-1 = D adj / d
-        adj = [row[n:] for row in a]
-        self.den = d // gcd(d, D * gcd(*(x for row in adj for x in row)))
-        self.inv_scaled = [[self.den * D * x // d for x in row] for row in adj]
+            ech.add(rem)
+        canon = ech.canonical_rows()
+        flat, self.den = _ints([D * canon[k].get(n + j, 0) for k in range(n) for j in range(n)])
+        self.inv_scaled = [flat[k * n:(k + 1) * n] for k in range(n)]
 
     def image(self, x):
         """inv_scaled x, for an integer vector x."""

@@ -1,6 +1,8 @@
 """Fraction-free row reduction of sparse integer vectors (after Bareiss,
-Math. Comp. 22, 1968): the one elimination behind the rank, the canonical
-RREF and the nullspace of exact rational rows.
+Math. Comp. 22, 1968): the one elimination behind the rank and the
+canonical RREF of exact rational rows.  It keeps rows only; a caller that
+needs the combination behind a remainder appends identity marks to the
+vectors it reduces and reads them off the remainder.
 
 A sparse vector is a dict {key: value} holding the nonzero entries only.
 An exact rational is kept in one normal form (`exact`): an int when it is
@@ -28,12 +30,10 @@ class Echelon:
     """Echelon form of sparse integer vectors ({key: int}, nonzero entries
     only), grown one vector at a time without fractions.  Each row is a
     primitive integer vector, positive at its least key, which leads no
-    other row.  A row records (combination, den): den * row equals the
-    integer combination {ident: coefficient} of inserted vectors, modulo
-    the span of those inserted without an ident."""
+    other row."""
 
     def __init__(self):
-        self.rows = {}  # leading key -> (row, combination, den)
+        self.rows = {}  # leading key -> row
 
     @classmethod
     def from_rows(cls, m):
@@ -46,85 +46,36 @@ class Echelon:
         return ech
 
     def reduce(self, vec):
-        """(p, q, remainder, combination) with p * vec = q * remainder +
-        combination, modulo the untracked span, and p > 0; the remainder is
-        empty iff vec lies in the span of the rows.  Each step cancels the
+        """The remainder of vec: a positive multiple of vec minus a
+        combination of the rows, whose least key leads no row.  It is empty
+        iff vec lies in the span of the rows.  Each step cancels the
         remainder's least key against the row led there (`cancel`)."""
         cur = dict(vec)
-        comb = {}
-        p = q = 1
         rows = self.rows
         while cur:
             lead = min(cur)
-            hit = rows.get(lead)
-            if hit is None:
+            row = rows.get(lead)
+            if row is None:
                 break
-            row, row_comb, den = hit
-            u, a, c = cancel(cur, lead, row)
-            # u * old = c * cur + a * row and den * row = row_comb, so
-            # (u den p) vec = (den q c) cur + (q a) row_comb + (u den) comb;
-            # an untracked row lies in the untracked span, so den drops out
-            if not row_comb:
-                den = 1
-            scale = u * den
-            if scale != 1:
-                for k in comb:
-                    comb[k] *= scale
-                p *= scale
-            if row_comb:
-                axpy(comb, q * a, row_comb)
-            q *= den * c
-            if scale != 1 or c != 1:
-                g = math.gcd(p, q, *comb.values())
-                if g != 1:
-                    p, q = p // g, q // g
-                    comb = {k: x // g for k, x in comb.items()}
-        return p, q, cur, comb
+            cancel(cur, lead, row)
+        return cur
 
-    def insert(self, vec, ident=None):
-        """Add vec as a row unless the rows span it; True iff it was added."""
-        return self._add(self.reduce(vec), ident)
-
-    def _add(self, reduced, ident):
-        """Add the remainder of a reduction (`reduce`) as a row, unless it is
-        empty; True iff it was added."""
-        p, q, rem, comb = reduced
+    def add(self, rem):
+        """Add a remainder (`reduce`) as a row, divided by its content and
+        made positive at its lead, unless it is empty; True iff it was
+        added."""
         if not rem:
             return False
         lead = min(rem)
         c = math.gcd(*rem.values())
         if rem[lead] < 0:
             c = -c
-        if c != 1:
-            rem = {k: x // c for k, x in rem.items()}
-        # (q c) row = p vec - comb
-        comb = {k: -x for k, x in comb.items()}
-        if ident is not None:
-            comb[ident] = p
-        den = q * c
-        if comb:
-            g = math.gcd(den, *comb.values())
-            if den < 0:
-                g = -g
-            den //= g
-            comb = {k: x // g for k, x in comb.items()}
-        else:
-            den = 1
-        self.rows[lead] = (rem, comb, den)
+        self.rows[lead] = {k: x // c for k, x in rem.items()} if c != 1 else rem
         return True
 
-    def coords(self, vec, ident=None):
-        """The combination of tracked vectors that vec equals modulo the
-        untracked span, {ident: int, or Fraction where not integral}; None
-        when vec is not in the span of the rows, and then, given an ident,
-        vec is added as a row tracked by it, from the same reduction."""
-        reduced = self.reduce(vec)
-        p, _, rem, comb = reduced
-        if rem:
-            if ident is not None:
-                self._add(reduced, ident)
-            return None
-        return comb if p == 1 else divided(comb, p)
+    def insert(self, vec):
+        """Add vec as a row unless the rows span it; True iff it was added."""
+        return self.add(self.reduce(vec))
 
     def canonical_rows(self):
         """{pivot: sparse row} of the reduced row echelon form of the span,
@@ -137,7 +88,7 @@ class Echelon:
         suffices.  Each row is then divided once by its leading entry."""
         cleared = {}
         for lead in sorted(self.rows, reverse=True):
-            cur = dict(self.rows[lead][0])
+            cur = dict(self.rows[lead])
             for q in [q for q in cur if q in cleared]:
                 cancel(cur, q, cleared[q])
             cleared[lead] = dict(sorted(cur.items()))
@@ -145,14 +96,15 @@ class Echelon:
 
 
 def cancel(cur, key, row):
-    """Clear cur's entry a at key with row's entry b there, fraction-free:
-    subtract (a/b) * row when b divides a, and otherwise cross-multiply,
-    (b/g) * cur - (a/g) * row with g = gcd(a, b), and divide out the
-    content c.  Returns (u, m, c) with u * old cur = c * cur + m * row."""
+    """Clear cur's entry a at key with row's entry b > 0 there,
+    fraction-free: subtract (a/b) * row when b divides a, and otherwise
+    cross-multiply, (b/g) * cur - (a/g) * row with g = gcd(a, b), and divide
+    out the content.  Either way cur ends as a positive multiple of itself
+    minus a multiple of row."""
     a, b = cur[key], row[key]
     if a % b == 0:
         axpy(cur, -(a // b), row)
-        return 1, a // b, 1
+        return
     g = math.gcd(a, b)
     u, a = b // g, a // g
     for k in cur:
@@ -162,7 +114,6 @@ def cancel(cur, key, row):
     if c > 1:
         for k in cur:
             cur[k] //= c
-    return u, a, c
 
 
 def divided(vec, d):

@@ -98,10 +98,12 @@ def construct_module(
     each term read from columns already built.  The module is simple, so
     no weight vector below the top is killed by every e_k: a combination
     of candidates vanishes exactly when the same combination of their
-    e-images does.  The e-images, scaled to integers, are reduced by one
-    `Echelon` per depth; the independent candidates, so scaled, become
-    basis vectors, every candidate's coordinates give its f_i column, and
-    the e-images are the e_k columns.
+    e-images does.  The e-images, scaled to integers and each marked in a
+    key past every e-image key by the basis vector it would become, are
+    reduced by one `Echelon` per depth; the independent candidates, so
+    scaled, become basis vectors, a dependent candidate's coordinates are
+    read off the marks left once its e-images cancel and give its f_i
+    column, and the e-images are the e_k columns.
 
     Only these simple columns are built here.  Every other root vector's
     action is built when first asked for (`ExplicitModule.action`), as the
@@ -128,6 +130,7 @@ def construct_module(
     simple_wts = [L.rs.root_to_weight(c) for c in simple]
 
     weights = [tuple(_as_int(x, "coordinate of nu") for x in nu.coords)]
+    aug = target * r  # the mark of basis vector j is key aug + j, past every e-image key
     e_cols = [[{}] for _ in range(r)]  # e_cols[k][b]: e_k b
     f_cols = [[None] for _ in range(r)]  # f_cols[i][b]: f_i b, set one level down
     level = {(0,) * r: [0]}  # depth -> the basis vectors there, one height
@@ -155,9 +158,11 @@ def construct_module(
                 s = math.lcm(*(x.denominator for x in key.values()))
                 key = {t: int(x * s) for t, x in key.items() if x}
                 new = len(weights)
-                comb = ech.coords(key, new)
-                if comb is not None:
-                    f_i[b] = {j: _div(x, s) for j, x in comb.items()}
+                rem = ech.reduce({**key, aug + new: 1})
+                if min(rem) >= aug:
+                    # the e-images cancel: lam key = -sum_j mark_j key_j
+                    lam = rem.pop(aug + new)
+                    f_i[b] = {j - aug: _div(-x, lam * s) for j, x in rem.items()}
                     continue
                 # a new basis vector, s f_i b, with integer e-images key
                 if new >= target:
@@ -165,6 +170,7 @@ def construct_module(
                         "action leaves the constructed module: more independent"
                         f" vectors than the Weyl dimension {target}"
                     )
+                ech.add(rem)
                 f_i[b] = {new: _div(1, s)}
                 weights.append(tuple(x - y for x, y in zip(wt, simple_wts[i])))
                 for k in range(r):

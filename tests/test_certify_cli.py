@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,15 +38,67 @@ from conftest import (
 F = Fraction
 
 
+NOT_P_OVER_Q = ["0.5", "1e3", " 1", "1 ", "+1", "1/-2", "1_0", "\u0661"]
+
+
 def test_rational_round_trip():
+    """An input rational is an int, or a string of an integer or "p/q", not
+    necessarily in lowest terms; nothing else that `Fraction` reads (a
+    point, an exponent, surrounding space, a sign on q, an underscore, a
+    non-ASCII digit)."""
     for x in [F(0), F(3), F(-7, 2), F(22, 7)]:
         assert dec_q(enc_q(x)) == x
     assert dec_q(5) == F(5)
     assert dec_q("4/6") == F(2, 3)
-    with pytest.raises(InputInvalid):
-        dec_q("1/0")
-    with pytest.raises(InputInvalid):
-        dec_q("spam")
+    assert [dec_q(s) for s in ("-3", "-0/5", "007")] == [-3, 0, 7]
+    for s in ["1/0", "spam"] + NOT_P_OVER_Q:
+        with pytest.raises(InputInvalid, match="bad rational"):
+            dec_q(s)
+
+
+def test_cli_nu_is_integers_or_p_over_q(write_input, capsys):
+    """--nu takes the forms of an input rational, and nothing else."""
+    inp = write_input("in.json", CASES["a2_torus"])
+    argv = ["kostant", "--type", "A2", "--k-spec", inp, "--degree", "1", "--nu"]
+    assert main(argv + ["2/2,1"]) == 0
+    capsys.readouterr()
+    for s in NOT_P_OVER_Q:
+        assert main(argv + [f"{s},1"]) == 2
+        assert capsys.readouterr().err == f"error: bad nu '{s},1'\n"
+
+
+def _elapsed(run):
+    """(run(), seconds it took)."""
+    start = time.perf_counter()
+    out = run()
+    return out, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("huge", ["1e5000", "1e10000000"])
+def test_huge_exponent_rationals_are_refused_at_once(huge, write_input, tmp_path, capsys):
+    """A rational written with an exponent is malformed wherever it
+    appears, and is refused before its digits are built: in a certificate
+    (exit 1), in --nu and in an input (exit 2)."""
+    inp = write_input("in.json", CASES["a1_t"])
+    out = tmp_path / "cert.json"
+    assert main(["certify", inp, "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    cert["witness"]["t_coeffs"] = [huge]
+    out.write_text(json.dumps(cert))
+    capsys.readouterr()
+    rc, seconds = _elapsed(lambda: main(["verify", str(out), inp]))
+    assert (rc, seconds < 1) == (1, True)
+    assert "$.witness.t_coeffs[0]" in capsys.readouterr().out
+    spec = write_input("a2.json", CASES["a2_torus"])
+    rc, seconds = _elapsed(lambda: main(
+        ["kostant", "--type", "A2", "--nu", f"{huge},0", "--k-spec", spec, "--degree", "1"]
+    ))
+    assert (rc, seconds < 1) == (2, True)
+    assert capsys.readouterr().err == f"error: bad nu '{huge},0'\n"
+    raw = problem("A1", [[huge, 0, 0]], [unit(3, 0)])
+    rc, seconds = _elapsed(lambda: main(["certify", write_input("huge.json", raw)]))
+    assert (rc, seconds < 1) == (2, True)
+    assert "bad rational" in capsys.readouterr().err
 
 
 def test_parse_input_defaults():

@@ -30,6 +30,7 @@ from conftest import (
     SWEEP_TYPES,
     assert_condition_2_matches_brute_force,
     brute_force_condition_2,
+    fraction_det,
     fraction_inverse,
     levi,
     problem,
@@ -81,6 +82,48 @@ def test_tstar_form_degenerate_messages():
     for gram in ([[1, 0], [0, -1]], [[0, 1], [1, 0]], [[-1]], [[1, 2], [2, 1]]):
         with pytest.raises(DegenerateOnT, match="^Killing form is not positive definite on t$"):
             TStarForm([[F(x) for x in row] for row in gram])
+
+
+# a symmetric Gram: the upper triangle of an integer matrix over a common
+# denominator, plus a shift on the diagonal so that all three outcomes of
+# TStarForm come up often
+symmetric_grams = st.tuples(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ),
+    st.integers(1, 3),
+    st.integers(0, 4),
+).map(lambda p: [
+    [exact(F(p[0][min(i, j)][max(i, j)], p[1]) + p[2] * (i == j)) for j in range(len(p[0]))]
+    for i in range(len(p[0]))
+])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(symmetric_grams)
+def test_tstar_form_follows_sylvester(gram):
+    """A symmetric Gram degenerates iff it is singular, and is otherwise
+    not positive definite iff a leading principal minor is <= 0
+    (Sylvester's criterion); when neither refusal applies, den and
+    inv_scaled are those of the Fraction inverse."""
+    n = len(gram)
+    if fraction_det(gram) == 0:
+        message = "degenerates"
+    elif any(fraction_det([row[:k] for row in gram[:k]]) <= 0 for k in range(1, n + 1)):
+        message = "is not positive definite"
+    else:
+        message = None
+    if message is not None:
+        with pytest.raises(DegenerateOnT, match=f"^Killing form {message} on t$"):
+            TStarForm(gram)
+        return
+    form = TStarForm(gram)
+    inv = fraction_inverse(gram)
+    den = lcm(*(x.denominator for row in inv for x in row))
+    assert form.den == den
+    assert form.inv_scaled == [[int(x * den) for x in row] for row in inv]
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)

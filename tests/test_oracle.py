@@ -407,29 +407,36 @@ def test_oracle_builds_only_the_n_columns(monkeypatch):
 def test_n_column_leaving_the_module_is_rejected(monkeypatch):
     """A simple column, the first or the last f_i column with a term, gets
     a term on the highest-weight vector, off its weight.  The e-images
-    below read it, and the module grows past the Weyl dimension."""
+    below read it, and the module grows past the Weyl dimension.  A
+    dependent candidate's coordinates are the marks of its remainder, each
+    basis vector j marked in key aug + j past every e-image key."""
     L, _, _, _, borel = borel_from_case(CASES["b2_sl2"])
-    coords = Echelon.coords
-    outs = []
+    aug = construct_module(L, borel, w(2, -1)).dim * len(borel.simple_roots)
+    reduce = Echelon.reduce
+    combinations = []
 
-    def record(self, vec, ident=None):
-        outs.append(coords(self, vec, ident))
-        return outs[-1]
+    def record(self, vec):
+        rem = reduce(self, vec)
+        if rem and min(rem) >= aug:
+            combinations.append({k: x for k, x in rem.items() if k != max(vec)})
+        return rem
 
-    monkeypatch.setattr(Echelon, "coords", record)
+    monkeypatch.setattr(Echelon, "reduce", record)
     construct_module(L, borel, w(2, -1))
-    nonempty = [i for i, out in enumerate(outs) if out]
+    nonempty = [i for i, comb in enumerate(combinations) if comb]
     for target in (nonempty[0], nonempty[-1]):
         calls = []
 
-        def corrupt_one(self, vec, ident=None):
-            out = coords(self, vec, ident)
-            if len(calls) == target:
-                out = {**out, 0: 1}
-            calls.append(out)
-            return out
+        def corrupt_one(self, vec):
+            rem = reduce(self, vec)
+            if rem and min(rem) >= aug:
+                if len(calls) == target:
+                    # one more lam * b_0 on the side of the basis vectors
+                    rem = {**rem, aug: rem.get(aug, 0) + rem[max(vec)]}
+                calls.append(rem)
+            return rem
 
-        monkeypatch.setattr(Echelon, "coords", corrupt_one)
+        monkeypatch.setattr(Echelon, "reduce", corrupt_one)
         with pytest.raises(InvariantViolation, match="leaves the constructed module"):
             compare_at(L, borel, w(2, -1), range(5))
         assert len(calls) > target
@@ -544,6 +551,9 @@ sparse_vectors = st.dictionaries(
 )
 
 
+MARK = 100  # inserted vector j is marked in key MARK + j, past every key of sparse_vectors
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     st.lists(st.tuples(sparse_vectors, st.booleans()), max_size=8),
@@ -551,14 +561,24 @@ sparse_vectors = st.dictionaries(
     st.lists(sparse_vectors, max_size=3),
 )
 def test_integer_echelon_matches_fraction_reference(inserted, mixes, probes):
-    ech, ref = Echelon(), FractionEchelon()
+    """The rank, the primitive rows and span membership against the
+    Fraction reference; and the combination of tracked vectors that a
+    vector in the span equals, read off identity marks as construct_module
+    reads them: the remainder of {**vec, mark: 1} is lam * vec minus a
+    combination of the rows, so once vec's own keys cancel, the marks left
+    give lam * vec = -sum_j mark_j * inserted_j."""
+    ech, marked, ref = Echelon(), Echelon(), FractionEchelon()
     for ident, (vec, tracked) in enumerate(inserted):
         ident = ident if tracked else None
-        assert ech.insert(vec, ident) == ref.insert(vec, ident)
-        assert len(ech.rows) == len(ref.rows)  # the rank
-    for row, comb, den in ech.rows.values():
-        lead = min(row)
-        assert row[lead] > 0 and den > 0
+        added = ref.insert(vec, ident)
+        assert ech.insert(vec) == added
+        rem = marked.reduce(vec if ident is None else {**vec, MARK + ident: 1})
+        assert (rem != {} and min(rem) < MARK) == added
+        if added:
+            marked.add(rem)
+        assert len(ech.rows) == len(marked.rows) == len(ref.rows)  # the rank
+    for row in ech.rows.values():
+        assert row[min(row)] > 0
         assert math.gcd(*row.values()) == 1
     # combinations of the inserted vectors lie in the span, the rest may not
     for mix in mixes:
@@ -567,25 +587,27 @@ def test_integer_echelon_matches_fraction_reference(inserted, mixes, probes):
             for k, x in v.items():
                 vec[k] = vec.get(k, 0) + c * x
         probes = probes + [{k: x for k, x in vec.items() if x}]
+    probe = MARK + len(inserted)
     for vec in probes:
         rem, comb = ref.reduce(vec)
-        got = ech.coords(vec)
-        if rem:
-            assert got is None
-        else:
-            assert got == comb
-            assert all(isinstance(x, int) for x in got.values() if x.denominator == 1)
+        assert (ech.reduce(vec) != {}) == bool(rem)
+        if not rem:
+            marks = marked.reduce({**vec, probe: 1})
+            assert min(marks) >= MARK
+            lam = marks.pop(probe)
+            assert lam > 0
+            assert {j - MARK: F(-x, lam) for j, x in marks.items()} == comb
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.lists(sparse_vectors, max_size=8))
-def test_coords_with_an_ident_inserts_what_it_misses(vecs):
+def test_reduce_then_add_leaves_the_rows_of_insert(vecs):
     ech, ref = Echelon(), Echelon()
-    for ident, vec in enumerate(vecs):
-        expected = ref.coords(vec)
-        assert ech.coords(vec, ident) == expected
-        if expected is None:
-            assert ref.insert(vec, ident)
+    for vec in vecs:
+        rows = dict(ech.rows)
+        rem = ech.reduce(vec)
+        assert ech.rows == rows  # reduce leaves the rows alone
+        assert ech.add(rem) == ref.insert(vec) == (rem != {})
         assert ech.rows == ref.rows
 
 
